@@ -78,10 +78,10 @@ func TestGoldenReports(t *testing.T) {
 		{"figure4", []string{"-scale", "tiny", "-iters", "4", "-replicates", "2", "figure4"}, 4},
 		{"figure7a", []string{"-scale", "tiny", "-replicates", "2", "figure7a"}, 4},
 		// Figure 5 runs through the speculative lookahead engine: workers
-		// change how many forked labs evaluate candidates concurrently,
-		// never what gets committed. The no-shift variant pins the path
-		// where speculation is never discarded.
-		{"figure5", []string{"-scale", "tiny", "-iters", "16", "figure5"}, 4},
+		// change how many labs evaluate candidates concurrently, never what
+		// gets committed. The no-shift variant pins the path where
+		// speculation is never discarded; TestFigure5EquivalentAcrossWorkers
+		// pins the restart/discard path.
 		{"figure5-noshift", []string{"-scale", "tiny", "-iters", "16", "-shift", "0", "figure5"}, 8},
 	}
 	for _, tc := range cases {
