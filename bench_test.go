@@ -149,7 +149,7 @@ func BenchmarkFigure5Responsiveness(b *testing.B) {
 
 // BenchmarkFigure5Speculative measures the wall-clock effect of the
 // speculative lookahead engine on the responsiveness run: candidate
-// evaluations fan out over forked labs while commits stay in proposal
+// evaluations fan out over hermetic labs while commits stay in proposal
 // order, so the result is bit-for-bit identical at every worker count
 // (see TestFigure5SpeculativeMatchesSequential). Short phases and a
 // sensitive shift factor keep the tell-independent fraction high — every

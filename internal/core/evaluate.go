@@ -8,6 +8,8 @@ import (
 	"webharmony/internal/harmony"
 	"webharmony/internal/param"
 	"webharmony/internal/rng"
+	"webharmony/internal/simplex"
+	"webharmony/internal/telemetry"
 	"webharmony/internal/tpcw"
 	"webharmony/internal/websim"
 )
@@ -100,46 +102,122 @@ func (l *Lab) tierNodeConfigs(cfgs map[cluster.Tier]param.Config) map[int]param.
 	return out
 }
 
-// hermeticRun drives a tuning strategy through hermetic per-evaluation
-// labs: each iteration peeks the strategy's next proposal
-// (Strategy.Lookahead — non-committing), measures it via EvalConfig, and
-// commits the measurement in place of target.RunIteration
-// (Strategy.CommitStep). The authoritative lab's engine never runs, so
-// trace timestamps come from a virtual clock advancing one full iteration
-// window per committed step — the cadence an engine clock would follow.
-type hermeticRun struct {
-	lab    *Lab
-	w      tpcw.Workload
-	vt     float64 // virtual clock for trace timestamps
-	window float64
-	step   int
-}
-
-// newHermeticRun prepares a hermetic tuning run on the given lab.
-func newHermeticRun(lab *Lab, w tpcw.Workload) *hermeticRun {
-	return &hermeticRun{lab: lab, w: w, window: lab.Cfg.Warm + lab.Cfg.Measure + lab.Cfg.Cool}
-}
-
-// options attaches the virtual-clock trace observer, unless the caller
-// supplied an observer of its own. No-op when the lab has no telemetry.
-func (h *hermeticRun) options(opts harmony.Options) harmony.Options {
+// drive is the hermetic tuning loop every tuning runner shares: it builds
+// a strategy of the given kind on lab and runs phaseLen iterations per
+// entry of phases, measuring every proposal via EvalConfig under that
+// phase's workload. The lab only stages configurations for the strategy;
+// its engine never runs.
+//
+// The sequential formulation — step the strategy, measure, report — hides
+// parallelism because each proposal may depend on the previous report.
+// But the tuners are ask/tell state machines whose moves are often
+// tell-independent (Nelder-Mead evaluates dim+1 initial vertices after
+// every restart before any cost can steer it), so each round:
+//
+//  1. peeks a joint batch of up to lookahead upcoming proposals from the
+//     strategy (Strategy.Lookahead — non-committing), never crossing a
+//     phase boundary (those candidates would measure the wrong workload),
+//  2. evaluates every candidate hermetically via ForEach over
+//     lab.Cfg.Workers, and
+//  3. commits the measurements in proposal order (Strategy.CommitStep),
+//     re-checking the lookahead before each commit and discarding the rest
+//     of the batch the moment a commit changes Strategy.Epoch — a
+//     shift-detection restart re-anchored the search, so the remaining
+//     peeked proposals are stale — then re-peeks from the restarted state.
+//
+// Because an evaluation is a pure function of its key, the committed
+// sequence is identical at every worker count and every lookahead;
+// lookahead 1 is the sequential formulation. Telemetry units carry the
+// strategy epoch and the global step index, so a step re-evaluated after
+// discarded speculation registers under a fresh recorder name. Trace
+// timestamps come from a virtual clock advancing one full iteration window
+// per committed step — the cadence an engine clock would follow.
+func drive(lab *Lab, kind harmony.StrategyKind, lines int, opts harmony.Options, phases []tpcw.Workload, phaseLen, lookahead int) *harmony.Strategy {
+	window := lab.Cfg.Warm + lab.Cfg.Measure + lab.Cfg.Cool
+	vt := 0.0
 	if opts.Observe == nil && opts.Observer == nil {
-		opts.Observe = specObserve(h.lab.Recorder(), &h.vt)
+		opts.Observe = traceObserve(lab.Recorder(), func() float64 { return vt })
 	}
-	return opts
+	st := harmony.NewStrategy(kind, lab, lines, opts)
+	step := 0 // global iteration index
+	for _, w := range phases {
+		for end := step + phaseLen; step < end; {
+			props := st.Lookahead(min(lookahead, end-step))
+			epoch, batchStart := st.Epoch(), step
+			ms := make([]websim.Measurement, len(props))
+			ForEach(lab.Cfg.Workers, len(props), func(j int) {
+				ms[j] = lab.EvalConfig(w, props[j], fmt.Sprintf("e%02d/s%05d", epoch, batchStart+j))
+			})
+			for j := range props {
+				// The batch was peeked under this epoch, so the check can
+				// only fail on a runner bug — but a silently corrupted
+				// search is far worse than a panic, so verify every commit.
+				if next := st.Lookahead(1); len(next) == 0 || !nodeConfigsEqual(next[0], props[j]) {
+					panic(fmt.Sprintf("core: speculative candidate %d diverged from the authoritative search", batchStart+j))
+				}
+				vt += window
+				st.CommitStep(ms[j].WIPS, ms[j].LineWIPS)
+				step++
+				if st.Epoch() != epoch {
+					// The commit restarted the search: candidates j+1..
+					// were measured for proposals the re-anchored sessions
+					// will never make. Record and drop them.
+					if rec := lab.Recorder(); rec != nil {
+						for k := j + 1; k < len(props); k++ {
+							rec.Event(telemetry.Event{
+								Session: "speculate", T: vt, Iter: batchStart + k,
+								Kind: "discard", Move: "speculate-discard",
+							})
+						}
+					}
+					break
+				}
+			}
+		}
+	}
+	return st
 }
 
-// Step runs one hermetic tuning iteration and returns its WIPS. The
-// telemetry unit carries the strategy epoch and the global step index,
-// matching the speculative Figure 5 runner's naming.
-func (h *hermeticRun) Step(st *harmony.Strategy) float64 {
-	props := st.Lookahead(1)
-	if len(props) == 0 {
-		panic("core: hermetic step peeked no proposal")
+// nodeConfigsEqual reports whether two node→configuration assignments
+// stage identical configurations on identical node sets.
+func nodeConfigsEqual(a, b map[int]param.Config) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	m := h.lab.EvalConfig(h.w, props[0], fmt.Sprintf("e%02d/s%05d", st.Epoch(), h.step))
-	h.vt += h.window
-	st.CommitStep(m.WIPS, m.LineWIPS)
-	h.step++
-	return m.WIPS
+	for n, cfg := range a {
+		o, ok := b[n]
+		if !ok || !cfg.Equal(o) {
+			return false
+		}
+	}
+	return true
+}
+
+// traceObserve returns the observer factory that streams tuner steps into
+// rec, stamped with now() — the engine clock on a live lab, the driver's
+// virtual clock on hermetic runs. Nil (tracing disabled) when rec is nil.
+func traceObserve(rec *telemetry.Recorder, now func() float64) func(label string, space *param.Space) simplex.StepObserver {
+	if rec == nil {
+		return nil
+	}
+	return func(label string, space *param.Space) simplex.StepObserver {
+		return func(st simplex.Step) {
+			ev := telemetry.Event{
+				Session: label,
+				T:       now(),
+				Iter:    st.Evaluations,
+				Kind:    "step",
+				Move:    st.Move,
+				Cost:    st.Cost,
+				Best:    st.BestCost,
+			}
+			if st.Move == "reset" || st.Move == "shift-restart" {
+				ev.Kind = "restart"
+			}
+			if st.Config != nil {
+				ev.Config = st.Config.Map(space)
+			}
+			rec.Event(ev)
+		}
+	}
 }

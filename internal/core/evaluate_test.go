@@ -12,7 +12,9 @@ import (
 
 // TestEvalConfigPure checks the hermetic contract directly: the same
 // assignment measured from two different labs — one of which has run
-// other evaluations in between — yields bit-identical measurements.
+// other evaluations in between — yields bit-identical measurements, the
+// calling lab's engine never runs, and the staged assignment (not the
+// calling lab's) is what gets measured.
 func TestEvalConfigPure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -22,6 +24,12 @@ func TestEvalConfigPure(t *testing.T) {
 
 	a := NewLab(cfg, tpcw.Shopping)
 	m1 := a.EvalConfig(tpcw.Shopping, nodeCfgs, "first")
+	if m1.WIPS <= 0 {
+		t.Fatalf("WIPS = %v, want > 0", m1.WIPS)
+	}
+	if now := a.Sys.Eng.Now(); now != 0 {
+		t.Fatalf("EvalConfig advanced the calling lab's engine to %v", now)
+	}
 
 	b := NewLab(cfg, tpcw.Shopping)
 	b.EvalConfig(tpcw.Ordering, nodeCfgs, "noise") // unrelated evaluation in between
@@ -29,6 +37,17 @@ func TestEvalConfigPure(t *testing.T) {
 
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("evaluation depends on lab history:\n%+v\n%+v", m1, m2)
+	}
+
+	// A recognizably non-default value on one node.
+	tier := a.Tiers()[0]
+	node := tier.Nodes[0]
+	other := tier.Space.DefaultConfig()
+	other[0] = tier.Space.Def(0).Min
+	alt := a.tierNodeConfigs(DefaultConfigs())
+	alt[node] = other
+	if m3 := a.EvalConfig(tpcw.Shopping, alt, "alt"); reflect.DeepEqual(m1, m3) {
+		t.Fatalf("a non-default assignment measured exactly like the default one: %+v", m3)
 	}
 }
 

@@ -45,11 +45,7 @@ func TuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters int, opts
 
 	// Tuning run on a fresh, identically-seeded lab.
 	lab := NewLab(telemetrySub(cfg, "tuning"), w)
-	h := newHermeticRun(lab, w)
-	st := harmony.NewStrategy(harmony.StrategyDefault, lab, 0, h.options(opts))
-	for i := 0; i < iters; i++ {
-		h.Step(st)
-	}
+	st := drive(lab, harmony.StrategyDefault, 0, opts, []tpcw.Workload{w}, iters, 1)
 	res.Tuning = st.Perf()
 	res.BestWIPS, _ = st.Best()
 	res.BestConfigs = tierConfigs(lab, st.BestNodeConfigs())
@@ -151,8 +147,8 @@ type Figure5Result struct {
 // opts for the paper's responsiveness behaviour.
 //
 // Candidate evaluation fans out over cfg.Workers via speculative
-// lookahead (see runFigure5): the tuners' tell-independent proposals are
-// measured concurrently in forked labs and committed in proposal order,
+// lookahead (see drive): the tuners' tell-independent proposals are
+// measured concurrently in hermetic labs and committed in proposal order,
 // with speculation past any shift-detection restart discarded. The
 // output — WIPS series, Recovery, Restarts, telemetry traces/metrics and
 // simprofile stacks — is bit-for-bit identical at every worker count.
@@ -219,11 +215,7 @@ func RunTable4(cfg LabConfig, iters int, opts harmony.Options) *Table4Result {
 		}
 		kind := kinds[i-1]
 		lab := NewLab(telemetrySub(cfg, "method:"+kind.String()), tpcw.Shopping)
-		h := newHermeticRun(lab, tpcw.Shopping)
-		st := harmony.NewStrategy(kind, lab, cfg.WorkLines, h.options(opts))
-		for k := 0; k < iters; k++ {
-			h.Step(st)
-		}
+		st := drive(lab, kind, cfg.WorkLines, opts, []tpcw.Workload{tpcw.Shopping}, iters, 1)
 		best, _ := st.Best()
 		perf := st.Perf()
 		rows[i] = Table4Row{
@@ -428,11 +420,4 @@ func FormatLayoutSeries(layouts []string) string {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

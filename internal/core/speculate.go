@@ -1,15 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"webharmony/internal/harmony"
-	"webharmony/internal/param"
-	"webharmony/internal/simplex"
 	"webharmony/internal/stats"
-	"webharmony/internal/telemetry"
 	"webharmony/internal/tpcw"
-	"webharmony/internal/websim"
 )
 
 // figure5Lookahead bounds how many candidate iterations the speculative
@@ -22,164 +16,31 @@ import (
 // evaluation of the widest tier space, 10 vertices for the db tier).
 const figure5Lookahead = 16
 
-// runFigure5 is the speculative evaluation engine behind RunFigure5.
-//
-// The sequential formulation — step the strategy, measure, report — hides
-// parallelism because each proposal may depend on the previous report.
-// But the tuners are ask/tell state machines whose moves are often
-// tell-independent (Nelder-Mead evaluates dim+1 initial vertices after
-// every restart before any cost can steer it), so the runner instead:
-//
-//  1. peeks a joint batch of up to lookahead upcoming proposals from the
-//     strategy (Strategy.Lookahead — non-committing),
-//  2. evaluates every candidate in its own forked lab via ForEach, with
-//     per-candidate rng streams keyed by the global iteration index, and
-//  3. commits the measurements into the authoritative strategy in
-//     proposal order (Strategy.CommitStep), re-checking the lookahead
-//     before each commit and discarding the rest of the batch the moment
-//     a commit changes Strategy.Epoch — a shift-detection restart
-//     re-anchored the search, so the remaining peeked proposals are
-//     stale — then re-peeking from the restarted state.
-//
-// Because a candidate's measurement is a pure function of (configuration,
-// workload, global step index, staged proposals) and never of engine
-// history, the committed sequence is identical whether the batch runs on
-// one worker or eight — and identical to lookahead 1, which is the
-// sequential formulation. Speculation never crosses a phase boundary:
-// those candidates would measure the wrong workload.
+// runFigure5 runs Figure 5 through drive at the given lookahead: a
+// duplication strategy tuned over phases phases of phaseLen iterations,
+// cycling through seq.
 func runFigure5(cfg LabConfig, seq []tpcw.Workload, phaseLen, phases, lookahead int, opts harmony.Options) (*Figure5Result, *harmony.Strategy) {
 	if len(seq) == 0 || phaseLen <= 0 || phases <= 0 {
 		panic("core: bad Figure 5 arguments")
 	}
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	auth := NewLab(cfg, seq[0])
-	// The authoritative lab's engine never runs — every measurement
-	// happens in a fork — so trace timestamps come from a virtual clock
-	// advancing one full iteration window per committed step, the cadence
-	// the engine clock of a sequential run follows.
-	window := cfg.Warm + cfg.Measure + cfg.Cool
-	vt := 0.0
-	if opts.Observer == nil && opts.Observe == nil {
-		opts.Observe = specObserve(auth.Recorder(), &vt)
-	}
-	st := harmony.NewStrategy(harmony.StrategyDuplication, auth, 0, opts)
 	res := &Figure5Result{PhaseLen: phaseLen}
-
-	step := 0 // global iteration index; the per-candidate seed key
-	for p := 0; p < phases; p++ {
-		w := seq[p%len(seq)]
+	ws := make([]tpcw.Workload, phases)
+	for p := range ws {
+		ws[p] = seq[p%len(seq)]
 		if p > 0 {
 			res.Switches = append(res.Switches, p*phaseLen)
 		}
-		remaining := phaseLen
-		for remaining > 0 {
-			depth := lookahead
-			if depth > remaining {
-				depth = remaining
-			}
-			props := st.Lookahead(depth)
-			epoch := st.Epoch()
-			batchStart := step
-			specs := make([]websim.Measurement, len(props))
-			ForEach(cfg.Workers, len(props), func(j int) {
-				specs[j] = evalFigure5Candidate(auth, w, batchStart+j, epoch, props[j])
-			})
-			for j := range props {
-				// The batch was peeked under this epoch, so the check can
-				// only fail on a runner bug — but a silently corrupted
-				// search is far worse than a panic, so verify every commit.
-				if next := st.Lookahead(1); len(next) == 0 || !nodeConfigsEqual(next[0], props[j]) {
-					panic(fmt.Sprintf("core: speculative candidate %d diverged from the authoritative search", batchStart+j))
-				}
-				vt += window
-				st.CommitStep(specs[j].WIPS, specs[j].LineWIPS)
-				res.WIPS = append(res.WIPS, specs[j].WIPS)
-				res.Workload = append(res.Workload, w)
-				step++
-				remaining--
-				if st.Epoch() != epoch {
-					// The commit restarted the search: candidates j+1..
-					// were measured for proposals the re-anchored sessions
-					// will never make. Record and drop them.
-					if rec := auth.Recorder(); rec != nil {
-						for k := j + 1; k < len(props); k++ {
-							rec.Event(telemetry.Event{
-								Session: "speculate", T: vt, Iter: batchStart + k,
-								Kind: "discard", Move: "speculate-discard",
-							})
-						}
-					}
-					break
-				}
-			}
+		for i := 0; i < phaseLen; i++ {
+			res.Workload = append(res.Workload, ws[p])
 		}
 	}
+	st := drive(NewLab(cfg, seq[0]), harmony.StrategyDuplication, 0, opts, ws, phaseLen, lookahead)
+	res.WIPS = st.Perf()
 	for _, sess := range st.Sessions() {
 		res.Restarts += sess.Resets()
 	}
 	res.Recovery = recoveryIters(res.WIPS, res.Switches, phaseLen)
 	return res, st
-}
-
-// evalFigure5Candidate measures one speculative candidate hermetically
-// via Lab.EvalConfig: the evaluation's rng streams derive from its
-// canonical key (configuration, workload, lab shape — never the step
-// index), so the measurement is a pure function of the proposal,
-// independent of worker count, evaluation order, speculation depth, and
-// whatever the authoritative engine has or has not run. It also means a
-// re-proposed configuration is an exact repeat, so the speculative runner
-// shares the same content-addressed memo table (LabConfig.EvalCache) as
-// the sequential runners. The telemetry unit carries the strategy epoch
-// and the global step index so a step re-evaluated after discarded
-// speculation registers under a fresh recorder name.
-func evalFigure5Candidate(auth *Lab, w tpcw.Workload, step, epoch int, nodeCfgs map[int]param.Config) websim.Measurement {
-	return auth.EvalConfig(w, nodeCfgs, fmt.Sprintf("e%02d/s%05d", epoch, step))
-}
-
-// nodeConfigsEqual reports whether two node→configuration assignments
-// stage identical configurations on identical node sets.
-func nodeConfigsEqual(a, b map[int]param.Config) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for n, cfg := range a {
-		o, ok := b[n]
-		if !ok || !cfg.Equal(o) {
-			return false
-		}
-	}
-	return true
-}
-
-// specObserve mirrors Lab.TraceObserve but stamps events from the
-// speculative runner's virtual clock instead of an engine clock (the
-// authoritative engine stays at zero). Nil when telemetry is disabled.
-func specObserve(rec *telemetry.Recorder, vt *float64) func(label string, space *param.Space) simplex.StepObserver {
-	if rec == nil {
-		return nil
-	}
-	return func(label string, space *param.Space) simplex.StepObserver {
-		return func(st simplex.Step) {
-			ev := telemetry.Event{
-				Session: label,
-				T:       *vt,
-				Iter:    st.Evaluations,
-				Kind:    "step",
-				Move:    st.Move,
-				Cost:    st.Cost,
-				Best:    st.BestCost,
-			}
-			if st.Move == "reset" || st.Move == "shift-restart" {
-				ev.Kind = "restart"
-			}
-			if st.Config != nil {
-				ev.Config = st.Config.Map(space)
-			}
-			rec.Event(ev)
-		}
-	}
 }
 
 // RecoveryNone in a Figure5Result.Recovery entry marks a phase whose WIPS

@@ -132,12 +132,12 @@ func TestFigure5TelemetryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFigure5SpeculationStress drives the forked-lab fan-out as hard as
+// TestFigure5SpeculationStress drives the hermetic fan-out as hard as
 // the tiny scenario allows — more workers than candidates, shift
 // detection firing constantly so speculative batches are repeatedly
 // discarded mid-commit — and checks the result still matches the
 // sequential run. Run under -race this doubles as the concurrency test
-// for Fork/SnapshotConfigs/collector registration.
+// for EvalConfig's per-evaluation labs and collector registration.
 func TestFigure5SpeculationStress(t *testing.T) {
 	seq := []tpcw.Workload{tpcw.Browsing, tpcw.Shopping, tpcw.Ordering}
 	opts := harmony.Options{Seed: 11, ShiftFactor: 0.05, ShiftPatience: 1}
@@ -212,40 +212,5 @@ func TestRecoveryIters(t *testing.T) {
 		if got := recoveryIters(tc.wips, tc.switches, tc.phaseLen); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: recoveryIters = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-// TestLabForkIndependence checks the fork mechanism itself: a fork
-// inherits the parent's staged node configurations, derives a different
-// seed, and measuring it leaves the parent's engine untouched.
-func TestLabForkIndependence(t *testing.T) {
-	parent := NewLab(specLab(5, 1), tpcw.Browsing)
-	tiers := parent.Tiers()
-	cfg := tiers[0].Space.DefaultConfig()
-	cfg[0] = tiers[0].Space.Def(0).Min // a recognizably non-default value
-	node := tiers[0].Nodes[0]
-	parent.SetNodeConfig(node, cfg)
-
-	fork := parent.Fork(3, tpcw.Ordering, "s00003")
-	if !fork.NodeConfig(node).Equal(cfg) {
-		t.Fatalf("fork did not inherit staged config: %v != %v", fork.NodeConfig(node), cfg)
-	}
-	if fork.Cfg.Seed == parent.Cfg.Seed {
-		t.Fatal("fork reused the parent seed")
-	}
-	if fork.Cfg.Workers != 1 {
-		t.Fatalf("fork Workers = %d, want 1", fork.Cfg.Workers)
-	}
-	m := fork.MeasureIteration(true)
-	if m.WIPS <= 0 {
-		t.Fatalf("fork measurement WIPS = %v, want > 0", m.WIPS)
-	}
-	if now := parent.Sys.Eng.Now(); now != 0 {
-		t.Fatalf("measuring a fork advanced the parent engine to %v", now)
-	}
-	// Same (task, workload) twice → bit-identical measurement.
-	m2 := parent.Fork(3, tpcw.Ordering, "again").MeasureIteration(true)
-	if m.WIPS != m2.WIPS {
-		t.Fatalf("fork measurement not reproducible: %v != %v", m.WIPS, m2.WIPS)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // stageConfigs applies one Lookahead entry to the fake cluster, the way a
-// speculative runner stages a candidate on a forked lab.
+// speculative runner stages a candidate on an evaluation lab.
 func stageConfigs(fc *fakeCluster, m map[int]param.Config) {
 	for node, cfg := range m {
 		fc.SetNodeConfig(node, cfg)

@@ -1,6 +1,7 @@
 package hproto
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"strings"
@@ -141,4 +142,40 @@ func TestServerDropsOversizedMessage(t *testing.T) {
 	if _, err := conn.Read(buf); err == nil {
 		t.Error("server answered an oversized frame; want the connection dropped")
 	}
+}
+
+// TestClientRejectsOversizedResponse pins the client half of the frame
+// bound: a server answering with a well-formed JSON line longer than
+// MaxMessageSize gets an error from Client.Do, not a decoded response.
+func TestClientRejectsOversizedResponse(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+			return
+		}
+		huge := `{"ok":true,"sessions":["` + strings.Repeat("a", MaxMessageSize) + `"]}` + "\n"
+		conn.Write([]byte(huge))
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.Do(Request{Op: OpList}); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("Do on an oversized response: err = %v, want size-limit error", err)
+	}
+	<-served
 }

@@ -2,7 +2,6 @@ package hproto
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -421,8 +420,8 @@ func (c *Client) Do(req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	resp, err := DecodeResponse(line)
+	if err != nil {
 		return Response{}, err
 	}
 	if !resp.OK && resp.Error == "" {

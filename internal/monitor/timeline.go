@@ -91,17 +91,6 @@ func (t *Timeline) Stop() {
 // Points returns the recorded samples in time order.
 func (t *Timeline) Points() []TimelinePoint { return t.points }
 
-// NodeSeries returns the time series of one resource on one node.
-func (t *Timeline) NodeSeries(node int, res cluster.Resource) (times, values []float64) {
-	for _, p := range t.points {
-		if p.Node == node {
-			times = append(times, p.Time)
-			values = append(values, p.Util[res])
-		}
-	}
-	return times, values
-}
-
 // WriteCSV writes the timeline as time,node,tier,cpu,memory,net,disk rows.
 func (t *Timeline) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

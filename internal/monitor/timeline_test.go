@@ -24,23 +24,25 @@ func TestTimelineSamples(t *testing.T) {
 	if len(pts) != 15 {
 		t.Fatalf("points = %d, want 15", len(pts))
 	}
-	times, vals := tl.NodeSeries(0, cluster.ResCPU)
+	var times []float64
+	for _, p := range pts {
+		switch p.Node {
+		case 0:
+			times = append(times, p.Time)
+			if p.Util[cluster.ResCPU] < 0.99 {
+				t.Fatalf("t=%v: node0 CPU %v, want ~1", p.Time, p.Util[cluster.ResCPU])
+			}
+		case 1:
+			if p.Util[cluster.ResCPU] != 0 {
+				t.Fatal("idle node shows load")
+			}
+		}
+	}
 	if len(times) != 5 {
 		t.Fatalf("node series length = %d", len(times))
 	}
-	for i, v := range vals {
-		if v < 0.99 {
-			t.Fatalf("sample %d: node0 CPU %v, want ~1", i, v)
-		}
-	}
 	if times[0] != 5 || times[4] != 25 {
 		t.Fatalf("sample times = %v", times)
-	}
-	_, idle := tl.NodeSeries(1, cluster.ResCPU)
-	for _, v := range idle {
-		if v != 0 {
-			t.Fatal("idle node shows load")
-		}
 	}
 }
 

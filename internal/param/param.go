@@ -127,15 +127,6 @@ func (s *Space) IndexOf(name string) int {
 	return -1
 }
 
-// Names returns the parameter names in order.
-func (s *Space) Names() []string {
-	names := make([]string, len(s.defs))
-	for i, d := range s.defs {
-		names[i] = d.Name
-	}
-	return names
-}
-
 // DefaultConfig returns the configuration with every parameter at its
 // default value.
 func (s *Space) DefaultConfig() Config {

@@ -103,9 +103,8 @@ func TestSpaceDefaults(t *testing.T) {
 	if s.IndexOf("b") != 1 || s.IndexOf("zz") != -1 {
 		t.Fatal("IndexOf wrong")
 	}
-	names := s.Names()
-	if names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
+	if s.Def(0).Name != "a" || s.Def(1).Name != "b" {
+		t.Fatalf("Defs = %v", s.Defs())
 	}
 }
 
@@ -246,7 +245,7 @@ func TestConcatAndSlice(t *testing.T) {
 		t.Fatalf("concat Len = %d", cat.Len())
 	}
 	if cat.IndexOf("p2.y") != 2 {
-		t.Fatalf("prefixed name missing: %v", cat.Names())
+		t.Fatalf("prefixed name missing: %v", cat.Defs())
 	}
 	c := Config{11, 12, 13}
 	sub := Slice(c, []*Space{s1, s2}, 1)

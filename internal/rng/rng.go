@@ -253,9 +253,6 @@ func (z *Zipf) Next() uint64 {
 // N returns the number of ranks the sampler draws from.
 func (z *Zipf) N() uint64 { return z.n }
 
-// Theta returns the sampler's exponent.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

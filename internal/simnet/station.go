@@ -20,7 +20,6 @@ type Station struct {
 	busyTime   float64 // integral of busy servers dt, up to lastStamp
 	lastStamp  float64
 	completed  uint64
-	arrived    uint64
 	queuedPeak int
 
 	// onEvict, when set, receives each queued job's completion callback if
@@ -93,9 +92,6 @@ func NewStation(eng *Engine, name string, servers int, speed float64) *Station {
 // Name returns the station's diagnostic name.
 func (s *Station) Name() string { return s.name }
 
-// Servers returns the number of parallel servers.
-func (s *Station) Servers() int { return s.servers }
-
 // SetSpeed changes the service-rate multiplier for jobs started afterwards.
 // Used to model thrashing slowdowns from memory pressure.
 func (s *Station) SetSpeed(speed float64) {
@@ -104,9 +100,6 @@ func (s *Station) SetSpeed(speed float64) {
 	}
 	s.speed = speed
 }
-
-// Speed returns the current service-rate multiplier.
-func (s *Station) Speed() float64 { return s.speed }
 
 func (s *Station) stamp() {
 	now := s.eng.Now()
@@ -121,7 +114,6 @@ func (s *Station) Submit(demand float64, done func()) {
 	if demand < 0 {
 		demand = 0
 	}
-	s.arrived++
 	// The service completion is attributed to the context that submitted
 	// the job (stack extended by "station/svc"), not to whichever event
 	// later pops it off the queue.
@@ -186,9 +178,6 @@ func (s *Station) Busy() int { return s.busy }
 // Completed returns the number of jobs that have finished service.
 func (s *Station) Completed() uint64 { return s.completed }
 
-// Arrived returns the number of jobs submitted.
-func (s *Station) Arrived() uint64 { return s.arrived }
-
 // BusyTime returns the cumulative busy-server-seconds up to now.
 func (s *Station) BusyTime() float64 {
 	s.stamp()
@@ -231,7 +220,6 @@ func (s *Station) Reset() {
 	s.stamp()
 	s.busyTime = 0
 	s.completed = 0
-	s.arrived = 0
 	s.queuedPeak = 0
 	if len(s.queue) > 0 {
 		if s.onEvict == nil {
