@@ -24,28 +24,35 @@ type Engine struct {
 	canceled int      // dead (canceled, unpopped) events still in the heap
 	free     []*event // recycled event records
 
-	// Attribution state for the trace-driven profiler (profile.go). ctx is
-	// the folded stack of the event being dispatched; events scheduled
-	// during dispatch inherit it. All of it is inert until SetProfile.
+	// prof is the attached trace-driven profiler (profile.go), nil when
+	// profiling is off. cur is the attribution context of the event being
+	// dispatched; events scheduled during dispatch inherit it.
 	prof *Profile
-	ctx  string
+	cur  attr
+}
 
-	// curSpan is the span buffer of the request whose event is being
-	// dispatched (span.go); events scheduled during dispatch inherit it.
-	// Inert (nil) until a request begins a span.
-	curSpan *SpanBuf
+// attr is the attribution context one unit of work carries through the
+// engine and the queueing primitives: the profiler's folded stack
+// (profile.go) and the request's span buffer (span.go). Events, queued
+// station jobs and pool waiters capture the context that submitted them
+// and restore it around their callback, so deferred work is charged to its
+// submitter rather than to whichever event happened to start it. Both
+// halves are inert until used: stack stays "" while no profile is attached
+// and span stays nil until a request begins a span.
+type attr struct {
+	stack string
+	span  *SpanBuf
 }
 
 // event is a scheduled callback. Records are recycled through Engine.free;
 // gen increments on every recycle so stale Timer handles turn into no-ops.
 // A nil fn marks a canceled (dead) event awaiting pop or compaction.
 type event struct {
-	at    float64
-	seq   uint64
-	fn    func()
-	gen   uint64
-	label string   // attribution stack (profiling runs only)
-	span  *SpanBuf // span context of the submitting request (span runs only)
+	at   float64
+	seq  uint64
+	fn   func()
+	gen  uint64
+	attr attr // context of the scheduling event, restored at dispatch
 }
 
 // compactMin is the minimum number of dead events before Cancel considers
@@ -143,8 +150,7 @@ func (t *Timer) Cancel() {
 		return // already fired, recycled, or canceled
 	}
 	ev.fn = nil // drop the closure (and everything it captured) now
-	ev.label = ""
-	ev.span = nil
+	ev.attr = attr{}
 	e := t.eng
 	e.canceled++
 	if e.canceled >= compactMin && e.canceled*2 > len(e.events) {
@@ -186,8 +192,7 @@ func (e *Engine) alloc() *event {
 // every Timer handle still pointing at it.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.label = ""
-	ev.span = nil
+	ev.attr = attr{}
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -198,6 +203,13 @@ func (e *Engine) Now() float64 { return e.now }
 // Schedule arranges for fn to run delay seconds from now. A negative delay
 // is treated as zero. It returns a Timer that can cancel the event.
 func (e *Engine) Schedule(delay float64, fn func()) Timer {
+	return e.scheduleAttr(delay, e.cur, fn)
+}
+
+// scheduleAttr is Schedule with an explicit attribution context, used by
+// the queueing primitives to run deferred work (a queued job's service)
+// under the context that submitted it.
+func (e *Engine) scheduleAttr(delay float64, a attr, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
 	}
@@ -205,25 +217,22 @@ func (e *Engine) Schedule(delay float64, fn func()) Timer {
 	ev.at = e.now + delay
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.span = e.curSpan
-	if e.prof != nil {
-		ev.label = e.ctx
-	}
+	ev.attr = a
 	e.seq++
 	e.events.push(ev)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
-// scheduleLabeled is Schedule with an explicit attribution stack, used by
-// the queueing primitives to attribute deferred work (queued jobs, pool
-// waiters) to the context that submitted it rather than the event that
-// happened to start it.
-func (e *Engine) scheduleLabeled(delay float64, label string, fn func()) Timer {
-	t := e.Schedule(delay, fn)
+// deferred returns the current context extended by the frame
+// name+kind, for work a queueing primitive runs later on the submitter's
+// behalf. The frame string is built only while a profile is attached; the
+// stack is "" otherwise, so the unprofiled path allocates nothing.
+func (e *Engine) deferred(name, kind string) attr {
+	a := e.cur
 	if e.prof != nil {
-		t.ev.label = label
+		a.stack = appendFrame(a.stack, name+kind)
 	}
-	return t
+	return a
 }
 
 // At arranges for fn to run at absolute simulated time t; if t is in the
@@ -242,20 +251,15 @@ func (e *Engine) Step() bool {
 			e.release(ev)
 			continue
 		}
-		fn := ev.fn
-		span := ev.span
+		fn, a := ev.fn, ev.attr
 		if e.prof != nil {
-			e.prof.record(ev.label, ev.at-e.now)
-			e.ctx = ev.label
+			e.prof.record(a.stack, ev.at-e.now)
 		}
 		e.now = ev.at
 		e.release(ev)
-		e.curSpan = span
+		e.cur = a
 		fn()
-		e.curSpan = nil
-		if e.prof != nil {
-			e.ctx = ""
-		}
+		e.cur = attr{}
 		return true
 	}
 	return false

@@ -14,11 +14,11 @@ import (
 // accumulating two weights per stack — the number of dispatches and the
 // simulated time the clock advanced to reach the event.
 //
-// Attribution is threaded, not sampled. The engine keeps a current context
-// (the folded stack of the event being dispatched); events scheduled during
-// dispatch inherit it, instrumented call sites push frames with Enter/
-// EnterRoot, and the queueing primitives carry the submitter's context
-// across their queues. Everything is derived from the deterministic event
+// Attribution is threaded, not sampled. The folded stack is the profiler's
+// half of the engine's attribution context (attr, in engine.go), which also
+// carries the request span: events scheduled during dispatch inherit it,
+// instrumented call sites push frames with Enter/EnterRoot, and the
+// queueing primitives carry the submitter's context across their queues. Everything is derived from the deterministic event
 // sequence, so a profile is byte-identical across runs and worker counts —
 // unlike wall-clock pprof, which the repo also ships (harmonyd -debug-addr)
 // but which cannot be compared across machines or checked into a test.
@@ -52,12 +52,9 @@ func appendFrame(ctx, name string) string {
 func (e *Engine) SetProfile(p *Profile) {
 	e.prof = p
 	if p == nil {
-		e.ctx = ""
+		e.cur.stack = ""
 	}
 }
-
-// Profiling reports whether a profile is attached.
-func (e *Engine) Profiling() bool { return e.prof != nil }
 
 // Frame is a token returned by Enter/EnterRoot and restored by Exit; the
 // zero value (returned when profiling is off) makes Exit a no-op.
@@ -74,8 +71,8 @@ func (e *Engine) Enter(name string) Frame {
 	if e.prof == nil {
 		return Frame{}
 	}
-	f := Frame{eng: e, prev: e.ctx, ok: true}
-	e.ctx = appendFrame(e.ctx, name)
+	f := Frame{eng: e, prev: e.cur.stack, ok: true}
+	e.cur.stack = appendFrame(e.cur.stack, name)
 	return f
 }
 
@@ -86,15 +83,15 @@ func (e *Engine) EnterRoot(name string) Frame {
 	if e.prof == nil {
 		return Frame{}
 	}
-	f := Frame{eng: e, prev: e.ctx, ok: true}
-	e.ctx = name
+	f := Frame{eng: e, prev: e.cur.stack, ok: true}
+	e.cur.stack = name
 	return f
 }
 
 // Exit restores the attribution stack saved by Enter/EnterRoot.
 func (f Frame) Exit() {
 	if f.ok {
-		f.eng.ctx = f.prev
+		f.eng.cur.stack = f.prev
 	}
 }
 

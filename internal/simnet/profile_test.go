@@ -46,8 +46,8 @@ func TestProfileEnterRootResets(t *testing.T) {
 	r := e.EnterRoot("fresh")
 	e.Schedule(1, func() {})
 	r.Exit()
-	if e.ctx != "a;b" {
-		t.Fatalf("ctx after Exit = %q, want %q", e.ctx, "a;b")
+	if e.cur.stack != "a;b" {
+		t.Fatalf("ctx after Exit = %q, want %q", e.cur.stack, "a;b")
 	}
 	f2.Exit()
 	f1.Exit()
@@ -65,7 +65,7 @@ func TestProfileDepthCap(t *testing.T) {
 	for i := 0; i < 2*maxFrames; i++ {
 		e.Enter("f")
 	}
-	if got := strings.Count(e.ctx, ";") + 1; got != maxFrames {
+	if got := strings.Count(e.cur.stack, ";") + 1; got != maxFrames {
 		t.Fatalf("stack depth = %d, want capped at %d", got, maxFrames)
 	}
 }
@@ -258,8 +258,8 @@ func TestProfileDetachedZeroState(t *testing.T) {
 	e.SetProfile(p)
 	e.Enter("left-open")
 	e.SetProfile(nil)
-	if e.ctx != "" {
-		t.Fatalf("ctx = %q after detach, want empty", e.ctx)
+	if e.cur.stack != "" {
+		t.Fatalf("ctx = %q after detach, want empty", e.cur.stack)
 	}
 	e.Schedule(1, func() {})
 	e.Run()

@@ -3,13 +3,14 @@ package simnet
 // Per-request span recording. A SpanBuf collects one request's timeline as
 // a sequence of contiguous segments, each attributed to a site (an opaque
 // uint8 the caller assigns to stations and pools — the web simulator maps
-// them to tier resources) and a kind (queue wait or service). The engine
-// threads the active buffer through event dispatch exactly the way it
-// threads the profiler's attribution stack: events capture the submitting
-// request's buffer and restore it around their callback, stations stamp a
-// queue segment when a job enters service and a service segment when it
-// completes, and token pools stamp the wait when a queued Acquire is
-// granted. Everything is inert — and free — until a request begins a span.
+// them to tier resources) and a kind (queue wait or service). The active
+// buffer is the span half of the engine's attribution context (attr, in
+// engine.go), which also carries the profiler's stack: events capture the
+// submitting request's context and restore it around their callback,
+// stations stamp a queue segment when a job enters service and a service
+// segment when it completes, and token pools stamp the wait when a queued
+// Acquire is granted. Everything is inert — and free — until a request
+// begins a span.
 //
 // Time inside a span is integer microsecond ticks: each float64 timestamp
 // is rounded once, durations are tick differences, and consecutive
@@ -171,23 +172,14 @@ func (b *SpanBuf) KidSpanSegs(i int) []SpanSeg {
 
 // CurrentSpan returns the span buffer of the request whose event is being
 // dispatched, or nil.
-func (e *Engine) CurrentSpan() *SpanBuf { return e.curSpan }
+func (e *Engine) CurrentSpan() *SpanBuf { return e.cur.span }
 
 // SetSpan installs b as the current span context and returns the previous
 // one; events scheduled while it is installed capture it. Pass nil to
 // detach — work scheduled afterwards (think timers, samplers) belongs to
 // no request.
 func (e *Engine) SetSpan(b *SpanBuf) *SpanBuf {
-	prev := e.curSpan
-	e.curSpan = b
+	prev := e.cur.span
+	e.cur.span = b
 	return prev
-}
-
-// scheduleSpanned is scheduleLabeled with an explicit span context, used
-// by the queueing primitives so a deferred job's completion restores the
-// submitting request's span, not whichever request's event started it.
-func (e *Engine) scheduleSpanned(delay float64, label string, span *SpanBuf, fn func()) Timer {
-	t := e.scheduleLabeled(delay, label, fn)
-	t.ev.span = span
-	return t
 }

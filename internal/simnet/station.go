@@ -36,19 +36,19 @@ type Station struct {
 type stationJob struct {
 	demand float64
 	done   func()
-	label  string   // attribution stack captured at Submit (profiling runs)
-	span   *SpanBuf // submitter's span, captured at Submit (span runs)
+	attr   attr // submitter's context, extended by "<station>/svc"
 }
 
 // svcRecord is one in-service job's completion state. fire is allocated
 // once per record and reused across recycles; it dispatches back into the
 // owning station, which releases the record before running the job's done
 // callback (mirroring the engine's release-before-callback discipline).
+// fire is scheduled under the submitter's context, so the completion finds
+// the submitter's span in the engine's current context.
 type svcRecord struct {
 	st   *Station
 	done func()
 	fire func()
-	span *SpanBuf // submitter's span, stamped with the service segment
 }
 
 // getSvc returns a recycled service record, or a fresh one.
@@ -69,7 +69,6 @@ func (s *Station) getSvc(done func()) *svcRecord {
 // putSvc recycles a service record, dropping its callback reference.
 func (s *Station) putSvc(r *svcRecord) {
 	r.done = nil
-	r.span = nil
 	s.freeSvc = append(s.freeSvc, r)
 }
 
@@ -117,31 +116,25 @@ func (s *Station) Submit(demand float64, done func()) {
 	// The service completion is attributed to the context that submitted
 	// the job (stack extended by "station/svc"), not to whichever event
 	// later pops it off the queue.
-	var label string
-	if s.eng.prof != nil {
-		label = appendFrame(s.eng.ctx, s.name+"/svc")
-	}
-	span := s.eng.curSpan
+	a := s.eng.deferred(s.name, "/svc")
 	if s.busy < s.servers {
-		s.start(demand, done, label, span)
+		s.start(demand, done, a)
 		return
 	}
-	s.queue = append(s.queue, stationJob{demand: demand, done: done, label: label, span: span})
+	s.queue = append(s.queue, stationJob{demand: demand, done: done, attr: a})
 	if len(s.queue) > s.queuedPeak {
 		s.queuedPeak = len(s.queue)
 	}
 }
 
-func (s *Station) start(demand float64, done func(), label string, span *SpanBuf) {
+func (s *Station) start(demand float64, done func(), a attr) {
 	s.stamp()
 	s.busy++
-	if span != nil {
+	if a.span != nil {
 		// Whatever elapsed since Submit was time in this station's queue.
-		span.Mark(s.site, SpanQueue, s.eng.NowTicks())
+		a.span.Mark(s.site, SpanQueue, s.eng.NowTicks())
 	}
-	r := s.getSvc(done)
-	r.span = span
-	s.eng.scheduleSpanned(demand/s.speed, label, span, r.fire)
+	s.eng.scheduleAttr(demand/s.speed, a, s.getSvc(done).fire)
 }
 
 // complete finishes one job's service: the record is recycled first, then
@@ -150,8 +143,8 @@ func (s *Station) start(demand float64, done func(), label string, span *SpanBuf
 // unchanged.
 func (s *Station) complete(r *svcRecord) {
 	done := r.done
-	if r.span != nil {
-		r.span.Mark(s.site, SpanService, s.eng.NowTicks())
+	if span := s.eng.cur.span; span != nil {
+		span.Mark(s.site, SpanService, s.eng.NowTicks())
 	}
 	s.putSvc(r)
 	s.stamp()
@@ -162,7 +155,7 @@ func (s *Station) complete(r *svcRecord) {
 		copy(s.queue, s.queue[1:])
 		s.queue[len(s.queue)-1] = stationJob{} // release the closure
 		s.queue = s.queue[:len(s.queue)-1]
-		s.start(next.demand, next.done, next.label, next.span)
+		s.start(next.demand, next.done, next.attr)
 	}
 	if done != nil {
 		done()
@@ -257,13 +250,12 @@ type TokenPool struct {
 	granting bool // grantWaiters is draining; re-entrant calls return
 }
 
-// waiter is one queued Acquire: its grant callback plus the attribution
-// stack captured when the request started waiting, so the eventual grant
-// is charged to the acquirer, not to whichever event released the token.
+// waiter is one queued Acquire: its grant callback plus the context
+// captured when the request started waiting, so the eventual grant is
+// charged to the acquirer, not to whichever event released the token.
 type waiter struct {
 	fn   func()
-	ctx  string
-	span *SpanBuf // acquirer's span, stamped with the wait when granted
+	attr attr // acquirer's context, extended by "<pool>/grant"
 }
 
 // NewTokenPool creates a pool of capacity tokens whose wait queue holds at
@@ -323,11 +315,7 @@ func (p *TokenPool) Acquire(onGrant func(), onReject func()) {
 		}
 		return
 	}
-	w := waiter{fn: onGrant, span: p.eng.curSpan}
-	if p.eng.prof != nil {
-		w.ctx = appendFrame(p.eng.ctx, p.name+"/grant")
-	}
-	p.waiters = append(p.waiters, w)
+	p.waiters = append(p.waiters, waiter{fn: onGrant, attr: p.eng.deferred(p.name, "/grant")})
 	if len(p.waiters) > p.waitPeak {
 		p.waitPeak = len(p.waiters)
 	}
@@ -361,22 +349,15 @@ func (p *TokenPool) grantWaiters() {
 		p.inUse++
 		p.granted++
 		e := p.eng
-		if w.span != nil {
+		if w.attr.span != nil {
 			// The time since Acquire queued is this pool's wait; the grant
-			// callback runs under the waiter's span, not the releaser's.
-			w.span.Mark(p.site, SpanQueue, e.NowTicks())
+			// callback runs under the waiter's context, not the releaser's.
+			w.attr.span.Mark(p.site, SpanQueue, e.NowTicks())
 		}
-		savedSpan := e.curSpan
-		e.curSpan = w.span
-		if e.prof != nil {
-			saved := e.ctx
-			e.ctx = w.ctx
-			w.fn()
-			e.ctx = saved
-		} else {
-			w.fn()
-		}
-		e.curSpan = savedSpan
+		saved := e.cur
+		e.cur = w.attr
+		w.fn()
+		e.cur = saved
 	}
 	p.granting = false
 }
