@@ -1,6 +1,7 @@
 package websim
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -115,9 +116,13 @@ func pipelineFingerprint(t *testing.T, seed uint64, sessions, churn bool) string
 
 // TestPipelineFingerprintGolden locks the request pipeline's observable
 // behavior across a seed matrix — quiet runs, session-graph browsing and
-// mid-flight failure/restart churn — against a checked-in golden recorded
-// before the pooled state-machine refactor. Regenerate (only when an
-// intentional behavior change is being made) with:
+// mid-flight failure/restart churn. The full rendering runs to ~30k lines,
+// almost all of it profile stacks, so the golden pins it by SHA-256 and
+// keeps only a readable excerpt: the counters and per-tier stats of every
+// scenario, with the profile reduced to its stack count. On a mismatch the
+// test writes the full rendering to a temporary file and names it.
+// Regenerate (only when an intentional behavior change is being made)
+// with:
 //
 //	go test ./internal/websim/ -run TestPipelineFingerprintGolden -update
 func TestPipelineFingerprintGolden(t *testing.T) {
@@ -135,12 +140,14 @@ func TestPipelineFingerprintGolden(t *testing.T) {
 			doc.WriteString(pipelineFingerprint(t, seed, tc.sessions, tc.churn))
 		}
 	}
+	full := doc.String()
+	got := fingerprintDigest(full)
 	golden := filepath.Join("testdata", "pipeline_fingerprint.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(doc.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,26 +155,53 @@ func TestPipelineFingerprintGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (regenerate with -update): %v", err)
 	}
-	if doc.String() != string(want) {
-		got, exp := doc.String(), string(want)
-		line := 1
-		for i := 0; i < len(got) && i < len(exp); i++ {
-			if got[i] != exp[i] {
-				lo := i - 120
-				if lo < 0 {
-					lo = 0
-				}
-				hi := i + 120
-				if hi > len(got) {
-					hi = len(got)
-				}
-				t.Fatalf("pipeline fingerprint diverges from golden at byte %d (line %d):\n got …%q…\nwant …%q…",
-					i, line, got[lo:hi], exp[lo:min(hi, len(exp))])
-			}
-			if got[i] == '\n' {
-				line++
-			}
-		}
-		t.Fatalf("pipeline fingerprint length differs: got %d bytes, golden %d", len(got), len(exp))
+	if got == string(want) {
+		return
 	}
+	f, err := os.CreateTemp("", "pipeline_fingerprint-*.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(full); err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("pipeline fingerprint diverges from golden at line %d:\n got %q\nwant %q\nfull rendering: %s",
+				i+1, gotLines[i], wantLines[i], f.Name())
+		}
+	}
+	t.Fatalf("pipeline fingerprint has %d golden lines, want %d; full rendering: %s",
+		len(gotLines), len(wantLines), f.Name())
+}
+
+// fingerprintDigest renders what the golden pins of a full fingerprint:
+// its SHA-256 and size, then every line outside the profile sections, with
+// each profile section reduced to its stack count.
+func fingerprintDigest(full string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "sha256 %x bytes %d\n", sha256.Sum256([]byte(full)), len(full))
+	stacks, inProfile := 0, false
+	for _, line := range strings.SplitAfter(full, "\n") {
+		switch {
+		case strings.HasPrefix(line, "=== "):
+			if inProfile {
+				fmt.Fprintf(&b, "--- profile: %d stacks ---\n", stacks)
+			}
+			stacks, inProfile = 0, false
+			b.WriteString(line)
+		case line == "--- profile ---\n":
+			inProfile = true
+		case inProfile && line != "":
+			stacks++
+		default:
+			b.WriteString(line)
+		}
+	}
+	if inProfile {
+		fmt.Fprintf(&b, "--- profile: %d stacks ---\n", stacks)
+	}
+	return b.String()
 }
