@@ -106,14 +106,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// IntRange returns a uniform integer in [lo, hi]. It panics if hi < lo.
-func (s *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rng: IntRange with hi < lo")
-	}
-	return lo + s.Intn(hi-lo+1)
-}
-
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()

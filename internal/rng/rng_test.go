@@ -128,19 +128,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestIntRange(t *testing.T) {
-	s := New(9)
-	for i := 0; i < 1000; i++ {
-		v := s.IntRange(-5, 5)
-		if v < -5 || v > 5 {
-			t.Fatalf("IntRange(-5,5) = %d out of range", v)
-		}
-	}
-	if got := s.IntRange(3, 3); got != 3 {
-		t.Fatalf("IntRange(3,3) = %d, want 3", got)
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	s := New(13)
 	const n = 200000

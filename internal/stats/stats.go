@@ -186,44 +186,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
 
-// Histogram counts observations in fixed-width bins over [lo, hi); values
-// outside the range are clamped into the edge bins.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if hi <= lo || bins <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
 // TimePoint is a single (time, value) observation in a TimeSeries.
 type TimePoint struct {
 	T float64

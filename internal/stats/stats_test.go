@@ -136,35 +136,6 @@ func TestSamplePercentileAfterInterleavedAdds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	h.Add(-5) // clamps into bin 0
-	h.Add(50) // clamps into last bin
-	if h.Bin(0) != 2 || h.Bin(9) != 2 {
-		t.Fatal("out-of-range values not clamped into edge bins")
-	}
-	if h.N() != 12 {
-		t.Fatalf("N = %d, want 12", h.N())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram with hi <= lo did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestTimeSeriesWindow(t *testing.T) {
 	var ts TimeSeries
 	for i := 0; i < 10; i++ {
