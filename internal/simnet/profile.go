@@ -18,10 +18,11 @@ import (
 // half of the engine's attribution context (attr, in engine.go), which also
 // carries the request span: events scheduled during dispatch inherit it,
 // instrumented call sites push frames with Enter/EnterRoot, and the
-// queueing primitives carry the submitter's context across their queues. Everything is derived from the deterministic event
-// sequence, so a profile is byte-identical across runs and worker counts —
-// unlike wall-clock pprof, which the repo also ships (harmonyd -debug-addr)
-// but which cannot be compared across machines or checked into a test.
+// queueing primitives carry the submitter's context across their queues.
+// Everything is derived from the deterministic event sequence, so a
+// profile is byte-identical across runs and worker counts — unlike
+// wall-clock pprof, which the repo also ships (harmonyd -debug-addr) but
+// which cannot be compared across machines or checked into a test.
 //
 // With no profile attached (SetProfile never called) the whole layer is a
 // nil check per event and per instrumented call site.
