@@ -35,7 +35,7 @@ func TestRunAdaptiveTunesAndReconfigures(t *testing.T) {
 		t.Fatalf("series lengths: %d / %d", len(res.WIPS), len(res.Layouts))
 	}
 	if len(res.Moves) != 1 {
-		t.Fatalf("moves = %d, want 1 (layouts: %s)", len(res.Moves), FormatLayoutSeries(res.Layouts))
+		t.Fatalf("moves = %d, want 1 (layouts: %v)", len(res.Moves), res.Layouts)
 	}
 	mv := res.Moves[0]
 	if mv.Decision.To.String() != "proxy" {
@@ -46,7 +46,7 @@ func TestRunAdaptiveTunesAndReconfigures(t *testing.T) {
 	}
 	before := stats.MeanOf(res.WIPS[mv.Iteration/2 : mv.Iteration+1])
 	after := stats.MeanOf(res.WIPS[mv.Iteration+2:])
-	t.Logf("layouts: %s", FormatLayoutSeries(res.Layouts))
+	t.Logf("layouts: %v", res.Layouts)
 	t.Logf("before=%.1f after=%.1f", before, after)
 	if after <= before {
 		t.Fatalf("adaptive loop did not improve throughput: %.1f -> %.1f", before, after)

@@ -101,16 +101,6 @@ func TestRunFigure5PanicsOnBadArgs(t *testing.T) {
 	RunFigure5(QuickLab(), nil, 10, 2, harmony.Options{})
 }
 
-func TestFormatLayoutSeries(t *testing.T) {
-	if got := FormatLayoutSeries(nil); got != "" {
-		t.Fatalf("empty = %q", got)
-	}
-	got := FormatLayoutSeries([]string{"4/2/1", "4/2/1", "3/3/1", "3/3/1"})
-	if got != "4/2/1 →(iter 2) 3/3/1" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestDefaultConfigsComplete(t *testing.T) {
 	dc := DefaultConfigs()
 	if len(dc) != 3 {

@@ -405,19 +405,3 @@ func labCosts(lab *Lab) reconfig.Costs {
 	}
 	return c
 }
-
-// String helpers used by the CLI and the public API.
-
-// FormatLayoutSeries renders iteration → layout transitions compactly.
-func FormatLayoutSeries(layouts []string) string {
-	if len(layouts) == 0 {
-		return ""
-	}
-	out := layouts[0]
-	for i := 1; i < len(layouts); i++ {
-		if layouts[i] != layouts[i-1] {
-			out += fmt.Sprintf(" →(iter %d) %s", i, layouts[i])
-		}
-	}
-	return out
-}

@@ -14,7 +14,7 @@ func quickFig7Lab() LabConfig {
 func TestFigure7aMovesProxyToApp(t *testing.T) {
 	fo := Figure7a()
 	res := RunFigure7(quickFig7Lab(), fo, nil)
-	t.Logf("layouts: %s", FormatLayoutSeries(res.Layouts))
+	t.Logf("layouts: %v", res.Layouts)
 	t.Logf("decision: %v (moved=%v at iter %d)", res.Decision, res.Moved, res.MovedAt)
 	t.Logf("before=%.1f after=%.1f improvement=%.0f%%", res.Before, res.After, 100*res.Improvement)
 	if !res.Moved {
@@ -31,7 +31,7 @@ func TestFigure7aMovesProxyToApp(t *testing.T) {
 func TestFigure7bMovesAppToProxy(t *testing.T) {
 	fo := Figure7b()
 	res := RunFigure7(quickFig7Lab(), fo, nil)
-	t.Logf("layouts: %s", FormatLayoutSeries(res.Layouts))
+	t.Logf("layouts: %v", res.Layouts)
 	t.Logf("decision: %v (moved=%v)", res.Decision, res.Moved)
 	t.Logf("before=%.1f after=%.1f improvement=%.0f%%", res.Before, res.After, 100*res.Improvement)
 	if !res.Moved {

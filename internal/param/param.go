@@ -75,9 +75,6 @@ func (d Def) ClampFloat(v float64) int64 {
 	return d.Clamp(int64(math.RoundToEven(v)))
 }
 
-// Levels returns the number of feasible lattice points.
-func (d Def) Levels() int64 { return (d.Max-d.Min)/d.Step + 1 }
-
 // Space is an ordered collection of parameter definitions; it defines the
 // search space for one tuning server.
 type Space struct {

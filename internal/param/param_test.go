@@ -72,15 +72,6 @@ func TestDefClampFloat(t *testing.T) {
 	}
 }
 
-func TestDefLevels(t *testing.T) {
-	if got := def("x", 0, 10, 0, 5).Levels(); got != 3 {
-		t.Fatalf("Levels = %d, want 3", got)
-	}
-	if got := def("x", 7, 7, 7, 1).Levels(); got != 1 {
-		t.Fatalf("Levels = %d, want 1", got)
-	}
-}
-
 func TestNewSpaceRejectsDuplicates(t *testing.T) {
 	_, err := NewSpace(def("a", 0, 1, 0, 1), def("a", 0, 1, 0, 1))
 	if err == nil {

@@ -23,3 +23,25 @@ func TestStationAllocs(t *testing.T) {
 		t.Errorf("station submit+step: %.2f allocs, want 0 (ceiling 0.5)", avg)
 	}
 }
+
+// TestStationAllocsProfiled is TestStationAllocs with a profile attached
+// and the submissions inside an Enter'ed frame: once the stacks are
+// interned, extending the submitter's stack by the station's frame and
+// recording each dispatch allocate nothing either.
+func TestStationAllocsProfiled(t *testing.T) {
+	var e Engine
+	e.SetProfile(NewProfile())
+	st := NewStation(&e, "cpu", 2, 1)
+	submit := func() {
+		f := e.Enter("req")
+		st.Submit(0.001, nil)
+		f.Exit()
+		e.Step()
+	}
+	for i := 0; i < 1000; i++ {
+		submit()
+	}
+	if avg := testing.AllocsPerRun(5000, submit); avg > 0.5 {
+		t.Errorf("profiled station submit+step: %.2f allocs, want 0 (ceiling 0.5)", avg)
+	}
+}

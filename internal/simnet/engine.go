@@ -25,22 +25,26 @@ type Engine struct {
 	free     []*event // recycled event records
 
 	// prof is the attached trace-driven profiler (profile.go), nil when
-	// profiling is off. cur is the attribution context of the event being
-	// dispatched; events scheduled during dispatch inherit it.
-	prof *Profile
-	cur  attr
+	// profiling is off. owner is the first profile ever attached, the one
+	// whose stack ids events may carry. cur is the attribution context of
+	// the event being dispatched; events scheduled during dispatch inherit
+	// it.
+	prof  *Profile
+	owner *Profile
+	cur   attr
 }
 
 // attr is the attribution context one unit of work carries through the
-// engine and the queueing primitives: the profiler's folded stack
-// (profile.go) and the request's span buffer (span.go). Events, queued
-// station jobs and pool waiters capture the context that submitted them
-// and restore it around their callback, so deferred work is charged to its
-// submitter rather than to whichever event happened to start it. Both
-// halves are inert until used: stack stays "" while no profile is attached
-// and span stays nil until a request begins a span.
+// engine and the queueing primitives: the profiler's folded stack, as an
+// id interned by the attached profile (profile.go), and the request's span
+// buffer (span.go). Events, queued station jobs and pool waiters capture
+// the context that submitted them and restore it around their callback, so
+// deferred work is charged to its submitter rather than to whichever event
+// happened to start it. Both halves are inert until used: stack stays 0
+// (the empty stack) while no profile has been attached and span stays nil
+// until a request begins a span.
 type attr struct {
-	stack string
+	stack int32
 	span  *SpanBuf
 }
 
@@ -223,14 +227,14 @@ func (e *Engine) scheduleAttr(delay float64, a attr, fn func()) Timer {
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
-// deferred returns the current context extended by the frame
-// name+kind, for work a queueing primitive runs later on the submitter's
-// behalf. The frame string is built only while a profile is attached; the
-// stack is "" otherwise, so the unprofiled path allocates nothing.
-func (e *Engine) deferred(name, kind string) attr {
+// deferred returns the current context extended by frame, for work a
+// queueing primitive runs later on the submitter's behalf. The primitives
+// build their frame strings once, so extending the stack is one lookup in
+// the attached profile's trie, and nothing at all while none is attached.
+func (e *Engine) deferred(frame string) attr {
 	a := e.cur
 	if e.prof != nil {
-		a.stack = appendFrame(a.stack, name+kind)
+		a.stack = e.prof.child(a.stack, frame)
 	}
 	return a
 }

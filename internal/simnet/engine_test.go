@@ -441,3 +441,20 @@ func BenchmarkStationThroughput(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkStationThroughputProfiled is BenchmarkStationThroughput with a
+// profile attached and each job submitted inside an Enter'ed frame, the
+// shape of every instrumented station submission.
+func BenchmarkStationThroughputProfiled(b *testing.B) {
+	var e Engine
+	e.SetProfile(NewProfile())
+	st := NewStation(&e, "cpu", 2, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := e.Enter("req")
+		st.Submit(0.001, nil)
+		f.Exit()
+		e.Step()
+	}
+	e.Run()
+}

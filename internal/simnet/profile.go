@@ -24,6 +24,11 @@ import (
 // wall-clock pprof, which the repo also ships (harmonyd -debug-addr) but
 // which cannot be compared across machines or checked into a test.
 //
+// Stacks are interned: the profile owns a trie of frames and the context
+// carries a node id, so pushing a frame is one map lookup and recording a
+// dispatch is one slice increment — no string is built on the event path.
+// Path strings ("a;b;c") are rendered only when the profile is written.
+//
 // With no profile attached (SetProfile never called) the whole layer is a
 // nil check per event and per instrumented call site.
 
@@ -32,36 +37,35 @@ import (
 // keeps its prefix). The instrumented pipeline needs ~12 frames.
 const maxFrames = 24
 
-// unattributed is the stack that owns dispatches outside any frame.
+// unattributed is how the empty stack (id 0) renders: it owns the
+// dispatches outside any frame.
 const unattributed = "(unattributed)"
-
-// appendFrame extends a folded stack by one frame, enforcing maxFrames.
-func appendFrame(ctx, name string) string {
-	if ctx == "" {
-		return name
-	}
-	if strings.Count(ctx, ";") >= maxFrames-1 {
-		return ctx
-	}
-	return ctx + ";" + name
-}
 
 // SetProfile attaches a profile to the engine; every subsequent dispatch is
 // recorded. A nil profile detaches and restores the zero-overhead path.
 // Attaching a profile never changes what the simulation computes: labels
 // ride along with events but neither reorder them nor touch any RNG.
+//
+// Stack ids are meaningful only to the profile that interned them, and
+// pending events may still carry ids after a detach, so an engine serves
+// one profile for its lifetime: re-attaching the same profile is fine,
+// attaching a different one panics.
 func (e *Engine) SetProfile(p *Profile) {
-	e.prof = p
-	if p == nil {
-		e.cur.stack = ""
+	if p != nil {
+		if e.owner != nil && e.owner != p {
+			panic("simnet: SetProfile with a second profile; an engine's stack ids belong to its first")
+		}
+		e.owner = p
 	}
+	e.prof = p
+	e.cur.stack = 0
 }
 
 // Frame is a token returned by Enter/EnterRoot and restored by Exit; the
 // zero value (returned when profiling is off) makes Exit a no-op.
 type Frame struct {
 	eng  *Engine
-	prev string
+	prev int32
 	ok   bool
 }
 
@@ -73,7 +77,7 @@ func (e *Engine) Enter(name string) Frame {
 		return Frame{}
 	}
 	f := Frame{eng: e, prev: e.cur.stack, ok: true}
-	e.cur.stack = appendFrame(e.cur.stack, name)
+	e.cur.stack = e.prof.child(e.cur.stack, name)
 	return f
 }
 
@@ -85,7 +89,7 @@ func (e *Engine) EnterRoot(name string) Frame {
 		return Frame{}
 	}
 	f := Frame{eng: e, prev: e.cur.stack, ok: true}
-	e.cur.stack = name
+	e.cur.stack = e.prof.child(0, name)
 	return f
 }
 
@@ -102,81 +106,160 @@ type stackWeight struct {
 	simTime float64
 }
 
+// stackNode is one interned stack: its parent's id plus the last frame.
+// depth is the number of ";" separators in the rendered path, the measure
+// maxFrames caps.
+type stackNode struct {
+	parent int32
+	frame  string
+	depth  int
+	w      stackWeight
+}
+
+// stackKey indexes a node by its parent and last frame.
+type stackKey struct {
+	parent int32
+	frame  string
+}
+
 // Profile accumulates sim-time-weighted folded stacks from one engine (or,
 // after Merge, several). Not safe for concurrent use; in parallel runs each
 // lab owns a profile and the collector merges them after the join.
+//
+// nodes[0] is the empty stack; every other node's parent precedes it, and
+// every other node renders to a non-empty path.
 type Profile struct {
-	stacks map[string]*stackWeight
+	nodes []stackNode
+	index map[stackKey]int32
 }
 
 // NewProfile returns an empty profile.
 func NewProfile() *Profile {
-	return &Profile{stacks: make(map[string]*stackWeight)}
+	return &Profile{nodes: make([]stackNode, 1), index: make(map[stackKey]int32)}
+}
+
+// child returns the id of the stack parent extended by frame, interning it
+// on first use. It extends exactly as the folded path would: a frame
+// pushed on the empty stack starts the path, and a parent already
+// maxFrames-1 separators deep keeps its prefix.
+func (p *Profile) child(parent int32, frame string) int32 {
+	if parent == 0 && frame == "" {
+		return 0
+	}
+	if parent != 0 && p.nodes[parent].depth >= maxFrames-1 {
+		return parent
+	}
+	k := stackKey{parent: parent, frame: frame}
+	if id, ok := p.index[k]; ok {
+		return id
+	}
+	depth := strings.Count(frame, ";")
+	if parent != 0 {
+		depth += p.nodes[parent].depth + 1
+	}
+	id := int32(len(p.nodes))
+	p.nodes = append(p.nodes, stackNode{parent: parent, frame: frame, depth: depth})
+	p.index[k] = id
+	return id
 }
 
 // record attributes one dispatch: dt simulated seconds of clock advance.
-func (p *Profile) record(stack string, dt float64) {
-	if stack == "" {
-		stack = unattributed
-	}
-	w := p.stacks[stack]
-	if w == nil {
-		w = &stackWeight{}
-		p.stacks[stack] = w
-	}
+func (p *Profile) record(stack int32, dt float64) {
+	w := &p.nodes[stack].w
 	w.events++
 	w.simTime += dt
 }
 
-// Merge adds every stack of o into p. Per-stack sums commute across merge
-// order up to float association; callers that need byte-stable output must
-// merge in a fixed order (the telemetry collector merges recorders sorted
-// by (replicate, unit)).
+// Merge adds every stack of o into p. Parents precede children in o, so
+// each of o's nodes maps onto p with one child lookup. Per-stack sums
+// commute across merge order up to float association; callers that need
+// byte-stable output must merge in a fixed order (the telemetry collector
+// merges recorders sorted by (replicate, unit)).
 func (p *Profile) Merge(o *Profile) {
 	if o == nil {
 		return
 	}
-	for stack, ow := range o.stacks {
-		w := p.stacks[stack]
-		if w == nil {
-			w = &stackWeight{}
-			p.stacks[stack] = w
-		}
-		w.events += ow.events
-		w.simTime += ow.simTime
+	ids := make([]int32, len(o.nodes))
+	for i := 1; i < len(o.nodes); i++ {
+		n := &o.nodes[i]
+		ids[i] = p.child(ids[n.parent], n.frame)
 	}
+	for i := range o.nodes {
+		if ow := o.nodes[i].w; ow.events > 0 {
+			w := &p.nodes[ids[i]].w
+			w.events += ow.events
+			w.simTime += ow.simTime
+		}
+	}
+}
+
+// foldedStack is one rendered stack with its weights.
+type foldedStack struct {
+	stack string
+	w     stackWeight
+}
+
+// folded renders the recorded stacks in lexicographic order. Nodes that
+// render to the same path (a frame name containing ";") are summed into
+// one entry, in node order.
+func (p *Profile) folded() []foldedStack {
+	paths := make([]string, len(p.nodes))
+	byPath := make(map[string]int)
+	var out []foldedStack
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		switch {
+		case i == 0:
+			paths[i] = unattributed
+		case n.parent == 0:
+			paths[i] = n.frame
+		default:
+			paths[i] = paths[n.parent] + ";" + n.frame
+		}
+		if n.w.events == 0 {
+			continue
+		}
+		if j, ok := byPath[paths[i]]; ok {
+			out[j].w.events += n.w.events
+			out[j].w.simTime += n.w.simTime
+			continue
+		}
+		byPath[paths[i]] = len(out)
+		out = append(out, foldedStack{stack: paths[i], w: n.w})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].stack < out[j].stack })
+	return out
 }
 
 // Empty reports whether nothing has been recorded. A nil profile is empty.
-func (p *Profile) Empty() bool { return p == nil || len(p.stacks) == 0 }
-
-// Events returns the total number of recorded dispatches.
-func (p *Profile) Events() uint64 {
-	var n uint64
-	for _, w := range p.stacks {
-		n += w.events
+func (p *Profile) Empty() bool {
+	if p == nil {
+		return true
 	}
-	return n
+	for i := range p.nodes {
+		if p.nodes[i].w.events > 0 {
+			return false
+		}
+	}
+	return true
 }
 
-// SimTime returns the total attributed simulated seconds.
-func (p *Profile) SimTime() float64 {
-	var t float64
-	for _, w := range p.stacks {
-		t += w.simTime
+// totals sums the weights of fs, in order.
+func totals(fs []foldedStack) stackWeight {
+	var t stackWeight
+	for _, f := range fs {
+		t.events += f.w.events
+		t.simTime += f.w.simTime
 	}
 	return t
 }
 
-// sortedStacks returns the stack keys in lexicographic order.
-func (p *Profile) sortedStacks() []string {
-	out := make([]string, 0, len(p.stacks))
-	for s := range p.stacks {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
+// Events returns the total number of recorded dispatches.
+func (p *Profile) Events() uint64 { return totals(p.folded()).events }
+
+// SimTime returns the total attributed simulated seconds, summed in the
+// sorted-stack order WriteFolded uses so the float total is reproducible.
+func (p *Profile) SimTime() float64 { return totals(p.folded()).simTime }
 
 // WriteFolded writes the profile in the folded-stack format consumed by
 // flamegraph.pl and speedscope: one "frame;frame;frame weight" line per
@@ -184,10 +267,9 @@ func (p *Profile) sortedStacks() []string {
 // lexicographic order so the bytes are stable across runs and merges.
 func (p *Profile) WriteFolded(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, stack := range p.sortedStacks() {
-		sw := p.stacks[stack]
-		us := int64(sw.simTime*1e6 + 0.5)
-		if _, err := fmt.Fprintf(bw, "%s %d\n", stack, us); err != nil {
+	for _, f := range p.folded() {
+		us := int64(f.w.simTime*1e6 + 0.5)
+		if _, err := fmt.Fprintf(bw, "%s %d\n", f.stack, us); err != nil {
 			return err
 		}
 	}
@@ -203,24 +285,18 @@ const rollupRows = 40
 // ties) with share-of-total and dispatch counts. Deterministic: both sort
 // keys and all weights are exact functions of the event sequence.
 func (p *Profile) WriteRollup(w io.Writer) error {
-	type row struct {
-		stack string
-		w     *stackWeight
-	}
-	rows := make([]row, 0, len(p.stacks))
-	for _, s := range p.sortedStacks() {
-		rows = append(rows, row{stack: s, w: p.stacks[s]})
-	}
+	rows := p.folded()
+	tot := totals(rows)
+	total := tot.simTime
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].w.simTime != rows[j].w.simTime {
 			return rows[i].w.simTime > rows[j].w.simTime
 		}
 		return rows[i].stack < rows[j].stack
 	})
-	total := p.SimTime()
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "simnet event-loop profile: %d dispatches, %.3fs simulated, %d stacks\n",
-		p.Events(), total, len(rows))
+		tot.events, total, len(rows))
 	fmt.Fprintf(bw, "%14s %7s %12s  %s\n", "sim-time", "share", "dispatches", "stack")
 	shown := rows
 	if len(shown) > rollupRows {

@@ -5,6 +5,43 @@ import (
 	"testing"
 )
 
+// stackPath renders a stack id of e's profile as its folded path, "" for
+// the empty stack.
+func stackPath(e *Engine, id int32) string {
+	if id == 0 {
+		return ""
+	}
+	p := e.owner
+	path := p.nodes[id].frame
+	for n := p.nodes[id].parent; n != 0; n = p.nodes[n].parent {
+		path = p.nodes[n].frame + ";" + path
+	}
+	return path
+}
+
+// stacks renders p's recorded stacks as a map from folded path to weights.
+func stacks(p *Profile) map[string]*stackWeight {
+	out := make(map[string]*stackWeight)
+	for _, f := range p.folded() {
+		w := f.w
+		out[f.stack] = &w
+	}
+	return out
+}
+
+// intern returns the id of the folded path ("" is the empty stack),
+// interning one node per ";"-separated frame.
+func (p *Profile) intern(path string) int32 {
+	var id int32
+	if path == "" {
+		return id
+	}
+	for _, f := range strings.Split(path, ";") {
+		id = p.child(id, f)
+	}
+	return id
+}
+
 // TestProfileAttributionInheritance: events scheduled during a dispatch
 // inherit the dispatching event's stack; Enter extends it for the span of
 // the frame and Exit restores it.
@@ -24,11 +61,11 @@ func TestProfileAttributionInheritance(t *testing.T) {
 	e.Run()
 
 	want := map[string]uint64{"req": 2, "req;inner": 1}
-	if len(p.stacks) != len(want) {
-		t.Fatalf("stacks %v, want keys %v", p.stacks, want)
+	if len(stacks(p)) != len(want) {
+		t.Fatalf("stacks %v, want keys %v", stacks(p), want)
 	}
 	for stack, events := range want {
-		w := p.stacks[stack]
+		w := stacks(p)[stack]
 		if w == nil || w.events != events {
 			t.Fatalf("stack %q: got %+v, want %d events", stack, w, events)
 		}
@@ -46,14 +83,14 @@ func TestProfileEnterRootResets(t *testing.T) {
 	r := e.EnterRoot("fresh")
 	e.Schedule(1, func() {})
 	r.Exit()
-	if e.cur.stack != "a;b" {
-		t.Fatalf("ctx after Exit = %q, want %q", e.cur.stack, "a;b")
+	if stackPath(e, e.cur.stack) != "a;b" {
+		t.Fatalf("ctx after Exit = %q, want %q", stackPath(e, e.cur.stack), "a;b")
 	}
 	f2.Exit()
 	f1.Exit()
 	e.Run()
-	if w := p.stacks["fresh"]; w == nil || w.events != 1 {
-		t.Fatalf("stack %q not recorded: %v", "fresh", p.stacks)
+	if w := stacks(p)["fresh"]; w == nil || w.events != 1 {
+		t.Fatalf("stack %q not recorded: %v", "fresh", stacks(p))
 	}
 }
 
@@ -65,7 +102,7 @@ func TestProfileDepthCap(t *testing.T) {
 	for i := 0; i < 2*maxFrames; i++ {
 		e.Enter("f")
 	}
-	if got := strings.Count(e.cur.stack, ";") + 1; got != maxFrames {
+	if got := strings.Count(stackPath(e, e.cur.stack), ";") + 1; got != maxFrames {
 		t.Fatalf("stack depth = %d, want capped at %d", got, maxFrames)
 	}
 }
@@ -78,8 +115,8 @@ func TestProfileUnattributed(t *testing.T) {
 	e.SetProfile(p)
 	e.Schedule(1, func() {})
 	e.Run()
-	if w := p.stacks[unattributed]; w == nil || w.events != 1 {
-		t.Fatalf("unattributed dispatch not recorded: %v", p.stacks)
+	if w := stacks(p)[unattributed]; w == nil || w.events != 1 {
+		t.Fatalf("unattributed dispatch not recorded: %v", stacks(p))
 	}
 }
 
@@ -96,10 +133,10 @@ func TestProfileSimTimeWeights(t *testing.T) {
 	e.Schedule(5, func() {})
 	r.Exit()
 	e.Run()
-	if got := p.stacks["a"].simTime; got != 2 {
+	if got := stacks(p)["a"].simTime; got != 2 {
 		t.Fatalf("stack a simTime = %g, want 2", got)
 	}
-	if got := p.stacks["b"].simTime; got != 3 {
+	if got := stacks(p)["b"].simTime; got != 3 {
 		t.Fatalf("stack b simTime = %g, want 3 (5 minus the 2 already elapsed)", got)
 	}
 	if got := p.SimTime(); got != e.Now() {
@@ -123,8 +160,8 @@ func TestProfileStationAttribution(t *testing.T) {
 	r.Exit()
 	e.Run()
 	for _, want := range []string{"first;cpu/svc", "second;cpu/svc"} {
-		if w := p.stacks[want]; w == nil || w.events != 1 {
-			t.Fatalf("stack %q missing: %v", want, p.stacks)
+		if w := stacks(p)[want]; w == nil || w.events != 1 {
+			t.Fatalf("stack %q missing: %v", want, stacks(p))
 		}
 	}
 }
@@ -150,8 +187,8 @@ func TestProfilePoolGrantAttribution(t *testing.T) {
 	r.Exit()
 	e.Run()
 	want := "waiter;threads/grant;cpu/svc"
-	if w := p.stacks[want]; w == nil || w.events != 1 {
-		t.Fatalf("stack %q missing: %v", want, p.stacks)
+	if w := stacks(p)[want]; w == nil || w.events != 1 {
+		t.Fatalf("stack %q missing: %v", want, stacks(p))
 	}
 }
 
@@ -211,9 +248,9 @@ func TestProfileFoldedDeterministicAndMergeOrder(t *testing.T) {
 // microsecond weights, lexicographic order, no spaces inside frames.
 func TestProfileFoldedFormat(t *testing.T) {
 	p := NewProfile()
-	p.record("b;y", 0.25)
-	p.record("a;x", 1.5)
-	p.record("", 0.000001)
+	p.record(p.intern("b;y"), 0.25)
+	p.record(p.intern("a;x"), 1.5)
+	p.record(p.intern(""), 0.000001)
 	var sb strings.Builder
 	if err := p.WriteFolded(&sb); err != nil {
 		t.Fatal(err)
@@ -229,7 +266,7 @@ func TestProfileFoldedFormat(t *testing.T) {
 func TestProfileRollup(t *testing.T) {
 	p := NewProfile()
 	for i := 0; i < rollupRows+5; i++ {
-		p.record(strings.Repeat("s", i+1), float64(i+1))
+		p.record(p.intern(strings.Repeat("s", i+1)), float64(i+1))
 	}
 	var sb strings.Builder
 	if err := p.WriteRollup(&sb); err != nil {
@@ -258,15 +295,90 @@ func TestProfileDetachedZeroState(t *testing.T) {
 	e.SetProfile(p)
 	e.Enter("left-open")
 	e.SetProfile(nil)
-	if e.cur.stack != "" {
-		t.Fatalf("ctx = %q after detach, want empty", e.cur.stack)
+	if stackPath(e, e.cur.stack) != "" {
+		t.Fatalf("ctx = %q after detach, want empty", stackPath(e, e.cur.stack))
 	}
 	e.Schedule(1, func() {})
 	e.Run()
 	if !p.Empty() {
-		t.Fatalf("detached engine recorded stacks: %v", p.stacks)
+		t.Fatalf("detached engine recorded stacks: %v", stacks(p))
 	}
 	if f := e.Enter("x"); f.ok {
 		t.Fatal("Enter returned a live frame with profiling off")
 	}
+}
+
+// TestProfileTotalsSortedOrder: the float totals are summed in sorted-stack
+// order, not in map or interning order. The weights are interned out of
+// sorted order and their sum depends on association: a, b, c sums to 0,
+// a, c, b to 1.
+func TestProfileTotalsSortedOrder(t *testing.T) {
+	p := NewProfile()
+	weights := map[string]float64{"a": 1e16, "b": 1, "c": -1e16}
+	for _, stack := range []string{"a", "c", "b"} {
+		p.record(p.intern(stack), weights[stack])
+	}
+	var want float64
+	for _, stack := range []string{"a", "b", "c"} {
+		want += weights[stack]
+	}
+	for i := 0; i < 100; i++ {
+		if got := p.SimTime(); got != want {
+			t.Fatalf("call %d: SimTime() = %g, want the sorted-order sum %g", i, got, want)
+		}
+	}
+}
+
+// TestProfileInternMatchesFoldedPaths: interned stacks render exactly as
+// the folded paths they stand for — a frame pushed on the empty stack
+// starts the path, an empty frame on it stays empty, frame names may
+// contain ";", and a stack maxFrames-1 separators deep keeps its prefix.
+func TestProfileInternMatchesFoldedPaths(t *testing.T) {
+	extend := func(path, frame string) string {
+		if path == "" {
+			return frame
+		}
+		if strings.Count(path, ";") >= maxFrames-1 {
+			return path
+		}
+		return path + ";" + frame
+	}
+	e := &Engine{}
+	e.SetProfile(NewProfile())
+	frames := []string{"a", "", "b;c", "d", ""}
+	want := ""
+	for i := 0; i < 3*maxFrames; i++ {
+		name := frames[i%len(frames)]
+		if i%17 == 0 {
+			e.EnterRoot(name)
+			want = name
+		} else {
+			e.Enter(name)
+			want = extend(want, name)
+		}
+		if got := stackPath(e, e.cur.stack); got != want {
+			t.Fatalf("step %d (frame %q): stack %q, want %q", i, name, got, want)
+		}
+	}
+}
+
+// TestProfileOnePerEngine: stack ids belong to the profile that interned
+// them, so attaching a different profile panics, while detaching and
+// re-attaching the same one is allowed and resets the context.
+func TestProfileOnePerEngine(t *testing.T) {
+	e := &Engine{}
+	p := NewProfile()
+	e.SetProfile(p)
+	e.Enter("open")
+	e.SetProfile(nil)
+	e.SetProfile(p)
+	if e.cur.stack != 0 {
+		t.Fatalf("re-attach left stack %q", stackPath(e, e.cur.stack))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("attaching a second profile did not panic")
+		}
+	}()
+	e.SetProfile(NewProfile())
 }

@@ -8,10 +8,11 @@ package simnet
 // The station keeps a running integral of busy-server-seconds so callers can
 // compute utilization over measurement windows via snapshots.
 type Station struct {
-	eng     *Engine
-	name    string
-	servers int
-	speed   float64 // service rate multiplier; demand/speed = service time
+	eng      *Engine
+	name     string
+	svcFrame string // profiler frame "<name>/svc", built once
+	servers  int
+	speed    float64 // service rate multiplier; demand/speed = service time
 
 	site uint8 // span attribution site (span.go); 0 = unattributed
 
@@ -85,7 +86,7 @@ func NewStation(eng *Engine, name string, servers int, speed float64) *Station {
 	if speed <= 0 {
 		panic("simnet: station speed must be positive")
 	}
-	return &Station{eng: eng, name: name, servers: servers, speed: speed, lastStamp: eng.Now()}
+	return &Station{eng: eng, name: name, svcFrame: name + "/svc", servers: servers, speed: speed, lastStamp: eng.Now()}
 }
 
 // Name returns the station's diagnostic name.
@@ -116,7 +117,7 @@ func (s *Station) Submit(demand float64, done func()) {
 	// The service completion is attributed to the context that submitted
 	// the job (stack extended by "station/svc"), not to whichever event
 	// later pops it off the queue.
-	a := s.eng.deferred(s.name, "/svc")
+	a := s.eng.deferred(s.svcFrame)
 	if s.busy < s.servers {
 		s.start(demand, done, a)
 		return
@@ -236,11 +237,12 @@ func (s *Station) Reset() {
 // the wait-queue bound models an accept/backlog queue, with arrivals beyond
 // it rejected.
 type TokenPool struct {
-	eng      *Engine
-	name     string
-	capacity int
-	maxWait  int   // -1 means unbounded
-	site     uint8 // span attribution site (span.go); 0 = unattributed
+	eng        *Engine
+	name       string
+	grantFrame string // profiler frame "<name>/grant", built once
+	capacity   int
+	maxWait    int   // -1 means unbounded
+	site       uint8 // span attribution site (span.go); 0 = unattributed
 
 	inUse    int
 	waiters  []waiter
@@ -264,7 +266,7 @@ func NewTokenPool(eng *Engine, name string, capacity, maxWait int) *TokenPool {
 	if capacity <= 0 {
 		panic("simnet: token pool needs positive capacity")
 	}
-	return &TokenPool{eng: eng, name: name, capacity: capacity, maxWait: maxWait}
+	return &TokenPool{eng: eng, name: name, grantFrame: name + "/grant", capacity: capacity, maxWait: maxWait}
 }
 
 // Name returns the pool's diagnostic name.
@@ -315,7 +317,7 @@ func (p *TokenPool) Acquire(onGrant func(), onReject func()) {
 		}
 		return
 	}
-	p.waiters = append(p.waiters, waiter{fn: onGrant, attr: p.eng.deferred(p.name, "/grant")})
+	p.waiters = append(p.waiters, waiter{fn: onGrant, attr: p.eng.deferred(p.grantFrame)})
 	if len(p.waiters) > p.waitPeak {
 		p.waitPeak = len(p.waiters)
 	}

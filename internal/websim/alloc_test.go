@@ -4,25 +4,29 @@ import (
 	"testing"
 
 	"webharmony/internal/rng"
+	"webharmony/internal/simnet"
 	"webharmony/internal/tpcw"
 	"webharmony/internal/webobj"
 )
 
-// TestPagePathAllocs pins the steady-state allocation cost of one complete
-// page request (System.Request through finishPage, across all three
-// tiers). With the pooled pageReq/objReq/call/query state machines and the
-// engine's event free list, a warmed system serves pages from recycled
-// records: the only remaining allocations are amortized container growth
-// and cache-admission bookkeeping on the occasional miss, so the per-page
-// average must stay a small constant (DESIGN.md §7).
-func TestPagePathAllocs(t *testing.T) {
-	sys := New(Options{
+// allocSystem is the one-node-per-tier system the page-path allocation
+// tests measure.
+func allocSystem() *System {
+	return New(Options{
 		ProxyNodes: 1,
 		AppNodes:   1,
 		DBNodes:    1,
 		Scale:      200,
 		Seed:       11,
 	})
+}
+
+// checkPagePathAllocs serves pages one at a time through sys until its
+// free lists, event heap and pool wait queues reach steady state, then
+// fails t if the average page allocates more than the 2.0 ceiling or a
+// pooled record leaks. what names the configuration in the failure.
+func checkPagePathAllocs(t *testing.T, sys *System, what string) {
+	t.Helper()
 	gen := tpcw.NewPageGen(sys.Catalog, rng.New(99))
 	var buf []webobj.Object
 	done := func(bool) {}
@@ -41,10 +45,39 @@ func TestPagePathAllocs(t *testing.T) {
 	}
 	const ceiling = 2.0
 	if avg := testing.AllocsPerRun(3000, serve); avg > ceiling {
-		t.Errorf("page path: %.3f allocs/page, ceiling %.1f", avg, ceiling)
+		t.Errorf("%s: %.3f allocs/page, ceiling %.1f", what, avg, ceiling)
 	}
 	if sys.livePages != 0 || sys.liveObjs != 0 {
 		t.Errorf("leaked pooled records: %d pages, %d objects still live after drain",
 			sys.livePages, sys.liveObjs)
 	}
+}
+
+// TestPagePathAllocs pins the steady-state allocation cost of one complete
+// page request (System.Request through finishPage, across all three
+// tiers). With the pooled pageReq/objReq/call/query state machines and the
+// engine's event free list, a warmed system serves pages from recycled
+// records: the only remaining allocations are amortized container growth
+// and cache-admission bookkeeping on the occasional miss, so the per-page
+// average must stay a small constant (DESIGN.md §7).
+func TestPagePathAllocs(t *testing.T) {
+	checkPagePathAllocs(t, allocSystem(), "page path")
+}
+
+// TestPagePathAllocsProfiled holds the same ceiling with the sim-time
+// profiler attached, alone and together with a span sink: every page
+// pushes page, tier and station frames, which cost nothing once their
+// stacks are interned.
+func TestPagePathAllocsProfiled(t *testing.T) {
+	t.Run("profile", func(t *testing.T) {
+		sys := allocSystem()
+		sys.Eng.SetProfile(simnet.NewProfile())
+		checkPagePathAllocs(t, sys, "profiled page path")
+	})
+	t.Run("profile+spans", func(t *testing.T) {
+		sys := allocSystem()
+		sys.Eng.SetProfile(simnet.NewProfile())
+		sys.SetSpanSink(NewSpanSink(0))
+		checkPagePathAllocs(t, sys, "profiled page path with spans")
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"webharmony/internal/rng"
 	"webharmony/internal/simnet"
 	"webharmony/internal/tpcw"
-	"webharmony/internal/webobj"
 )
 
 // spanSystem builds a small system with a sink sampling every page, so
@@ -166,36 +165,9 @@ func TestSpanRecordingIsInvisible(t *testing.T) {
 // attached (sampling off, as in a -latency run): span recording itself
 // must add zero steady-state allocations, holding the same ceiling.
 func TestPagePathAllocsWithSpans(t *testing.T) {
-	sys := New(Options{
-		ProxyNodes: 1,
-		AppNodes:   1,
-		DBNodes:    1,
-		Scale:      200,
-		Seed:       11,
-	})
+	sys := allocSystem()
 	sys.SetSpanSink(NewSpanSink(0))
-	gen := tpcw.NewPageGen(sys.Catalog, rng.New(99))
-	var buf []webobj.Object
-	done := func(bool) {}
-	next := 0
-	serve := func() {
-		pr := gen.PageBuf(tpcw.Interaction(next%tpcw.NumInteractions), 0, buf)
-		next++
-		buf = pr.Images
-		sys.Request(pr, done)
-		sys.Eng.Run()
-	}
-	for i := 0; i < 3000; i++ {
-		serve()
-	}
-	const ceiling = 2.0
-	if avg := testing.AllocsPerRun(3000, serve); avg > ceiling {
-		t.Errorf("page path with spans: %.3f allocs/page, ceiling %.1f", avg, ceiling)
-	}
-	if sys.livePages != 0 || sys.liveObjs != 0 {
-		t.Errorf("leaked pooled records: %d pages, %d objects still live after drain",
-			sys.livePages, sys.liveObjs)
-	}
+	checkPagePathAllocs(t, sys, "page path with spans")
 	if sys.spanSink.Pages() == 0 {
 		t.Error("sink folded no pages")
 	}

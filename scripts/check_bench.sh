@@ -5,8 +5,10 @@
 # `go test -bench ... -benchmem` log (or produces one itself when no
 # argument is given) and:
 #
-#   1. fails if any benchmark pinned in scripts/bench_baseline.txt
-#      reports more than 10% more allocs/op than its recorded baseline —
+#   1. fails if any benchmark pinned in the baseline file
+#      (scripts/bench_baseline.txt; override the path with
+#      $BENCH_BASELINE) reports more than 10% more allocs/op than its
+#      recorded baseline —
 #      allocation counts for the deterministic simulation benchmarks
 #      don't vary with machine speed, so a trip means the code really
 #      did start allocating more;
@@ -23,7 +25,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-baseline=scripts/bench_baseline.txt
+baseline=${BENCH_BASELINE:-scripts/bench_baseline.txt}
 json_out=${BENCH_JSON:-BENCH_10.json}
 log=${1:-}
 
