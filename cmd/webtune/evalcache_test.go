@@ -150,9 +150,8 @@ func TestEvalStatsBypassedWithTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	code, stdout, stderr := runCLI(t,
-		"-scale", "tiny", "-iters", "8", "-evalstats", "-trace", trace, "table4")
+		"-scale", "tiny", "-iters", "8", "-evalstats", "-telemetry", t.TempDir(), "table4")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
 	}

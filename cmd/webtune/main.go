@@ -34,6 +34,12 @@
 // configuration repeats are served from a content-addressed cache with
 // no observable difference. -evalstats prints the cache counters,
 // -evalcache FILE persists the cache across runs.
+//
+// -telemetry DIR writes the run's telemetry streams into DIR under fixed
+// names — trace.jsonl, metrics.csv, simprofile.folded, latency.csv and
+// spans.jsonl — and prints the profile and bottleneck rollups; the
+// streams are byte-identical at any -workers value. Memoization is
+// bypassed while telemetry is on.
 package main
 
 import (
@@ -70,13 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sweepSpec  = fs.String("sweep", "", `sweep grid for the sweep experiment, e.g. "browsers=400,550;think=0.3,0.6;shape=1/1/1,2/2/2"`)
 		tuned      = fs.Bool("tuned", false, "run a tuning session at every sweep grid point and report the paired default-vs-tuned gain (sweep experiment only)")
 		shift      = fs.Float64("shift", 0.25, "figure5 workload-shift detection factor: sustained relative deviation from the remembered best that restarts the search (0 disables detection)")
-		trace      = fs.String("trace", "", "write the tuner step trace (one JSON line per simplex move, restart or node move) to this file")
-		metrics    = fs.String("metrics", "", "write the per-tier metrics timeseries (utilization, queues, hit ratio, pools) as CSV to this file")
-		simprofile = fs.String("simprofile", "", "write the simnet event-loop profile as folded stacks (flamegraph.pl/speedscope input) to this file and print a rollup; byte-identical at any -workers")
-		latency    = fs.String("latency", "", "write per-(interaction, tier) latency histograms with exact queue-vs-service attribution windows as CSV to this file and print a bottleneck rollup; byte-identical at any -workers")
-		spansOut   = fs.String("spans", "", "write sampled per-request span trees (one JSON line per sampled page) to this file; byte-identical at any -workers")
-		spanEvery  = fs.Int("span-sample", 997, "with -spans, dump every n-th page's span tree (deterministic systematic sample)")
-		memo       = fs.Bool("memo", true, "memoize hermetic evaluations in a content-addressed cache; results are byte-identical with and without it (bypassed while telemetry flags are active)")
+		telemetry  = fs.String("telemetry", "", "write the telemetry streams into this directory and print the profile and bottleneck rollups: trace.jsonl (tuner step trace), metrics.csv (per-tier timeseries), simprofile.folded (simnet event-loop profile, flamegraph.pl/speedscope input), latency.csv (per-(interaction, tier) latency histograms with queue-vs-service attribution) and spans.jsonl (sampled per-request span trees); byte-identical at any -workers")
+		spanEvery  = fs.Int("span-sample", 997, "with -telemetry, dump every n-th page's span tree into spans.jsonl (deterministic systematic sample)")
+		memo       = fs.Bool("memo", true, "memoize hermetic evaluations in a content-addressed cache; results are byte-identical with and without it (bypassed while -telemetry is set)")
 		cacheFile  = fs.String("evalcache", "", "persist the evaluation cache to this JSON file: load it before the run if it exists, save it after (warm-starts later runs)")
 		evalStats  = fs.Bool("evalstats", false, "print the evaluation-cache counters (lookups, hits, misses, entries, bytes, hit rate) after the run")
 	)
@@ -166,49 +168,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	var (
-		collector   *webharmony.TelemetryCollector
-		traceFile   *os.File
-		metricsFile *os.File
-		profFile    *os.File
-		latencyFile *os.File
-		spansFile   *os.File
+		collector *webharmony.TelemetryCollector
+		sinks     []*os.File // one per telemetryStreams entry
 	)
-	if *trace != "" || *metrics != "" || *simprofile != "" || *latency != "" || *spansOut != "" {
+	if *telemetry != "" {
+		if err := os.MkdirAll(*telemetry, 0o755); err != nil {
+			fmt.Fprintf(stderr, "webtune: -telemetry: %v\n", err)
+			return 2
+		}
+		for _, st := range telemetryStreams {
+			f, err := os.Create(filepath.Join(*telemetry, st.name))
+			if err != nil {
+				for _, f := range sinks {
+					f.Close()
+				}
+				fmt.Fprintf(stderr, "webtune: -telemetry: %v\n", err)
+				return 2
+			}
+			sinks = append(sinks, f)
+		}
 		collector = webharmony.NewTelemetryCollector()
 		cfg.Telemetry = collector
-		if *trace != "" {
-			if traceFile, err = os.Create(*trace); err != nil {
-				fmt.Fprintf(stderr, "webtune: -trace: %v\n", err)
-				return 2
-			}
+		cfg.SimProfile = true
+		cfg.Spans = true
+		cfg.SpanSampleEvery = *spanEvery
+	}
+	// An -out file that cannot be written is reported when it happens, but
+	// the run goes on: the exit code turns 1 once the telemetry is flushed.
+	exportFailed := false
+	save := func(err error) {
+		if err != nil {
+			fmt.Fprintf(stderr, "webtune: -out: %v\n", err)
+			exportFailed = true
 		}
-		if *metrics != "" {
-			if metricsFile, err = os.Create(*metrics); err != nil {
-				fmt.Fprintf(stderr, "webtune: -metrics: %v\n", err)
-				return 2
-			}
+	}
+	// export writes a result as <name>.json and, when csv is non-nil,
+	// <name>.csv into the -out directory, if there is one.
+	export := func(name string, result any, csv func(io.Writer) error) {
+		if *outDir == "" {
+			return
 		}
-		if *simprofile != "" {
-			cfg.SimProfile = true
-			if profFile, err = os.Create(*simprofile); err != nil {
-				fmt.Fprintf(stderr, "webtune: -simprofile: %v\n", err)
-				return 2
-			}
-		}
-		if *latency != "" {
-			cfg.Spans = true
-			if latencyFile, err = os.Create(*latency); err != nil {
-				fmt.Fprintf(stderr, "webtune: -latency: %v\n", err)
-				return 2
-			}
-		}
-		if *spansOut != "" {
-			cfg.Spans = true
-			cfg.SpanSampleEvery = *spanEvery
-			if spansFile, err = os.Create(*spansOut); err != nil {
-				fmt.Fprintf(stderr, "webtune: -spans: %v\n", err)
-				return 2
-			}
+		save(createFile(filepath.Join(*outDir, name+".json"), func(w io.Writer) error {
+			return webharmony.WriteJSON(w, result)
+		}))
+		if csv != nil {
+			save(createFile(filepath.Join(*outDir, name+".csv"), csv))
 		}
 	}
 
@@ -255,14 +259,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if R > 1 {
 			res := webharmony.RunFigure4Replicated(cfg.WithTelemetryUnit("figure4"), n, max(5, n/12), R, opts)
 			webharmony.PrintFigure4Replicated(stdout, res)
-			export(*outDir, stderr, "figure4", res, func(w io.Writer) error {
+			export("figure4", res, func(w io.Writer) error {
 				return webharmony.WriteFigure4ReplicatedCSV(w, res)
 			})
 			return
 		}
 		res := ensureFig4()
 		webharmony.PrintFigure4(stdout, res)
-		export(*outDir, stderr, "figure4", res, func(w io.Writer) error {
+		export("figure4", res, func(w io.Writer) error {
 			return webharmony.WriteFigure4CSV(w, res)
 		})
 	})
@@ -275,7 +279,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shiftOpts.ShiftFactor = *shift
 		res := webharmony.RunFigure5(cfg.WithTelemetryUnit("figure5"), seq, phase, 4, shiftOpts)
 		webharmony.PrintFigure5(stdout, res)
-		export(*outDir, stderr, "figure5", res, func(w io.Writer) error {
+		export("figure5", res, func(w io.Writer) error {
 			return webharmony.WriteFigure5CSV(w, res)
 		})
 	})
@@ -286,14 +290,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if R > 1 {
 			res := webharmony.RunTable4Replicated(c, n, R, opts)
 			webharmony.PrintTable4Replicated(stdout, res)
-			export(*outDir, stderr, "table4", res, func(w io.Writer) error {
+			export("table4", res, func(w io.Writer) error {
 				return webharmony.WriteTable4ReplicatedCSV(w, res)
 			})
 			return
 		}
 		res := webharmony.RunTable4(c, n, opts)
 		webharmony.PrintTable4(stdout, res)
-		export(*outDir, stderr, "table4", res, func(w io.Writer) error {
+		export("table4", res, func(w io.Writer) error {
 			return webharmony.WriteTable4CSV(w, res)
 		})
 	})
@@ -340,24 +344,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			res := webharmony.RunFigure7Replicated(fig7cfg.WithTelemetryUnit(name), fo, R)
 			webharmony.PrintFigure7Replicated(stdout, res)
-			export(*outDir, stderr, name, res, func(w io.Writer) error {
+			export(name, res, func(w io.Writer) error {
 				return webharmony.WriteFigure7ReplicatedCSV(w, res)
 			})
 			return
 		}
 		res := ensureFig7()[name]
 		webharmony.PrintFigure7(stdout, res)
-		export(*outDir, stderr, name, res, func(w io.Writer) error {
+		export(name, res, func(w io.Writer) error {
 			return webharmony.WriteFigure7CSV(w, res)
 		})
 		if *outDir != "" && res.Timeline != nil {
-			f, err := os.Create(filepath.Join(*outDir, name+"-utilization.csv"))
-			if err == nil {
-				defer f.Close()
-				if err := res.Timeline.WriteCSV(f); err != nil {
-					fmt.Fprintf(stderr, "webtune: %v\n", err)
-				}
-			}
+			save(createFile(filepath.Join(*outDir, name+"-utilization.csv"), res.Timeline.WriteCSV))
 		}
 	}
 	run("figure7a", func() { showFig7("figure7a") })
@@ -381,13 +379,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// R independent replicates, fanned out in parallel.
 			results := webharmony.RunAdaptiveReplicated(c, webharmony.Browsing, aIters, R, aOpts)
 			printAdaptiveReplicated(stdout, results)
-			export(*outDir, stderr, "adaptive", results, nil)
+			export("adaptive", results, nil)
 			return
 		}
 		lab := webharmony.NewLab(c, webharmony.Browsing)
 		res := webharmony.RunAdaptive(lab, aIters, aOpts)
 		printAdaptive(stdout, res)
-		export(*outDir, stderr, "adaptive", res, nil)
+		export("adaptive", res, nil)
 	})
 
 	run("sweep", func() {
@@ -397,33 +395,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *tuned {
 			res := webharmony.RunTunedSweep(cfg.WithTelemetryUnit("tunedsweep"), webharmony.Shopping, axes, R, max(3, n/25), max(6, n/10), opts)
 			webharmony.PrintTunedSweep(stdout, res)
-			export(*outDir, stderr, "tunedsweep", res, func(w io.Writer) error {
+			export("tunedsweep", res, func(w io.Writer) error {
 				return webharmony.WriteTunedSweepCSV(w, res)
 			})
 			return
 		}
 		res := webharmony.RunSweep(cfg.WithTelemetryUnit("sweep"), webharmony.Shopping, axes, R, max(3, n/25))
 		webharmony.PrintSweep(stdout, res)
-		export(*outDir, stderr, "sweep", res, func(w io.Writer) error {
+		export("sweep", res, func(w io.Writer) error {
 			return webharmony.WriteSweepCSV(w, res)
 		})
 	})
 
-	// Settle the evaluation cache first: save the snapshot, report the
-	// counters, and hand them to the telemetry collector for export.
-	if cache != nil {
-		if collector != nil {
-			collector.SetEvalStats(webharmony.TelemetryEvalStats(cache.Stats()))
+	// Settle the evaluation cache first: save the snapshot and report the
+	// counters.
+	if *cacheFile != "" {
+		data, err := cache.Snapshot().Marshal()
+		if err == nil {
+			err = os.WriteFile(*cacheFile, data, 0o644)
 		}
-		if *cacheFile != "" {
-			data, err := cache.Snapshot().Marshal()
-			if err == nil {
-				err = os.WriteFile(*cacheFile, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "webtune: -evalcache: %v\n", err)
-				return 1
-			}
+		if err != nil {
+			fmt.Fprintf(stderr, "webtune: -evalcache: %v\n", err)
+			return 1
 		}
 	}
 	if *evalStats {
@@ -446,63 +439,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Flush the telemetry sinks last, once every experiment has finished.
-	if traceFile != nil {
-		err := collector.WriteTrace(traceFile)
-		if cerr := traceFile.Close(); err == nil {
-			err = cerr
+	if collector != nil {
+		for i, st := range telemetryStreams {
+			if err := writeFile(sinks[i], func(w io.Writer) error { return st.write(collector, w) }); err != nil {
+				fmt.Fprintf(stderr, "webtune: -telemetry: %v\n", err)
+				return 1
+			}
 		}
-		if err != nil {
-			fmt.Fprintf(stderr, "webtune: -trace: %v\n", err)
-			return 1
-		}
-	}
-	if metricsFile != nil {
-		err := collector.WriteMetrics(metricsFile)
-		if cerr := metricsFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "webtune: -metrics: %v\n", err)
-			return 1
+		for _, rollup := range []func(io.Writer) error{collector.WriteSimProfileRollup, collector.WriteLatencyRollup} {
+			if err := rollup(stdout); err != nil {
+				fmt.Fprintf(stderr, "webtune: -telemetry: %v\n", err)
+				return 1
+			}
 		}
 	}
-	if profFile != nil {
-		err := collector.WriteSimProfile(profFile)
-		if cerr := profFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "webtune: -simprofile: %v\n", err)
-			return 1
-		}
-		if err := collector.WriteSimProfileRollup(stdout); err != nil {
-			fmt.Fprintf(stderr, "webtune: -simprofile: %v\n", err)
-			return 1
-		}
-	}
-	if latencyFile != nil {
-		err := collector.WriteLatency(latencyFile)
-		if cerr := latencyFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "webtune: -latency: %v\n", err)
-			return 1
-		}
-		if err := collector.WriteLatencyRollup(stdout); err != nil {
-			fmt.Fprintf(stderr, "webtune: -latency: %v\n", err)
-			return 1
-		}
-	}
-	if spansFile != nil {
-		err := collector.WriteSpans(spansFile)
-		if cerr := spansFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "webtune: -spans: %v\n", err)
-			return 1
-		}
+	if exportFailed {
+		return 1
 	}
 	return 0
 }
@@ -555,42 +507,35 @@ func labFor(scale string) (webharmony.LabConfig, int, error) {
 	}
 }
 
-// export writes a result as <dir>/<name>.json and, when csv is non-nil,
-// <dir>/<name>.csv. A missing -out directory disables export.
-func export(dir string, stderr io.Writer, name string, result any, csv func(io.Writer) error) {
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintf(stderr, "webtune: %v\n", err)
-		return
-	}
-	jf, err := os.Create(filepath.Join(dir, name+".json"))
-	if err != nil {
-		fmt.Fprintf(stderr, "webtune: %v\n", err)
-		return
-	}
-	defer jf.Close()
-	if err := webharmony.WriteJSON(jf, result); err != nil {
-		fmt.Fprintf(stderr, "webtune: %v\n", err)
-	}
-	if csv == nil {
-		return
-	}
-	cf, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		fmt.Fprintf(stderr, "webtune: %v\n", err)
-		return
-	}
-	defer cf.Close()
-	if err := csv(cf); err != nil {
-		fmt.Fprintf(stderr, "webtune: %v\n", err)
-	}
+// telemetryStreams are the files -telemetry writes, in flush order.
+var telemetryStreams = []struct {
+	name  string
+	write func(*webharmony.TelemetryCollector, io.Writer) error
+}{
+	{"trace.jsonl", (*webharmony.TelemetryCollector).WriteTrace},
+	{"metrics.csv", (*webharmony.TelemetryCollector).WriteMetrics},
+	{"simprofile.folded", (*webharmony.TelemetryCollector).WriteSimProfile},
+	{"latency.csv", (*webharmony.TelemetryCollector).WriteLatency},
+	{"spans.jsonl", (*webharmony.TelemetryCollector).WriteSpans},
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// createFile creates path and fills it through writeFile.
+func createFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return b
+	return writeFile(f, write)
+}
+
+// writeFile fills f with write and closes it; the error names the file.
+func writeFile(f *os.File, write func(io.Writer) error) error {
+	err := write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", f.Name(), err)
+	}
+	return nil
 }

@@ -89,3 +89,31 @@ func TestSweepExperimentSmoke(t *testing.T) {
 		t.Errorf("sweep.json not exported: %v", err)
 	}
 }
+
+// TestExportFailureExitsOne asserts an -out file that cannot be written
+// fails the run: every failed path is named on stderr, the other exports
+// are still written, and the exit code is 1.
+func TestExportFailureExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	blocked := []string{filepath.Join(dir, "figure7a.json"), filepath.Join(dir, "figure7a-utilization.csv")}
+	for _, p := range blocked {
+		if err := os.Mkdir(p, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	code, stdout, stderr := runCLI(t, "-scale", "tiny", "-iters", "2", "-out", dir, "figure7a")
+	if code != 1 {
+		t.Errorf("exit code = %d, want 1 (stderr: %s)", code, stderr)
+	}
+	for _, p := range blocked {
+		if !strings.Contains(stderr, p) {
+			t.Errorf("stderr = %q, want it to name %s", stderr, p)
+		}
+	}
+	if !strings.Contains(stdout, "=== figure7a ===") {
+		t.Errorf("figure7a did not run: %q", stdout)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "figure7a.csv")); err != nil {
+		t.Errorf("figure7a.csv not written after the JSON export failed: %v", err)
+	}
+}

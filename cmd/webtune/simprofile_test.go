@@ -1,32 +1,12 @@
 package main
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// captureSimProfile drives the CLI with -simprofile and returns the folded
-// file bytes and the CLI's stdout.
-func captureSimProfile(t *testing.T, workers int, args ...string) (folded, stdout string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "prof.folded")
-	full := append([]string{"-workers", fmt.Sprint(workers), "-simprofile", path}, args...)
-	code, out, stderr := runCLI(t, full...)
-	if code != 0 {
-		t.Fatalf("webtune %s: exit code %d, stderr: %s", strings.Join(full, " "), code, stderr)
-	}
-	fb, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(fb), out
-}
-
 // TestSimProfileDeterministicAcrossWorkers is the profiler's acceptance
-// bar: -simprofile must emit byte-identical folded stacks at -workers 1
+// bar: -telemetry must emit byte-identical folded stacks at -workers 1
 // and -workers 4, because everything in the profile derives from the
 // deterministic event sequence and the collector merges per-unit profiles
 // in a fixed order.
@@ -35,9 +15,10 @@ func TestSimProfileDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("simulation determinism test")
 	}
 	args := []string{"-scale", "tiny", "-iters", "4", "-replicates", "2", "figure4"}
-	folded1, out1 := captureSimProfile(t, 1, args...)
-	folded4, _ := captureSimProfile(t, 4, args...)
-	if folded1 != folded4 {
+	streams1, out1 := captureTelemetry(t, 1, args...)
+	streams4, _ := captureTelemetry(t, 4, args...)
+	folded1 := streams1["simprofile.folded"]
+	if folded1 != streams4["simprofile.folded"] {
 		t.Error("folded stacks differ between -workers 1 and -workers 4")
 	}
 	if folded1 == "" {
@@ -63,21 +44,5 @@ func TestSimProfileDeterministicAcrossWorkers(t *testing.T) {
 		if !strings.Contains(folded1, frame) {
 			t.Errorf("profile lacks expected frame %q", frame)
 		}
-	}
-}
-
-// TestSimProfileSinkFailFast: an uncreatable -simprofile path must abort
-// before any simulation runs, like the other telemetry sinks.
-func TestSimProfileSinkFailFast(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no-such-dir", "p.folded")
-	code, stdout, stderr := runCLI(t, "-simprofile", missing, "table1")
-	if code != 2 {
-		t.Errorf("exit code = %d, want 2 (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "-simprofile") {
-		t.Errorf("stderr = %q, want it to name -simprofile", stderr)
-	}
-	if strings.Contains(stdout, "===") {
-		t.Errorf("experiment ran despite the bad sink; stdout: %q", stdout)
 	}
 }

@@ -1,40 +1,13 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// captureSpans drives the CLI with -latency and -spans into a fresh
-// directory and returns both files' contents plus stdout.
-func captureSpans(t *testing.T, workers int, args ...string) (latency, spans, stdout string) {
-	t.Helper()
-	dir := t.TempDir()
-	latencyPath := filepath.Join(dir, "latency.csv")
-	spansPath := filepath.Join(dir, "spans.jsonl")
-	full := append([]string{
-		"-workers", fmt.Sprint(workers),
-		"-latency", latencyPath, "-spans", spansPath, "-span-sample", "4999",
-	}, args...)
-	code, out, stderr := runCLI(t, full...)
-	if code != 0 {
-		t.Fatalf("webtune %s: exit code %d, stderr: %s", strings.Join(full, " "), code, stderr)
-	}
-	lb, err := os.ReadFile(latencyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := os.ReadFile(spansPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(lb), string(sb), out
-}
-
-// TestGoldenSpans locks the -latency CSV and -spans JSONL of the tiny
+// TestGoldenSpans locks the latency.csv and spans.jsonl streams of the tiny
 // figure7a run against golden files, asserts both are byte-identical
 // across -workers 1, 4 and 8 (the span layer's determinism contract), and
 // checks the attribution report names the application tier — the
@@ -45,12 +18,13 @@ func TestGoldenSpans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation golden test")
 	}
-	args := []string{"-scale", "tiny", "-iters", "4", "figure7a"}
-	latency, spans, stdout := captureSpans(t, 1, args...)
+	args := []string{"-span-sample", "4999", "-scale", "tiny", "-iters", "4", "figure7a"}
+	streams, stdout := captureTelemetry(t, 1, args...)
+	latency := streams["latency.csv"]
 
 	for _, g := range []struct{ name, got string }{
 		{"figure7a-latency.golden", latency},
-		{"figure7a-spans.golden", spans},
+		{"figure7a-spans.golden", streams["spans.jsonl"]},
 	} {
 		golden := filepath.Join("testdata", g.name)
 		if *update {
@@ -81,12 +55,11 @@ func TestGoldenSpans(t *testing.T) {
 	}
 
 	for _, workers := range []int{4, 8} {
-		lw, sw, _ := captureSpans(t, workers, args...)
-		if lw != latency {
-			t.Errorf("-latency differs between -workers 1 and -workers %d", workers)
-		}
-		if sw != spans {
-			t.Errorf("-spans differs between -workers 1 and -workers %d", workers)
+		sw, _ := captureTelemetry(t, workers, args...)
+		for _, name := range []string{"latency.csv", "spans.jsonl"} {
+			if sw[name] != streams[name] {
+				t.Errorf("%s differs between -workers 1 and -workers %d", name, workers)
+			}
 		}
 	}
 }
@@ -98,81 +71,40 @@ func TestGoldenSpansFigure4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation golden test")
 	}
-	args := []string{"-scale", "tiny", "-iters", "4", "figure4"}
-	latency, spans, _ := captureSpans(t, 1, args...)
-	if !strings.HasPrefix(latency, "replicate,unit,interaction,tier,kind,") {
+	args := []string{"-span-sample", "4999", "-scale", "tiny", "-iters", "4", "figure4"}
+	streams, _ := captureTelemetry(t, 1, args...)
+	if latency := streams["latency.csv"]; !strings.HasPrefix(latency, "replicate,unit,interaction,tier,kind,") {
 		t.Fatalf("unexpected latency header: %q", strings.SplitN(latency, "\n", 2)[0])
 	}
-	l4, s4, _ := captureSpans(t, 4, args...)
-	if l4 != latency {
-		t.Error("-latency differs between -workers 1 and -workers 4")
-	}
-	if s4 != spans {
-		t.Error("-spans differs between -workers 1 and -workers 4")
-	}
-}
-
-// TestSpanSinkFailFast asserts an uncreatable -latency/-spans path aborts
-// before any simulation starts.
-func TestSpanSinkFailFast(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no-such-dir")
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"latency", []string{"-latency", filepath.Join(missing, "l.csv"), "table1"}, "-latency"},
-		{"spans", []string{"-spans", filepath.Join(missing, "s.jsonl"), "table1"}, "-spans"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, stdout, stderr := runCLI(t, tc.args...)
-			if code != 2 {
-				t.Errorf("exit code = %d, want 2 (stderr: %s)", code, stderr)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr = %q, want it to name %q", stderr, tc.want)
-			}
-			if strings.Contains(stdout, "===") {
-				t.Errorf("experiment ran despite the bad sink; stdout: %q", stdout)
-			}
-		})
+	s4, _ := captureTelemetry(t, 4, args...)
+	for _, name := range []string{"latency.csv", "spans.jsonl"} {
+		if s4[name] != streams[name] {
+			t.Errorf("%s differs between -workers 1 and -workers 4", name)
+		}
 	}
 }
 
 // TestSpanFlagsShortSmoke is the short-mode companion of the golden
-// tests: one tiny figure7a run with both span outputs, cheap enough for
-// the -short coverage job, asserting the files materialize with the
-// expected schema and the rollup reaches stdout.
+// tests: one tiny figure7a run with -telemetry, cheap enough for the
+// -short coverage job, asserting every stream file materializes (the
+// capture fails otherwise), the span streams have the expected schema and
+// both rollups reach stdout.
 func TestSpanFlagsShortSmoke(t *testing.T) {
-	dir := t.TempDir()
-	latencyPath := filepath.Join(dir, "latency.csv")
-	spansPath := filepath.Join(dir, "spans.jsonl")
-	code, stdout, stderr := runCLI(t,
-		"-scale", "tiny", "-iters", "2",
-		"-latency", latencyPath, "-spans", spansPath, "-span-sample", "997",
-		"figure7a")
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
+	streams, stdout := captureTelemetry(t, 1, "-scale", "tiny", "-iters", "2", "figure7a")
+	latency := streams["latency.csv"]
+	if !strings.HasPrefix(latency, "replicate,unit,interaction,tier,kind,") {
+		t.Errorf("latency.csv header wrong: %q", strings.SplitN(latency, "\n", 2)[0])
 	}
-	lb, err := os.ReadFile(latencyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(lb), "replicate,unit,interaction,tier,kind,") {
-		t.Errorf("latency.csv header wrong: %q", strings.SplitN(string(lb), "\n", 2)[0])
-	}
-	if !strings.Contains(string(lb), "# attribution") {
+	if !strings.Contains(latency, "# attribution") {
 		t.Error("latency.csv missing attribution section")
 	}
-	sb, err := os.ReadFile(spansPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(sb), "\"spans\":") {
+	if !strings.Contains(streams["spans.jsonl"], "\"spans\":") {
 		t.Error("spans.jsonl has no span rows")
 	}
 	if !strings.Contains(stdout, "queue-wait") {
 		t.Errorf("stdout missing latency rollup: %q", stdout)
+	}
+	if !strings.Contains(stdout, "simnet event-loop profile:") {
+		t.Errorf("stdout missing profile rollup: %q", stdout)
 	}
 }

@@ -8,29 +8,25 @@ import (
 	"testing"
 )
 
-// captureTelemetry drives the CLI with -trace and -metrics into a fresh
-// directory and returns both files' contents.
-func captureTelemetry(t *testing.T, workers int, args ...string) (trace, metrics string) {
+// captureTelemetry drives the CLI with -telemetry into a fresh directory
+// and returns every stream file's contents by name, plus stdout.
+func captureTelemetry(t *testing.T, workers int, args ...string) (streams map[string]string, stdout string) {
 	t.Helper()
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	metricsPath := filepath.Join(dir, "metrics.csv")
-	full := append([]string{
-		"-workers", fmt.Sprint(workers), "-trace", tracePath, "-metrics", metricsPath,
-	}, args...)
-	code, _, stderr := runCLI(t, full...)
+	full := append([]string{"-workers", fmt.Sprint(workers), "-telemetry", dir}, args...)
+	code, stdout, stderr := runCLI(t, full...)
 	if code != 0 {
 		t.Fatalf("webtune %s: exit code %d, stderr: %s", strings.Join(full, " "), code, stderr)
 	}
-	tb, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
+	streams = make(map[string]string, len(telemetryStreams))
+	for _, st := range telemetryStreams {
+		data, err := os.ReadFile(filepath.Join(dir, st.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[st.name] = string(data)
 	}
-	mb, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(tb), string(mb)
+	return streams, stdout
 }
 
 // TestGoldenTelemetry locks the trace JSONL and metrics CSV of the tiny
@@ -43,11 +39,11 @@ func TestGoldenTelemetry(t *testing.T) {
 		t.Skip("simulation golden test")
 	}
 	args := []string{"-scale", "tiny", "-iters", "4", "-replicates", "2", "figure4"}
-	trace, metrics := captureTelemetry(t, 1, args...)
+	streams, _ := captureTelemetry(t, 1, args...)
 
 	for _, g := range []struct{ name, got string }{
-		{"figure4-trace.golden", trace},
-		{"figure4-metrics.golden", metrics},
+		{"figure4-trace.golden", streams["trace.jsonl"]},
+		{"figure4-metrics.golden", streams["metrics.csv"]},
 	} {
 		golden := filepath.Join("testdata", g.name)
 		if *update {
@@ -67,31 +63,40 @@ func TestGoldenTelemetry(t *testing.T) {
 		}
 	}
 
-	trace4, metrics4 := captureTelemetry(t, 4, args...)
-	if trace4 != trace {
-		t.Error("trace differs between -workers 1 and -workers 4")
-	}
-	if metrics4 != metrics {
-		t.Error("metrics differ between -workers 1 and -workers 4")
+	streams4, _ := captureTelemetry(t, 4, args...)
+	for _, name := range []string{"trace.jsonl", "metrics.csv"} {
+		if streams4[name] != streams[name] {
+			t.Errorf("%s differs between -workers 1 and -workers 4", name)
+		}
 	}
 }
 
-// TestTelemetrySinkFailFast asserts an uncreatable output file aborts the
-// run before any simulation starts.
+// TestTelemetrySinkFailFast asserts an uncreatable output directory or
+// stream file aborts the run before any simulation starts. Missing
+// directories are created, so the bad directories run through a regular
+// file; each stream case blocks one stream's file with a directory.
 func TestTelemetrySinkFailFast(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no-such-dir")
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	type failCase struct {
 		name string
 		args []string
-		want string
-	}{
-		{"trace", []string{"-trace", filepath.Join(missing, "t.jsonl"), "table1"}, "-trace"},
-		{"metrics", []string{"-metrics", filepath.Join(missing, "m.csv"), "table1"}, "-metrics"},
-		{"out", []string{"-out", filepath.Join(blocker, "dir"), "table1"}, "-out"},
+		want []string
+	}
+	cases := []failCase{
+		{"telemetry", []string{"-telemetry", filepath.Join(blocker, "dir"), "table1"}, []string{"-telemetry"}},
+		{"out", []string{"-out", filepath.Join(blocker, "dir"), "table1"}, []string{"-out"}},
+	}
+	for _, st := range telemetryStreams {
+		dir := t.TempDir()
+		path := filepath.Join(dir, st.name)
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, failCase{strings.TrimSuffix(st.name, filepath.Ext(st.name)),
+			[]string{"-telemetry", dir, "table1"}, []string{"-telemetry", path}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,8 +104,10 @@ func TestTelemetrySinkFailFast(t *testing.T) {
 			if code != 2 {
 				t.Errorf("exit code = %d, want 2 (stderr: %s)", code, stderr)
 			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr = %q, want it to name %q", stderr, tc.want)
+			for _, want := range tc.want {
+				if !strings.Contains(stderr, want) {
+					t.Errorf("stderr = %q, want it to name %q", stderr, want)
+				}
 			}
 			if strings.Contains(stdout, "===") {
 				t.Errorf("experiment ran despite the bad sink; stdout: %q", stdout)

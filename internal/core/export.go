@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -256,35 +255,4 @@ func WriteFigure7ReplicatedCSV(w io.Writer, res *Figure7Replicated) error {
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
-}
-
-// ExportName maps a result type to a stable experiment identifier used in
-// file names.
-func ExportName(result any) string {
-	switch result.(type) {
-	case *SingleWorkloadResult:
-		return "sec3a"
-	case *Figure4Result:
-		return "figure4"
-	case *Figure4Replicated:
-		return "figure4"
-	case *Figure7Replicated:
-		return "figure7"
-	case *TunedSweepResult:
-		return "tunedsweep"
-	case *Figure5Result:
-		return "figure5"
-	case *Table4Result:
-		return "table4"
-	case *Table4Replicated:
-		return "table4"
-	case *SweepResult:
-		return "sweep"
-	case *Figure7Result:
-		return "figure7"
-	case *AdaptiveResult:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("%T", result)
-	}
 }

@@ -109,22 +109,3 @@ func TestWriteTable4CSV(t *testing.T) {
 		t.Fatalf("csv: %s", buf.String())
 	}
 }
-
-func TestExportName(t *testing.T) {
-	cases := map[string]any{
-		"sec3a":    &SingleWorkloadResult{},
-		"figure4":  &Figure4Result{},
-		"figure5":  &Figure5Result{},
-		"table4":   &Table4Result{},
-		"figure7":  &Figure7Result{},
-		"adaptive": &AdaptiveResult{},
-	}
-	for want, v := range cases {
-		if got := ExportName(v); got != want {
-			t.Errorf("ExportName(%T) = %q, want %q", v, got, want)
-		}
-	}
-	if ExportName(42) == "" {
-		t.Error("unknown type should still name itself")
-	}
-}

@@ -284,7 +284,7 @@ func (l *Lab) MeasureIteration(restart bool) websim.Measurement {
 	l.iterations++
 	if l.spanSink != nil {
 		// Close the attribution window at the iteration boundary, so the
-		// -latency report can tie queue-wait shares to tuner steps and
+		// latency report can tie queue-wait shares to tuner steps and
 		// reconfiguration moves.
 		l.spanSink.Snapshot(l.iterations, eng.Now())
 	}

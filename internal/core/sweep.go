@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"webharmony/internal/rng"
+	"webharmony/internal/stats"
 	"webharmony/internal/tpcw"
 )
 
@@ -97,22 +98,39 @@ type SweepResult struct {
 // simulation variance-reduction technique) and (b) a combination's rows
 // are identical no matter which other combinations the grid contains.
 func RunSweep(cfg LabConfig, w tpcw.Workload, axes []SweepAxis, R, iters int) *SweepResult {
-	if len(axes) == 0 || R < 1 || iters < 1 {
-		panic("core: RunSweep needs at least one axis, R >= 1 and iters >= 1")
+	if iters < 1 {
+		panic("core: RunSweep needs iters >= 1")
+	}
+	res := &SweepResult{Workload: w, Replicates: R, Iters: iters}
+	res.Axes, res.Rows = sweepGrid("RunSweep", cfg, axes, R, func(ccfg LabConfig, values []string, r int) SweepRow {
+		wips := stats.MeanOf(NewLab(ccfg, w).MeasureConfig(DefaultConfigs(), iters))
+		return SweepRow{Values: values, Replicate: r, WIPS: wips}
+	})
+	return res
+}
+
+// sweepGrid is the grid engine of RunSweep and RunTunedSweep. It checks
+// the grid, then computes one row per (combination, replicate) pair over
+// the cfg.Workers pool: row k is combination k/R, replicate k%R, with
+// combinations in row-major axis order (last axis fastest). unit gets the
+// pair's lab configuration — seed rng.TaskSeed(cfg.Seed, r), telemetry
+// replicate r, the combination's knob values applied and its telemetry
+// unit named after them — and the value labels in axis order. sweepGrid
+// returns the axis names and the rows.
+func sweepGrid[Row any](who string, cfg LabConfig, axes []SweepAxis, R int, unit func(ccfg LabConfig, values []string, r int) Row) ([]string, []Row) {
+	if len(axes) == 0 || R < 1 {
+		panic("core: " + who + " needs at least one axis and R >= 1")
 	}
 	combos := 1
-	for _, ax := range axes {
+	names := make([]string, len(axes))
+	for j, ax := range axes {
 		if len(ax.Labels) == 0 {
-			panic("core: RunSweep axis " + ax.Name + " has no values")
+			panic("core: " + who + " axis " + ax.Name + " has no values")
 		}
 		combos *= len(ax.Labels)
+		names[j] = ax.Name
 	}
-
-	res := &SweepResult{Workload: w, Replicates: R, Iters: iters}
-	for _, ax := range axes {
-		res.Axes = append(res.Axes, ax.Name)
-	}
-	res.Rows = make([]SweepRow, combos*R)
+	rows := make([]Row, combos*R)
 	ForEach(cfg.Workers, combos*R, func(k int) {
 		combo, r := k/R, k%R
 		ccfg := cfg
@@ -127,16 +145,9 @@ func RunSweep(cfg LabConfig, w tpcw.Workload, axes []SweepAxis, R, iters int) *S
 			axes[j].Apply(&ccfg, i)
 			values[j] = axes[j].Labels[i]
 		}
-		ccfg = telemetrySub(ccfg, comboName(axes, values))
-		lab := NewLab(ccfg, w)
-		series := lab.MeasureConfig(DefaultConfigs(), iters)
-		sum := 0.0
-		for _, v := range series {
-			sum += v
-		}
-		res.Rows[k] = SweepRow{Values: values, Replicate: r, WIPS: sum / float64(iters)}
+		rows[k] = unit(telemetrySub(ccfg, comboName(axes, values)), values, r)
 	})
-	return res
+	return names, rows
 }
 
 // comboName renders one grid point as a telemetry unit segment,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"webharmony/internal/harmony"
-	"webharmony/internal/rng"
 	"webharmony/internal/stats"
 	"webharmony/internal/tpcw"
 )
@@ -72,41 +71,15 @@ type TunedSweepResult struct {
 // cfg.Workers pool; each builds its own labs, so the result is
 // bit-for-bit identical at any worker count.
 func RunTunedSweep(cfg LabConfig, w tpcw.Workload, axes []SweepAxis, R, iters, tuneIters int, opts harmony.Options) *TunedSweepResult {
-	if len(axes) == 0 || R < 1 || iters < 1 || tuneIters < 1 {
-		panic("core: RunTunedSweep needs at least one axis, R >= 1, iters >= 1 and tuneIters >= 1")
+	if iters < 1 || tuneIters < 1 {
+		panic("core: RunTunedSweep needs iters >= 1 and tuneIters >= 1")
 	}
-	combos := 1
-	for _, ax := range axes {
-		if len(ax.Labels) == 0 {
-			panic("core: RunTunedSweep axis " + ax.Name + " has no values")
-		}
-		combos *= len(ax.Labels)
-	}
-
 	res := &TunedSweepResult{
 		Workload: w, Replicates: R, Iters: iters, TuneIters: tuneIters,
 	}
-	for _, ax := range axes {
-		res.Axes = append(res.Axes, ax.Name)
-	}
-	res.Rows = make([]TunedSweepRow, combos*R)
-	ForEach(cfg.Workers, combos*R, func(k int) {
-		combo, r := k/R, k%R
-		ccfg := cfg
-		ccfg.Seed = rng.TaskSeed(cfg.Seed, uint64(r))
-		ccfg.TelemetryReplicate = r
-		values := make([]string, len(axes))
-		// Decode the combination index digit by digit, last axis fastest.
-		c := combo
-		for j := len(axes) - 1; j >= 0; j-- {
-			i := c % len(axes[j].Labels)
-			c /= len(axes[j].Labels)
-			axes[j].Apply(&ccfg, i)
-			values[j] = axes[j].Labels[i]
-		}
+	res.Axes, res.Rows = sweepGrid("RunTunedSweep", cfg, axes, R, func(ccfg LabConfig, values []string, r int) TunedSweepRow {
 		ropts := opts
 		ropts.Seed = ReplicateSeed(opts.Seed, r)
-		ccfg = telemetrySub(ccfg, comboName(axes, values))
 		// TuneWorkload measures the default configuration (the baseline
 		// arm, identical to RunSweep's procedure) and runs the tuning
 		// session; the best configuration is then evaluated on a fresh
@@ -115,7 +88,7 @@ func RunTunedSweep(cfg LabConfig, w tpcw.Workload, axes []SweepAxis, R, iters, t
 		def := stats.MeanOf(run.Baseline)
 		eval := NewLab(telemetrySub(ccfg, "eval"), w)
 		tuned := stats.MeanOf(eval.MeasureConfig(run.BestConfigs, iters))
-		res.Rows[k] = TunedSweepRow{
+		return TunedSweepRow{
 			Values:      values,
 			Replicate:   r,
 			DefaultWIPS: def,
@@ -125,6 +98,7 @@ func RunTunedSweep(cfg LabConfig, w tpcw.Workload, axes []SweepAxis, R, iters, t
 		}
 	})
 
+	combos := len(res.Rows) / R
 	res.Cells = make([]TunedSweepCell, combos)
 	for c := 0; c < combos; c++ {
 		defs := make([]float64, R)

@@ -267,23 +267,6 @@ func (c Config) Map(s *Space) map[string]int64 {
 	return m
 }
 
-// FromMap builds a configuration for space s from a name → value map;
-// missing names take their defaults, unknown names are an error.
-func FromMap(s *Space, m map[string]int64) (Config, error) {
-	c := s.DefaultConfig()
-	for name, v := range m {
-		i := s.IndexOf(name)
-		if i < 0 {
-			return nil, fmt.Errorf("param: unknown parameter %q", name)
-		}
-		c[i] = v
-	}
-	if !s.Feasible(c) {
-		return nil, fmt.Errorf("param: values not feasible for space")
-	}
-	return c, nil
-}
-
 // MarshalJSON encodes the configuration as a plain JSON array.
 func (c Config) MarshalJSON() ([]byte, error) { return json.Marshal([]int64(c)) }
 

@@ -204,24 +204,11 @@ func TestConfigKey(t *testing.T) {
 	}
 }
 
-func TestConfigMapAndFromMap(t *testing.T) {
+func TestConfigMap(t *testing.T) {
 	s := MustSpace(def("a", 0, 10, 3, 1), def("b", 0, 10, 4, 1))
 	m := Config{7, 8}.Map(s)
-	if m["a"] != 7 || m["b"] != 8 {
+	if len(m) != 2 || m["a"] != 7 || m["b"] != 8 {
 		t.Fatalf("Map = %v", m)
-	}
-	c, err := FromMap(s, map[string]int64{"b": 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c[0] != 3 || c[1] != 9 {
-		t.Fatalf("FromMap = %v", c)
-	}
-	if _, err := FromMap(s, map[string]int64{"zz": 1}); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-	if _, err := FromMap(s, map[string]int64{"a": 99}); err == nil {
-		t.Fatal("infeasible value accepted")
 	}
 }
 

@@ -246,7 +246,6 @@ type TokenPool struct {
 
 	inUse    int
 	waiters  []waiter
-	granted  uint64
 	rejected uint64
 	waitPeak int
 	granting bool // grantWaiters is draining; re-entrant calls return
@@ -289,10 +288,6 @@ func (p *TokenPool) Resize(capacity int) {
 	p.grantWaiters()
 }
 
-// SetMaxWait changes the wait-queue bound (maxWait < 0 means unbounded).
-// Requests already waiting are not evicted.
-func (p *TokenPool) SetMaxWait(maxWait int) { p.maxWait = maxWait }
-
 // Acquire requests a token. If one is free and nobody is queued ahead,
 // onGrant runs immediately (synchronously). If the wait queue has room,
 // the request waits FIFO and onGrant runs when a token frees up. Otherwise
@@ -306,7 +301,6 @@ func (p *TokenPool) SetMaxWait(maxWait int) { p.maxWait = maxWait }
 func (p *TokenPool) Acquire(onGrant func(), onReject func()) {
 	if p.inUse < p.capacity && len(p.waiters) == 0 {
 		p.inUse++
-		p.granted++
 		onGrant()
 		return
 	}
@@ -349,7 +343,6 @@ func (p *TokenPool) grantWaiters() {
 		p.waiters[len(p.waiters)-1] = waiter{} // release the closure
 		p.waiters = p.waiters[:len(p.waiters)-1]
 		p.inUse++
-		p.granted++
 		e := p.eng
 		if w.attr.span != nil {
 			// The time since Acquire queued is this pool's wait; the grant
@@ -370,15 +363,12 @@ func (p *TokenPool) InUse() int { return p.inUse }
 // Waiting returns the number of requests in the wait queue.
 func (p *TokenPool) Waiting() int { return len(p.waiters) }
 
-// Granted returns the number of successful acquisitions so far.
-func (p *TokenPool) Granted() uint64 { return p.granted }
-
 // Rejected returns the number of rejected acquisitions so far.
 func (p *TokenPool) Rejected() uint64 { return p.rejected }
 
-// ResetCounters zeroes the granted/rejected counters (state is preserved).
+// ResetCounters zeroes the rejected counter and the wait peak (state is
+// preserved).
 func (p *TokenPool) ResetCounters() {
-	p.granted = 0
 	p.rejected = 0
 	p.waitPeak = 0
 }

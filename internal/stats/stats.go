@@ -120,10 +120,6 @@ func (s *Sample) Add(x float64) {
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.data) }
 
-// Values returns the recorded observations in insertion order.
-// The returned slice is owned by the Sample; callers must not modify it.
-func (s *Sample) Values() []float64 { return s.data }
-
 // Mean returns the sample mean, or 0 when empty.
 func (s *Sample) Mean() float64 {
 	if len(s.data) == 0 {
@@ -284,13 +280,6 @@ func Summarize(vs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f (95%% CI ±%.2f, n=%d)", s.Mean, s.StdDev, s.CI95, s.N)
 }
-
-// CI95Of returns the half-width of a 95% confidence interval for the mean
-// of vs using the Student-t critical value — the right interval for the
-// small replicate counts (R = 3…10) the replication engine runs with,
-// where the normal approximation of Running.CI95 is too tight. It returns
-// 0 for fewer than two finite observations.
-func CI95Of(vs []float64) float64 { return Summarize(vs).CI95 }
 
 // PairedDiff returns the element-wise differences ys[i] − xs[i]. The
 // slices must have equal length; it panics otherwise. Used with paired

@@ -136,6 +136,30 @@ func TestSamplePercentileAfterInterleavedAdds(t *testing.T) {
 	}
 }
 
+func TestSampleMoments(t *testing.T) {
+	var s Sample
+	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 {
+		t.Fatalf("empty Sample: N=%d Mean=%v StdDev=%v, want zeros", s.N(), s.Mean(), s.StdDev())
+	}
+	s.Add(3)
+	if s.N() != 1 || s.Mean() != 3 || s.StdDev() != 0 {
+		t.Fatalf("n=1 Sample: N=%d Mean=%v StdDev=%v, want 1, 3, 0", s.N(), s.Mean(), s.StdDev())
+	}
+	for _, v := range []float64{9, 4, 4, 5, 5, 7, 2} {
+		s.Add(v)
+	}
+	if s.N() != 8 {
+		t.Fatalf("N = %d, want 8", s.N())
+	}
+	if !almostEqual(s.Mean(), 39.0/8, 1e-12) {
+		t.Fatalf("Mean = %v, want %v", s.Mean(), 39.0/8)
+	}
+	// Sum of squared deviations from 4.875 is 34.875.
+	if want := math.Sqrt(34.875 / 7); !almostEqual(s.StdDev(), want, 1e-12) {
+		t.Fatalf("StdDev = %v, want %v", s.StdDev(), want)
+	}
+}
+
 func TestTimeSeriesWindow(t *testing.T) {
 	var ts TimeSeries
 	for i := 0; i < 10; i++ {

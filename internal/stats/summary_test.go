@@ -67,13 +67,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCI95OfMatchesSummarize(t *testing.T) {
-	vs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got, want := CI95Of(vs), Summarize(vs).CI95; got != want {
-		t.Errorf("CI95Of = %v, want %v", got, want)
-	}
-}
-
 func TestTCritical95(t *testing.T) {
 	cases := []struct {
 		df   int

@@ -36,32 +36,3 @@ func WriteEvalStats(w io.Writer, s EvalStats) error {
 		s.Lookups, s.Hits, s.Misses, s.Entries, s.Bytes, s.HitRate())
 	return err
 }
-
-// SetEvalStats stores the run's final cache counters on the collector so
-// exporters can ship them alongside traces and metrics.
-func (c *Collector) SetEvalStats(s EvalStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evalStats = &s
-}
-
-// EvalStats returns the stored counters and whether any were set.
-func (c *Collector) EvalStats() (EvalStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.evalStats == nil {
-		return EvalStats{}, false
-	}
-	return *c.evalStats, true
-}
-
-// WriteEvalStats writes the stored counters; without any it writes
-// nothing and reports no error, mirroring the other writers' behavior on
-// an empty collector.
-func (c *Collector) WriteEvalStats(w io.Writer) error {
-	s, ok := c.EvalStats()
-	if !ok {
-		return nil
-	}
-	return WriteEvalStats(w, s)
-}

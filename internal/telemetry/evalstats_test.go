@@ -25,26 +25,3 @@ func TestEvalStatsHitRate(t *testing.T) {
 		t.Errorf("HitRate = %v, want 0.75", got)
 	}
 }
-
-func TestCollectorEvalStats(t *testing.T) {
-	c := NewCollector()
-	if _, ok := c.EvalStats(); ok {
-		t.Fatal("fresh collector reports stored stats")
-	}
-	var b strings.Builder
-	if err := c.WriteEvalStats(&b); err != nil || b.Len() != 0 {
-		t.Fatalf("empty collector wrote %q (err %v), want nothing", b.String(), err)
-	}
-	s := EvalStats{Lookups: 10, Hits: 4, Misses: 6, Entries: 6, Bytes: 100}
-	c.SetEvalStats(s)
-	got, ok := c.EvalStats()
-	if !ok || got != s {
-		t.Fatalf("EvalStats = %+v ok=%v, want %+v", got, ok, s)
-	}
-	if err := c.WriteEvalStats(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "lookups=10") || !strings.Contains(b.String(), "hit_rate=0.4000") {
-		t.Errorf("collector WriteEvalStats = %q", b.String())
-	}
-}

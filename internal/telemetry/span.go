@@ -51,8 +51,8 @@ type spanKidJSON struct {
 	Spans    []spanSegJSON `json:"spans"`
 }
 
-// spanDumpJSON is one sampled page span tree, one JSON line in -spans
-// output.
+// spanDumpJSON is one sampled page span tree, one JSON line of
+// spans.jsonl.
 type spanDumpJSON struct {
 	Replicate   int           `json:"replicate"`
 	Unit        string        `json:"unit"`
@@ -124,11 +124,11 @@ func (c *Collector) WriteSpans(w io.Writer) error {
 	return bw.Flush()
 }
 
-// latencyHeader is the -latency histogram CSV schema. Times are integer
+// latencyHeader is the latency.csv histogram schema. Times are integer
 // span ticks (microseconds of simulated time).
 const latencyHeader = "replicate,unit,interaction,tier,kind,count,mean_us,p50_us,p95_us,p99_us,max_us\n"
 
-// attributionHeader heads the second section of -latency output: windowed
+// attributionHeader heads the second section of latency.csv: windowed
 // queue/service attribution per tier group, one window per tuning
 // iteration, with the share of the window's total queue-wait. The note
 // column carries the trace events (reconfiguration moves, restarts) that

@@ -140,9 +140,8 @@ type recorderKey struct {
 // registration is safe to call from the worker pool; the writers must run
 // after the experiments finish (the CLI writes once at exit).
 type Collector struct {
-	mu        sync.Mutex
-	recs      map[recorderKey]*Recorder
-	evalStats *EvalStats
+	mu   sync.Mutex
+	recs map[recorderKey]*Recorder
 }
 
 // NewCollector creates an empty collector.

@@ -162,8 +162,9 @@ func TestSpanRecordingIsInvisible(t *testing.T) {
 }
 
 // TestPagePathAllocsWithSpans mirrors TestPagePathAllocs with a span sink
-// attached (sampling off, as in a -latency run): span recording itself
-// must add zero steady-state allocations, holding the same ceiling.
+// attached (sampling off, so only the latency folds record): span
+// recording itself must add zero steady-state allocations, holding the
+// same ceiling.
 func TestPagePathAllocsWithSpans(t *testing.T) {
 	sys := allocSystem()
 	sys.SetSpanSink(NewSpanSink(0))

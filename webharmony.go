@@ -61,10 +61,6 @@ type TelemetryEvent = telemetry.Event
 // TelemetrySample is one per-tier metrics observation.
 type TelemetrySample = telemetry.Sample
 
-// TelemetryEvalStats is the evaluation-cache counter set as the telemetry
-// layer carries it; convert an EvalCacheStats with a plain conversion.
-type TelemetryEvalStats = telemetry.EvalStats
-
 // NewTelemetryCollector creates an empty telemetry collector.
 func NewTelemetryCollector() *TelemetryCollector { return telemetry.NewCollector() }
 
