@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,21 @@ func TestGoldenSpansFigure4(t *testing.T) {
 			t.Errorf("%s differs between -workers 1 and -workers 4", name)
 		}
 	}
+}
+
+// TestSpanSinkFailFast asserts an uncreatable latency.csv or spans.jsonl
+// stream file aborts the run before any simulation starts.
+func TestSpanSinkFailFast(t *testing.T) {
+	var cases []sinkFailCase
+	for _, st := range telemetryStreams {
+		if slices.Contains(spanStreams, st.name) {
+			cases = append(cases, blockedStreamCase(t, st.name))
+		}
+	}
+	if len(cases) != len(spanStreams) {
+		t.Fatalf("telemetry streams hold %d of the %d span streams %v", len(cases), len(spanStreams), spanStreams)
+	}
+	runSinkFailCases(t, cases)
 }
 
 // TestSpanFlagsShortSmoke is the short-mode companion of the golden

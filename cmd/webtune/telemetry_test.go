@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,33 +72,30 @@ func TestGoldenTelemetry(t *testing.T) {
 	}
 }
 
-// TestTelemetrySinkFailFast asserts an uncreatable output directory or
-// stream file aborts the run before any simulation starts. Missing
-// directories are created, so the bad directories run through a regular
-// file; each stream case blocks one stream's file with a directory.
-func TestTelemetrySinkFailFast(t *testing.T) {
-	blocker := filepath.Join(t.TempDir(), "blocker")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+// sinkFailCase is one bad-sink CLI invocation: the run must exit 2 before
+// any simulation, with stderr naming every string in want.
+type sinkFailCase struct {
+	name string
+	args []string
+	want []string
+}
+
+// blockedStreamCase blocks the named stream's file in a fresh -telemetry
+// directory with a directory of the same name, so creating it fails.
+func blockedStreamCase(t *testing.T, stream string) sinkFailCase {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, stream)
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	type failCase struct {
-		name string
-		args []string
-		want []string
-	}
-	cases := []failCase{
-		{"telemetry", []string{"-telemetry", filepath.Join(blocker, "dir"), "table1"}, []string{"-telemetry"}},
-		{"out", []string{"-out", filepath.Join(blocker, "dir"), "table1"}, []string{"-out"}},
-	}
-	for _, st := range telemetryStreams {
-		dir := t.TempDir()
-		path := filepath.Join(dir, st.name)
-		if err := os.Mkdir(path, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, failCase{strings.TrimSuffix(st.name, filepath.Ext(st.name)),
-			[]string{"-telemetry", dir, "table1"}, []string{"-telemetry", path}})
-	}
+	return sinkFailCase{strings.TrimSuffix(stream, filepath.Ext(stream)),
+		[]string{"-telemetry", dir, "table1"}, []string{"-telemetry", path}}
+}
+
+// runSinkFailCases runs each case as a subtest.
+func runSinkFailCases(t *testing.T, cases []sinkFailCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := runCLI(t, tc.args...)
@@ -114,4 +112,29 @@ func TestTelemetrySinkFailFast(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spanStreams are the span layer's telemetry streams; TestSpanSinkFailFast
+// covers them, TestTelemetrySinkFailFast every other stream.
+var spanStreams = []string{"latency.csv", "spans.jsonl"}
+
+// TestTelemetrySinkFailFast asserts an uncreatable output directory or
+// stream file aborts the run before any simulation starts. Missing
+// directories are created, so the bad directories run through a regular
+// file; each stream case blocks one stream's file with a directory.
+func TestTelemetrySinkFailFast(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []sinkFailCase{
+		{"telemetry", []string{"-telemetry", filepath.Join(blocker, "dir"), "table1"}, []string{"-telemetry"}},
+		{"out", []string{"-out", filepath.Join(blocker, "dir"), "table1"}, []string{"-out"}},
+	}
+	for _, st := range telemetryStreams {
+		if !slices.Contains(spanStreams, st.name) {
+			cases = append(cases, blockedStreamCase(t, st.name))
+		}
+	}
+	runSinkFailCases(t, cases)
 }
