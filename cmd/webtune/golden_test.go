@@ -65,16 +65,6 @@ func TestGoldenReports(t *testing.T) {
 		altWorkers int // second worker count checked for byte-equality
 	}{
 		{"table4", []string{"-scale", "tiny", "-iters", "8", "-replicates", "2", "table4"}, 4},
-		{"sweep", []string{"-scale", "tiny", "-iters", "3", "-replicates", "2",
-			"-sweep", "browsers=60,80", "sweep"}, 4},
-		// The acceptance bar for the tuned sweep is byte-equality between
-		// -workers 1 and -workers 8 specifically. 200 iterations buys 20
-		// tuning steps, enough for the tuner to beat the default at the
-		// browsers=200 point, so the golden pins a non-zero paired gain
-		// (the browsers=80 point stays at zero gain, pinning that shape
-		// too).
-		{"tunedsweep", []string{"-scale", "tiny", "-iters", "200", "-replicates", "3",
-			"-sweep", "browsers=80,200", "-tuned", "sweep"}, 8},
 		{"figure4", []string{"-scale", "tiny", "-iters", "4", "-replicates", "2", "figure4"}, 4},
 		{"figure7a", []string{"-scale", "tiny", "-replicates", "2", "figure7a"}, 4},
 		// Figure 5 runs through the speculative lookahead engine: workers

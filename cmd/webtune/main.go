@@ -17,17 +17,13 @@
 //	figure7a  reconfiguration: proxy node → application tier
 //	figure7b  reconfiguration: application node → proxy tier
 //	adaptive  the full §IV loop: tuning + periodic reconfiguration
-//	sweep     parameter sweep over lab knobs (requires -sweep; add -tuned
-//	          to run a tuning session against the default configuration at
-//	          every grid point, paired under common random numbers)
 //	all       everything above
 //
 // Flags select the scale (-scale tiny|quick|standard|paper), iteration
 // counts, the random seed, the parallel fan-out width (-workers, default
-// GOMAXPROCS), the replicate count (-replicates R reruns table4, adaptive,
-// figure4, figure7a/b and sweep on R independently seeded labs, reporting
-// mean ± σ ± Student-t 95% CI) and the sweep grid
-// (-sweep "browsers=400,550;think=0.3,0.6"). Results are bit-for-bit
+// GOMAXPROCS) and the replicate count (-replicates R reruns table4,
+// adaptive, figure4 and figure7a/b on R independently seeded labs,
+// reporting mean ± σ ± Student-t 95% CI). Results are bit-for-bit
 // identical at any -workers value; see -help.
 //
 // Evaluations are hermetic and memoized by default (-memo): exact
@@ -68,14 +64,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale      = fs.String("scale", "quick", "experiment scale: tiny, quick, standard or paper")
 		iters      = fs.Int("iters", 0, "tuning iterations (0 = per-scale default)")
 		seed       = fs.Uint64("seed", 1, "random seed")
-		guard      = fs.Float64("guard", 0, "extreme-value guard factor (0 disables)")
+		guard      = fs.Float64("guard", 0, "extreme-value guard factor in [0, 1) (0 disables)")
 		outDir     = fs.String("out", "", "also write results as JSON and CSV into this directory")
 		sessions   = fs.Bool("sessions", false, "drive browsers through the TPC-W session graph")
 		workers    = fs.Int("workers", 0, "parallel workers for independent experiment units (0 = GOMAXPROCS); results are identical at any worker count")
-		replicates = fs.Int("replicates", 1, "independent replicates for table4/adaptive/figure4/figure7a/figure7b/sweep; seeds derive per replicate, results report mean ± σ ± 95% CI")
-		sweepSpec  = fs.String("sweep", "", `sweep grid for the sweep experiment, e.g. "browsers=400,550;think=0.3,0.6;shape=1/1/1,2/2/2"`)
-		tuned      = fs.Bool("tuned", false, "run a tuning session at every sweep grid point and report the paired default-vs-tuned gain (sweep experiment only)")
-		shift      = fs.Float64("shift", 0.25, "figure5 workload-shift detection factor: sustained relative deviation from the remembered best that restarts the search (0 disables detection)")
+		replicates = fs.Int("replicates", 1, "independent replicates for table4/adaptive/figure4/figure7a/figure7b; seeds derive per replicate, results report mean ± σ ± 95% CI")
+		shift      = fs.Float64("shift", 0.25, "figure5 workload-shift detection factor: sustained relative deviation from the remembered best that restarts the search (0 disables detection; must be finite and >= 0)")
 		telemetry  = fs.String("telemetry", "", "write the telemetry streams into this directory and print the profile and bottleneck rollups: trace.jsonl (tuner step trace), metrics.csv (per-tier timeseries), simprofile.folded (simnet event-loop profile, flamegraph.pl/speedscope input), latency.csv (per-(interaction, tier) latency histograms with queue-vs-service attribution) and spans.jsonl (sampled per-request span trees); byte-identical at any -workers")
 		spanEvery  = fs.Int("span-sample", 997, "with -telemetry, dump every n-th page's span tree into spans.jsonl (deterministic systematic sample)")
 		memo       = fs.Bool("memo", true, "memoize hermetic evaluations in a content-addressed cache; results are byte-identical with and without it (bypassed while -telemetry is set)")
@@ -83,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		evalStats  = fs.Bool("evalstats", false, "print the evaluation-cache counters (lookups, hits, misses, entries, bytes, hit rate) after the run")
 	)
 	usage := func() {
-		fmt.Fprintln(stderr, "usage: webtune [flags] <table1|sec3a|figure4|table3|figure5|table4|figure7a|figure7b|adaptive|sweep|all>")
+		fmt.Fprintln(stderr, "usage: webtune [flags] <table1|sec3a|figure4|table3|figure5|table4|figure7a|figure7b|adaptive|all>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -135,30 +129,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	R := *replicates
 	opts := webharmony.TunerOptions{Seed: *seed, GuardFactor: *guard}
+	shiftOpts := opts
+	shiftOpts.ShiftFactor = *shift
+	// A -guard or -shift the tuner would silently ignore fails here,
+	// before any simulation.
+	if err := shiftOpts.Validate(); err != nil {
+		fmt.Fprintf(stderr, "webtune: %v\n", err)
+		return 2
+	}
 
 	what := fs.Arg(0)
 	known := map[string]bool{"table1": true, "sec3a": true, "figure4": true, "table3": true,
 		"figure5": true, "table4": true, "figure7a": true, "figure7b": true,
-		"adaptive": true, "sweep": true, "all": true}
+		"adaptive": true, "all": true}
 	if !known[what] {
 		fmt.Fprintf(stderr, "webtune: unknown experiment %q\n", what)
 		return 2
 	}
-	var axes []webharmony.SweepAxis
-	if *sweepSpec != "" {
-		if axes, err = webharmony.ParseSweepSpec(*sweepSpec); err != nil {
-			fmt.Fprintf(stderr, "webtune: %v\n", err)
-			return 2
-		}
-	} else if what == "sweep" {
-		fmt.Fprintln(stderr, `webtune: the sweep experiment needs a grid, e.g. -sweep "browsers=400,550;think=0.3,0.6"`)
-		return 2
-	}
-	if *tuned && what != "sweep" && what != "all" {
-		fmt.Fprintf(stderr, "webtune: -tuned only applies to the sweep experiment, not %q\n", what)
-		return 2
-	}
-
 	// Create every requested output sink up front: an unwritable path must
 	// fail before hours of simulation, not after.
 	if *outDir != "" {
@@ -275,8 +262,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	run("figure5", func() {
 		seq := []webharmony.Workload{webharmony.Browsing, webharmony.Shopping, webharmony.Ordering}
 		phase := max(10, n/4)
-		shiftOpts := opts
-		shiftOpts.ShiftFactor = *shift
 		res := webharmony.RunFigure5(cfg.WithTelemetryUnit("figure5"), seq, phase, 4, shiftOpts)
 		webharmony.PrintFigure5(stdout, res)
 		export("figure5", res, func(w io.Writer) error {
@@ -386,25 +371,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res := webharmony.RunAdaptive(lab, aIters, aOpts)
 		printAdaptive(stdout, res)
 		export("adaptive", res, nil)
-	})
-
-	run("sweep", func() {
-		if axes == nil {
-			return // "all" without a -sweep grid
-		}
-		if *tuned {
-			res := webharmony.RunTunedSweep(cfg.WithTelemetryUnit("tunedsweep"), webharmony.Shopping, axes, R, max(3, n/25), max(6, n/10), opts)
-			webharmony.PrintTunedSweep(stdout, res)
-			export("tunedsweep", res, func(w io.Writer) error {
-				return webharmony.WriteTunedSweepCSV(w, res)
-			})
-			return
-		}
-		res := webharmony.RunSweep(cfg.WithTelemetryUnit("sweep"), webharmony.Shopping, axes, R, max(3, n/25))
-		webharmony.PrintSweep(stdout, res)
-		export("sweep", res, func(w io.Writer) error {
-			return webharmony.WriteSweepCSV(w, res)
-		})
 	})
 
 	// Settle the evaluation cache first: save the snapshot and report the

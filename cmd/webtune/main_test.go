@@ -29,11 +29,20 @@ func TestFlagAndArgumentErrors(t *testing.T) {
 		{"bad-scale", []string{"-scale", "huge", "table1"}, `unknown scale "huge"`},
 		{"bad-replicates", []string{"-replicates", "0", "table4"}, "-replicates must be >= 1"},
 		{"bad-workers-value", []string{"-workers", "x", "table1"}, "invalid value"},
-		{"bad-sweep-spec", []string{"-sweep", "cpus=1,2", "sweep"}, `unknown axis "cpus"`},
-		{"sweep-without-grid", []string{"sweep"}, "needs a grid"},
-		{"tuned-sweep-without-grid", []string{"-tuned", "sweep"}, "needs a grid"},
-		{"tuned-outside-sweep", []string{"-tuned", "table1"}, "-tuned only applies to the sweep experiment"},
-		{"tuned-nonfinite-think", []string{"-tuned", "-sweep", "think=NaN", "sweep"}, "bad think value"},
+		// The parameter sweeps are retired: their experiment and both of
+		// their flags are rejected like any other unknown input.
+		{"bad-sweep-spec", []string{"-sweep", "cpus=1,2", "sweep"}, "flag provided but not defined: -sweep"},
+		{"sweep-without-grid", []string{"sweep"}, `unknown experiment "sweep"`},
+		{"tuned-sweep-without-grid", []string{"-tuned", "sweep"}, "flag provided but not defined: -tuned"},
+		{"tuned-outside-sweep", []string{"-tuned", "table1"}, "flag provided but not defined: -tuned"},
+		{"tuned-nonfinite-think", []string{"-tuned", "-sweep", "think=NaN", "sweep"}, "flag provided but not defined: -tuned"},
+		{"guard-above-one", []string{"-guard", "1.5", "table1"}, "guard factor 1.5 is outside [0, 1)"},
+		{"guard-one", []string{"-guard", "1", "table1"}, "guard factor 1 is outside [0, 1)"},
+		{"guard-negative", []string{"-guard", "-0.2", "table1"}, "guard factor -0.2 is outside [0, 1)"},
+		{"guard-nan", []string{"-guard", "NaN", "table1"}, "guard factor NaN is outside [0, 1)"},
+		{"shift-nan", []string{"-shift", "NaN", "figure5"}, "shift factor NaN is not a finite value >= 0"},
+		{"shift-inf", []string{"-shift", "+Inf", "figure5"}, "shift factor +Inf is not a finite value >= 0"},
+		{"shift-negative", []string{"-shift", "-0.1", "figure5"}, "shift factor -0.1 is not a finite value >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,41 +61,12 @@ func TestFlagAndArgumentErrors(t *testing.T) {
 // table1 needs no simulation, so this stays instant.
 func TestFlagsParse(t *testing.T) {
 	code, stdout, stderr := runCLI(t,
-		"-replicates", "3", "-workers", "2", "-seed", "7",
-		"-sweep", "browsers=100,200", "table1")
+		"-replicates", "3", "-workers", "2", "-seed", "7", "table1")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "=== table1 ===") || !strings.Contains(stdout, "Browsing") {
 		t.Errorf("stdout missing table1 output: %q", stdout)
-	}
-}
-
-// TestSweepExperimentSmoke runs the sweep experiment end to end on a
-// minimal grid and checks the long-form CSV lands in -out.
-func TestSweepExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation smoke test")
-	}
-	dir := t.TempDir()
-	code, stdout, stderr := runCLI(t,
-		"-sweep", "browsers=60", "-iters", "25", "-workers", "2", "-out", dir, "sweep")
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "browsers") || !strings.Contains(stdout, "mean WIPS") {
-		t.Errorf("stdout missing sweep table: %q", stdout)
-	}
-	csv, err := os.ReadFile(filepath.Join(dir, "sweep.csv"))
-	if err != nil {
-		t.Fatalf("sweep.csv not exported: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(csv)), "\n")
-	if len(lines) != 2 || lines[0] != "browsers,replicate,wips" {
-		t.Errorf("sweep.csv = %q, want a header plus one (combo, replicate) row", string(csv))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "sweep.json")); err != nil {
-		t.Errorf("sweep.json not exported: %v", err)
 	}
 }
 

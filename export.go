@@ -30,19 +30,6 @@ func WriteTable4ReplicatedCSV(w io.Writer, res *Table4Replicated) error {
 	return core.WriteTable4ReplicatedCSV(w, res)
 }
 
-// WriteSweepCSV writes a parameter sweep as long-form CSV: one row per
-// (knob-combination, replicate).
-func WriteSweepCSV(w io.Writer, res *SweepResult) error {
-	return core.WriteSweepCSV(w, res)
-}
-
-// WriteTunedSweepCSV writes a tuned sweep as long-form CSV: one row per
-// (knob-combination, replicate) with the paired default/tuned WIPS, the
-// gain, and the cell's mean ± σ ± 95% CI aggregates.
-func WriteTunedSweepCSV(w io.Writer, res *TunedSweepResult) error {
-	return core.WriteTunedSweepCSV(w, res)
-}
-
 // WriteFigure4ReplicatedCSV writes the replicated Figure 4 matrix as
 // long-form CSV: one row per (configuration, workload) with
 // across-replicate mean ± σ ± 95% CI.

@@ -16,8 +16,8 @@ import (
 
 // This file is the hermetic evaluation engine (DESIGN.md §10): every
 // configuration evaluation the sequential experiment runners make —
-// tuning iterations, baseline windows, Figure 4 matrix cells, tuned-sweep
-// arms — runs in a fresh per-evaluation lab whose rng streams derive from
+// tuning iterations, baseline windows, Figure 4 matrix cells — runs in a
+// fresh per-evaluation lab whose rng streams derive from
 // the evaluation's canonical key (the node configurations, workload, lab
 // shape, window lengths and base seed). The measurement is therefore a
 // pure function of that key:

@@ -142,61 +142,6 @@ func WriteTable4ReplicatedCSV(w io.Writer, res *Table4Replicated) error {
 	return cw.Error()
 }
 
-// WriteSweepCSV writes a parameter sweep in long form: one row per
-// (knob-combination, replicate), one column per axis plus the replicate
-// index and the measured mean WIPS.
-func WriteSweepCSV(w io.Writer, res *SweepResult) error {
-	cw := csv.NewWriter(w)
-	header := append(append([]string{}, res.Axes...), "replicate", "wips")
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, row := range res.Rows {
-		rec := append(append([]string{}, row.Values...),
-			strconv.Itoa(row.Replicate), formatFloat(row.WIPS))
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTunedSweepCSV writes a tuned sweep in long form: one row per
-// (knob-combination, replicate) carrying the paired observation
-// (wips_default, wips_tuned, gain, rel_gain) followed by the row's cell
-// aggregates (mean ± σ ± Student-t 95% CI for both arms and the paired
-// gain), repeated on every row of the cell so each row is self-contained
-// for group-by-free plotting.
-func WriteTunedSweepCSV(w io.Writer, res *TunedSweepResult) error {
-	cw := csv.NewWriter(w)
-	header := append(append([]string{}, res.Axes...),
-		"replicate", "wips_default", "wips_tuned", "gain", "rel_gain",
-		"mean_default", "sd_default", "ci95_default",
-		"mean_tuned", "sd_tuned", "ci95_tuned",
-		"mean_gain", "sd_gain", "ci95_gain",
-		"mean_rel_gain", "ci95_rel_gain")
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for k, row := range res.Rows {
-		cell := res.Cells[k/res.Replicates]
-		rec := append(append([]string{}, row.Values...),
-			strconv.Itoa(row.Replicate),
-			formatFloat(row.DefaultWIPS), formatFloat(row.TunedWIPS),
-			formatFloat(row.Gain), formatFloat(row.RelGain),
-			formatFloat(cell.Default.Mean), formatFloat(cell.Default.StdDev), formatFloat(cell.Default.CI95),
-			formatFloat(cell.Tuned.Mean), formatFloat(cell.Tuned.StdDev), formatFloat(cell.Tuned.CI95),
-			formatFloat(cell.Gain.Mean), formatFloat(cell.Gain.StdDev), formatFloat(cell.Gain.CI95),
-			formatFloat(cell.RelGain.Mean), formatFloat(cell.RelGain.CI95))
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteFigure4ReplicatedCSV writes the replicated cross-workload matrix
 // in long form: one row per (configuration, workload) cell with its
 // across-replicate mean ± σ ± 95% CI; native cells additionally carry the

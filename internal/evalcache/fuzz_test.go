@@ -1,10 +1,12 @@
 package evalcache
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"webharmony/internal/param"
+	"webharmony/internal/websim"
 )
 
 // FuzzEvalKey exercises the canonical key encoding's contract: it is
@@ -94,4 +96,62 @@ func nextFloat(v float64) float64 {
 		return 0
 	}
 	return math.Nextafter(v, math.Inf(1))
+}
+
+// FuzzLoadSnapshot pins the contract of the -evalcache FILE reader, which
+// parses whatever file it is given: LoadSnapshot never panics, and an
+// accepted snapshot is a fixed point of Marshal — its Marshal output loads
+// again and re-marshals to the same bytes, so a warm-started run saves
+// back exactly what it loaded.
+func FuzzLoadSnapshot(f *testing.F) {
+	c := New()
+	spec := testSpec()
+	c.Do(spec.Key(), func() websim.Measurement { return testMeasurement(123.456789012345) })
+	spec.Seed++
+	c.Do(spec.Key(), func() websim.Measurement {
+		return websim.Measurement{RespMean: math.NaN(), RespP90: math.Inf(1), RespP99: math.Inf(-1)}
+	})
+	saved, err := c.Snapshot().Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved)
+	for _, seed := range []string{
+		`{"version": 1, "entries": []}`,
+		`{"version": 1, "entries": null}`,
+		`{"version": 1, "entries": [{"key": "k", "measurement": {"wips": "NaN", "resp_p90": "+Inf", "resp_p99": "-Inf"}}]}`,
+		`{"version": 1, "entries": [{"key": "k", "measurement": {"wips": "nan", "wips_b": "inf", "wips_o": "-infinity"}}]}`,
+		`{"version": 1, "entries": [{"key": "k", "measurement": {"wips": "1e400"}}]}`,
+		`{"version": 1, "entries": [{"key": "k", "measurement": {"wips": -0, "line_wips": ["NaN", 1.5]}}]}`,
+		`{"version": 1, "entries": [{"key": "k", "measurement": {"wips": "zzz"}}]}`,
+		`{"version": 999, "entries": []}`,
+		`{not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := LoadSnapshot(data)
+		if err != nil {
+			if snap != nil {
+				t.Fatalf("LoadSnapshot returned a snapshot alongside error %v", err)
+			}
+			return
+		}
+		first, err := snap.Marshal()
+		if err != nil {
+			t.Fatalf("accepted snapshot does not marshal: %v", err)
+		}
+		again, err := LoadSnapshot(first)
+		if err != nil {
+			t.Fatalf("marshalled snapshot does not load: %v\n%s", err, first)
+		}
+		second, err := again.Marshal()
+		if err != nil {
+			t.Fatalf("reloaded snapshot does not marshal: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("re-marshal changed the bytes:\n%s\n---\n%s", first, second)
+		}
+	})
 }

@@ -69,31 +69,26 @@ func Restore(snap *Snapshot) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harmony: snapshot space: %w", err)
 	}
-	var algo Algorithm
-	switch snap.Options.Algorithm {
-	case "", "nelder-mead":
-		algo = AlgoNelderMead
-	case "random":
-		algo = AlgoRandom
-	case "coordinate":
-		algo = AlgoCoordinate
-	case "annealing":
-		algo = AlgoAnnealing
-	default:
-		return nil, fmt.Errorf("harmony: snapshot algorithm %q unknown", snap.Options.Algorithm)
+	algo, err := ParseAlgorithm(snap.Options.Algorithm)
+	if err != nil {
+		return nil, fmt.Errorf("harmony: snapshot: %w", err)
 	}
 	if len(snap.Perf) != len(snap.Configs) {
 		return nil, fmt.Errorf("harmony: snapshot has %d perf values for %d configs",
 			len(snap.Perf), len(snap.Configs))
 	}
-	sess := NewSession(space, Options{
+	opts := Options{
 		Algorithm:     algo,
 		Seed:          snap.Options.Seed,
 		GuardFactor:   snap.Options.GuardFactor,
 		Anchor:        snap.Options.Anchor,
 		ShiftFactor:   snap.Options.ShiftFactor,
 		ShiftPatience: snap.Options.ShiftPatience,
-	})
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("harmony: snapshot: %w", err)
+	}
+	sess := NewSession(space, opts)
 	for i, perf := range snap.Perf {
 		cfg := sess.NextConfig()
 		if !cfg.Equal(snap.Configs[i]) {

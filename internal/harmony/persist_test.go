@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,25 @@ func TestRestoreValidation(t *testing.T) {
 	bad3.Params = nil
 	if _, err := Restore(&bad3); err == nil {
 		t.Fatal("empty space accepted")
+	}
+
+	// Factors the session would silently ignore are refused, not replayed
+	// unguarded or without shift detection.
+	for _, f := range []struct {
+		guard, shift float64
+		want         string
+	}{
+		{1.5, 0, "guard factor 1.5 is outside [0, 1)"},
+		{math.NaN(), 0, "guard factor NaN is outside [0, 1)"},
+		{0, math.Inf(1), "shift factor +Inf is not a finite value >= 0"},
+		{0, math.NaN(), "shift factor NaN is not a finite value >= 0"},
+		{0, -1, "shift factor -1 is not a finite value >= 0"},
+	} {
+		bad4 := *snap
+		bad4.Options.GuardFactor, bad4.Options.ShiftFactor = f.guard, f.shift
+		if _, err := Restore(&bad4); err == nil || !strings.Contains(err.Error(), f.want) {
+			t.Errorf("Restore(guard %v, shift %v) = %v, want an error containing %q", f.guard, f.shift, err, f.want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package harmony
 
 import (
 	"fmt"
+	"math"
 
 	"webharmony/internal/param"
 	"webharmony/internal/simplex"
@@ -43,6 +44,22 @@ func (a Algorithm) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseAlgorithm maps an algorithm name, as String renders it, back to
+// the Algorithm; "" selects the default, AlgoNelderMead.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch name {
+	case "", "nelder-mead":
+		return AlgoNelderMead, nil
+	case "random":
+		return AlgoRandom, nil
+	case "coordinate":
+		return AlgoCoordinate, nil
+	case "annealing":
+		return AlgoAnnealing, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
 // Options configures a tuning session.
@@ -80,6 +97,20 @@ type Options struct {
 	// duplication, "lineN" under partitioning) and parameter space.
 	// Ignored when Observer is set directly.
 	Observe func(label string, space *param.Space) simplex.StepObserver `json:"-"`
+}
+
+// Validate rejects factors the session would silently ignore: a
+// GuardFactor outside [0, 1) (the kernel applies the guard only inside
+// (0, 1)) and a ShiftFactor that is not finite or is below 0 (a NaN or
+// +Inf factor never fires, so it would turn shift detection off).
+func (o Options) Validate() error {
+	if !(o.GuardFactor >= 0 && o.GuardFactor < 1) {
+		return fmt.Errorf("guard factor %v is outside [0, 1)", o.GuardFactor)
+	}
+	if math.IsNaN(o.ShiftFactor) || math.IsInf(o.ShiftFactor, 0) || o.ShiftFactor < 0 {
+		return fmt.Errorf("shift factor %v is not a finite value >= 0", o.ShiftFactor)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {

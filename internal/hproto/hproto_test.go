@@ -1,6 +1,8 @@
 package hproto
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -68,7 +70,7 @@ func TestRegisterNextReportBest(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	_, c := newPair(t)
+	srv, c := newPair(t)
 	if err := c.Register("", testDefs(), "", 1); err == nil {
 		t.Fatal("empty session accepted")
 	}
@@ -81,6 +83,36 @@ func TestRegisterValidation(t *testing.T) {
 	bad := []param.Def{{Name: "x", Min: 10, Max: 0, Default: 5, Step: 1}}
 	if err := c.Register("s", bad, "", 1); err == nil {
 		t.Fatal("invalid def accepted")
+	}
+	// Tuner factors the session would silently ignore are refused. JSON
+	// cannot carry NaN or Inf, so those cases call dispatch in-process.
+	factors := []struct {
+		name         string
+		guard, shift float64
+		wire         bool
+		want         string
+	}{
+		{"guard-above-one", 1.5, 0, true, "guard factor 1.5 is outside [0, 1)"},
+		{"guard-negative", -0.1, 0, true, "guard factor -0.1 is outside [0, 1)"},
+		{"shift-negative", 0, -0.5, true, "shift factor -0.5 is not a finite value >= 0"},
+		{"guard-nan", math.NaN(), 0, false, "guard factor NaN is outside [0, 1)"},
+		{"shift-nan", 0, math.NaN(), false, "shift factor NaN is not a finite value >= 0"},
+		{"shift-inf", 0, math.Inf(1), false, "shift factor +Inf is not a finite value >= 0"},
+	}
+	for _, f := range factors {
+		req := Request{Op: OpRegister, Session: "s", Params: testDefs(), GuardFactor: f.guard, ShiftFactor: f.shift}
+		var resp Response
+		if f.wire {
+			var err error
+			if resp, err = c.Do(req); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			resp = srv.dispatch(req)
+		}
+		if resp.OK || !strings.Contains(resp.Error, f.want) {
+			t.Errorf("%s: register = %+v, want an error containing %q", f.name, resp, f.want)
+		}
 	}
 	if err := c.Register("s", testDefs(), "random", 1); err != nil {
 		t.Fatal(err)

@@ -324,25 +324,20 @@ func (s *Server) register(req Request) Response {
 	if err != nil {
 		return Errorf("register: %v", err)
 	}
-	var algo harmony.Algorithm
-	switch req.Algorithm {
-	case "", "nelder-mead":
-		algo = harmony.AlgoNelderMead
-	case "random":
-		algo = harmony.AlgoRandom
-	case "coordinate":
-		algo = harmony.AlgoCoordinate
-	case "annealing":
-		algo = harmony.AlgoAnnealing
-	default:
-		return Errorf("register: unknown algorithm %q", req.Algorithm)
+	algo, err := harmony.ParseAlgorithm(req.Algorithm)
+	if err != nil {
+		return Errorf("register: %v", err)
 	}
-	sess := harmony.NewSession(space, harmony.Options{
+	opts := harmony.Options{
 		Algorithm:   algo,
 		Seed:        req.Seed,
 		GuardFactor: req.GuardFactor,
 		ShiftFactor: req.ShiftFactor,
-	})
+	}
+	if err := opts.Validate(); err != nil {
+		return Errorf("register: %v", err)
+	}
+	sess := harmony.NewSession(space, opts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

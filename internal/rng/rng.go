@@ -70,8 +70,8 @@ func (s *Source) Split(salt uint64) *Source {
 // stream state advances — so parallel workers can derive their tasks'
 // seeds in any order and still agree bit-for-bit with a sequential run.
 // This is the seed-derivation contract for experiment fan-outs that need
-// per-task streams (multi-seed replication, parameter sweeps): task i of a
-// run seeded s uses TaskSeed(s, i), independent of which worker runs it.
+// per-task streams (multi-seed replication): task i of a run seeded s
+// uses TaskSeed(s, i), independent of which worker runs it.
 func TaskSeed(base, task uint64) uint64 {
 	s := base + (task+1)*0x9e3779b97f4a7c15
 	x := splitmix64(&s)

@@ -281,31 +281,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f (95%% CI ±%.2f, n=%d)", s.Mean, s.StdDev, s.CI95, s.N)
 }
 
-// PairedDiff returns the element-wise differences ys[i] − xs[i]. The
-// slices must have equal length; it panics otherwise. Used with paired
-// observations taken under common random numbers (the same replicate seed
-// driving both arms), where the difference series carries far less
-// variance than either arm alone.
-func PairedDiff(xs, ys []float64) []float64 {
-	if len(xs) != len(ys) {
-		panic("stats: PairedDiff needs equally long slices")
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		out[i] = ys[i] - xs[i]
-	}
-	return out
-}
-
-// SummarizePaired summarizes the paired differences ys − xs: the paired-t
-// analysis for two treatments measured replicate by replicate under
-// common random numbers. The returned CI95 is the half-width of the
-// Student-t interval on the mean difference; an interval excluding zero
-// means the treatments differ significantly at the 5% level.
-func SummarizePaired(xs, ys []float64) Summary {
-	return Summarize(PairedDiff(xs, ys))
-}
-
 // tCrit95 holds two-sided 95% Student-t critical values for 1…30 degrees
 // of freedom (index df-1).
 var tCrit95 = [30]float64{

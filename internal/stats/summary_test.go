@@ -83,38 +83,6 @@ func TestTCritical95(t *testing.T) {
 	}
 }
 
-func TestPairedDiff(t *testing.T) {
-	got := PairedDiff([]float64{1, 2, 3}, []float64{4, 2, 1})
-	want := []float64{3, 0, -2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("PairedDiff[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("PairedDiff accepted mismatched lengths")
-		}
-	}()
-	PairedDiff([]float64{1}, []float64{1, 2})
-}
-
-// TestSummarizePaired verifies the paired-t reduction: the summary of the
-// differences, not the difference of the summaries. Under common random
-// numbers the per-pair noise cancels, so the difference series here has
-// zero variance even though both arms vary.
-func TestSummarizePaired(t *testing.T) {
-	base := []float64{10, 20, 30}
-	tuned := []float64{12, 22, 32}
-	s := SummarizePaired(base, tuned)
-	if s.N != 3 || s.Mean != 2 || s.StdDev != 0 || s.CI95 != 0 {
-		t.Errorf("SummarizePaired = %+v, want N=3 Mean=2 with zero spread", s)
-	}
-	if got, want := SummarizePaired(base, []float64{13, 21, 35}), Summarize([]float64{3, 1, 5}); got != want {
-		t.Errorf("SummarizePaired = %+v, want %+v", got, want)
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 3})
 	if got, want := s.String(), "2.00 ± 1.41 (95% CI ±12.71, n=2)"; got != want {

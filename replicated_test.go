@@ -8,31 +8,6 @@ import (
 	"webharmony/internal/stats"
 )
 
-// TestTunedSweepFacade runs a miniature tuned sweep through the public
-// API and pushes the result through the report printer and CSV exporter.
-func TestTunedSweepFacade(t *testing.T) {
-	cfg := TinyLab()
-	res := RunTunedSweep(cfg, Shopping, []SweepAxis{BrowsersAxis(60)}, 2, 1, 2, TunerOptions{Seed: 3})
-	if len(res.Rows) != 2 || len(res.Cells) != 1 {
-		t.Fatalf("got %d rows / %d cells, want 2 / 1", len(res.Rows), len(res.Cells))
-	}
-	var buf bytes.Buffer
-	PrintTunedSweep(&buf, res)
-	out := buf.String()
-	if !strings.Contains(out, "default WIPS") || !strings.Contains(out, "paired under common random numbers") {
-		t.Fatalf("tuned sweep report: %s", out)
-	}
-	buf.Reset()
-	if err := WriteTunedSweepCSV(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range []string{"wips_default", "wips_tuned", "gain", "ci95_gain"} {
-		if !strings.Contains(buf.String(), col) {
-			t.Fatalf("tuned sweep CSV missing column %q:\n%s", col, buf.String())
-		}
-	}
-}
-
 // TestFigure4ReplicatedFacade runs a miniature replicated Figure 4
 // through the public API, then the printer and the CSV exporter.
 func TestFigure4ReplicatedFacade(t *testing.T) {

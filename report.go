@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
 	"webharmony/internal/cluster"
@@ -161,45 +160,6 @@ func PrintTable4Replicated(w io.Writer, res *Table4Replicated) {
 	tw.Flush()
 	fmt.Fprintf(w, "(%d replicates per method; σ and CI are across replicates, not within a run)\n", res.Replicates)
 	fmt.Fprintln(w, "(paper: none 110.4/σ2.1; default 130.6/σ30.0/159 it; duplication 133.7/σ29.5/33 it; partitioning 131.3/σ9.7/107 it)")
-}
-
-// PrintSweep renders a parameter sweep: one line per knob combination
-// with the WIPS summarized across its replicates.
-func PrintSweep(w io.Writer, res *SweepResult) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "%s\tmean WIPS\tσ\t95%% CI\n", strings.Join(res.Axes, "\t"))
-	for i := 0; i < len(res.Rows); i += res.Replicates {
-		vals := make([]float64, 0, res.Replicates)
-		for r := 0; r < res.Replicates; r++ {
-			vals = append(vals, res.Rows[i+r].WIPS)
-		}
-		s := stats.Summarize(vals)
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t±%.1f\n",
-			strings.Join(res.Rows[i].Values, "\t"), s.Mean, s.StdDev, s.CI95)
-	}
-	tw.Flush()
-	fmt.Fprintf(w, "(%d replicates per point under common random numbers; workload %v)\n",
-		res.Replicates, res.Workload)
-}
-
-// PrintTunedSweep renders a tuned sweep: one line per knob combination
-// comparing the default and tuned arms with the paired gain and its
-// confidence interval — where the gain interval excludes zero, tuning
-// pays (or costs) significantly at that grid point.
-func PrintTunedSweep(w io.Writer, res *TunedSweepResult) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "%s\tdefault WIPS\ttuned WIPS\tgain (95%% CI)\trel gain\n", strings.Join(res.Axes, "\t"))
-	for _, cell := range res.Cells {
-		fmt.Fprintf(tw, "%s\t%.1f ± %.1f\t%.1f ± %.1f\t%+.1f ±%.1f\t%+.1f%% ±%.1f%%\n",
-			strings.Join(cell.Values, "\t"),
-			cell.Default.Mean, cell.Default.StdDev,
-			cell.Tuned.Mean, cell.Tuned.StdDev,
-			cell.Gain.Mean, cell.Gain.CI95,
-			100*cell.RelGain.Mean, 100*cell.RelGain.CI95)
-	}
-	tw.Flush()
-	fmt.Fprintf(w, "(%d replicates per point, paired under common random numbers; %d tuning + %d evaluation iterations per arm; workload %v)\n",
-		res.Replicates, res.TuneIters, res.Iters, res.Workload)
 }
 
 // PrintFigure7Replicated renders a replicated reconfiguration run: the

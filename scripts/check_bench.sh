@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# check_bench.sh [bench-log]
+# check_bench.sh [bench-log] [json-out]
 #
 # Benchmark regression gate + machine-readable trajectory. Reads a
-# `go test -bench ... -benchmem` log (or produces one itself when no
-# argument is given) and:
+# `go test -bench ... -benchmem` log (or produces one itself when the
+# bench-log argument is missing or empty) and:
 #
 #   1. fails if any benchmark pinned in the baseline file
 #      (scripts/bench_baseline.txt; override the path with
@@ -16,18 +16,18 @@
 #      a deliberately loose margin that absorbs machine-speed spread
 #      across CI runners while still catching order-of-magnitude
 #      regressions of the event-loop and pooled-pipeline wins;
-#   3. writes every benchmark result in the log to BENCH_10.json
-#      (override the path with $BENCH_JSON) as
-#      `name -> {ns_op, allocs_op, bytes_op}`, so the perf history is
-#      tracked across PRs, not just gated.
+#   3. when json-out is given, writes every benchmark result in the log
+#      to that file as `name -> {ns_op, allocs_op, bytes_op}`, so the
+#      perf history is tracked across PRs, not just gated. There is no
+#      default path: a plain run never overwrites a committed BENCH_*.json.
 #
 # Update baselines only in the PR that deliberately changes the cost.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=${BENCH_BASELINE:-scripts/bench_baseline.txt}
-json_out=${BENCH_JSON:-BENCH_10.json}
 log=${1:-}
+json_out=${2:-}
 
 if [ -n "$log" ]; then
   out=$(cat "$log")
@@ -42,24 +42,26 @@ fi
 #   BenchmarkFoo[-8]  1  123 ns/op [4.0 extra_metric]  456 B/op  789 allocs/op
 # Emit the machine-readable trajectory first so it exists even when a
 # gate below trips (CI uploads it either way).
-echo "$out" | awk '
-  BEGIN { print "{"; n = 0 }
-  /^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = ""; allocs = ""
-    for (i = 2; i <= NF; i++) {
-      if ($i == "ns/op") ns = $(i-1)
-      if ($i == "B/op") bytes = $(i-1)
-      if ($i == "allocs/op") allocs = $(i-1)
+if [ -n "$json_out" ]; then
+  echo "$out" | awk '
+    BEGIN { print "{"; n = 0 }
+    /^Benchmark/ {
+      name = $1; sub(/-[0-9]+$/, "", name)
+      ns = ""; bytes = ""; allocs = ""
+      for (i = 2; i <= NF; i++) {
+        if ($i == "ns/op") ns = $(i-1)
+        if ($i == "B/op") bytes = $(i-1)
+        if ($i == "allocs/op") allocs = $(i-1)
+      }
+      if (ns == "") next
+      if (n++) printf ",\n"
+      printf "  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s, \"bytes_op\": %s}", \
+        name, ns, (allocs == "" ? "null" : allocs), (bytes == "" ? "null" : bytes)
     }
-    if (ns == "") next
-    if (n++) printf ",\n"
-    printf "  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s, \"bytes_op\": %s}", \
-      name, ns, (allocs == "" ? "null" : allocs), (bytes == "" ? "null" : bytes)
-  }
-  END { if (n) printf "\n"; print "}" }
-' > "$json_out"
-echo "bench trajectory: $(grep -c 'ns_op' "$json_out") results -> $json_out"
+    END { if (n) printf "\n"; print "}" }
+  ' > "$json_out"
+  echo "bench trajectory: $(grep -c 'ns_op' "$json_out") results -> $json_out"
+fi
 
 fail=0
 while read -r name base base_ns; do

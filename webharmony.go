@@ -66,9 +66,9 @@ func NewTelemetryCollector() *TelemetryCollector { return telemetry.NewCollector
 
 // EvalCache is the content-addressed memo table for hermetic evaluations.
 // Assign one to LabConfig.EvalCache and the sequential experiment runners
-// (TuneWorkload, RunFigure4, RunTable4, RunFigure5, the sweeps) skip
-// re-simulating configurations they have already measured; results are
-// byte-identical with and without the cache (DESIGN.md §10).
+// (TuneWorkload, RunFigure4, RunTable4, RunFigure5) skip re-simulating
+// configurations they have already measured; results are byte-identical
+// with and without the cache (DESIGN.md §10).
 type EvalCache = evalcache.Cache
 
 // EvalCacheStats is the cache's deterministic counter set.
@@ -207,59 +207,6 @@ func Replicate[T any](cfg LabConfig, R int, unit func(cfg LabConfig, r int) T) [
 // ReplicateSeed is the pure per-replicate seed derivation Replicate uses
 // (rng.TaskSeed), exported so units can derive aligned secondary seeds.
 func ReplicateSeed(base uint64, r int) uint64 { return core.ReplicateSeed(base, r) }
-
-// SweepAxis is one knob of a parameter sweep (browsers, scale, think
-// time, cluster shape, or a custom Apply function).
-type SweepAxis = core.SweepAxis
-
-// Axis constructors for RunSweep grids.
-var (
-	BrowsersAxis = core.BrowsersAxis
-	ScaleAxis    = core.ScaleAxis
-	ThinkAxis    = core.ThinkAxis
-	ShapeAxis    = core.ShapeAxis
-)
-
-// SweepResult is the long-form output of RunSweep: one row per
-// (knob-combination, replicate).
-type SweepResult = core.SweepResult
-
-// SweepRow is one observation of a sweep.
-type SweepRow = core.SweepRow
-
-// RunSweep measures the default configuration over the grid spanned by
-// axes with R replicates per combination, mapping the response surface
-// around the paper's operating point. Combinations share per-replicate
-// seeds (common random numbers), and all points fan out over cfg.Workers
-// with bit-for-bit identical output at any worker count.
-func RunSweep(cfg LabConfig, w Workload, axes []SweepAxis, R, iters int) *SweepResult {
-	return core.RunSweep(cfg, w, axes, R, iters)
-}
-
-// ParseSweepSpec parses webtune's -sweep grammar
-// ("browsers=140,250;think=0.3,0.6;shape=1/1/1,2/2/2") into sweep axes.
-func ParseSweepSpec(spec string) ([]SweepAxis, error) { return core.ParseSweepSpec(spec) }
-
-// TunedSweepResult is the output of RunTunedSweep: paired long-form rows
-// plus per-cell aggregates (mean ± σ ± 95% CI for both arms and the
-// paired gain).
-type TunedSweepResult = core.TunedSweepResult
-
-// TunedSweepRow is one paired (default, tuned) observation.
-type TunedSweepRow = core.TunedSweepRow
-
-// TunedSweepCell aggregates one knob combination across replicates.
-type TunedSweepCell = core.TunedSweepCell
-
-// RunTunedSweep runs, for every grid point, R replicated tuning sessions
-// alongside R default-configuration replicates (paired under common
-// random numbers) and reports where tuning pays: default vs tuned WIPS
-// with absolute/relative gain and Student-t 95% confidence intervals per
-// cell. All units fan out over cfg.Workers with bit-for-bit identical
-// output at any worker count.
-func RunTunedSweep(cfg LabConfig, w Workload, axes []SweepAxis, R, iters, tuneIters int, opts TunerOptions) *TunedSweepResult {
-	return core.RunTunedSweep(cfg, w, axes, R, iters, tuneIters, opts)
-}
 
 // Figure7Result is one automatic-reconfiguration experiment output.
 type Figure7Result = core.Figure7Result
