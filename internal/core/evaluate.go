@@ -102,6 +102,18 @@ func (l *Lab) tierNodeConfigs(cfgs map[cluster.Tier]param.Config) map[int]param.
 	return out
 }
 
+// lookahead bounds how many candidate iterations every tuning runner
+// (TuneWorkload, the RunTable4 method rows, Figure 5) evaluates ahead of
+// the authoritative search. It is a constant, NOT a function of
+// LabConfig.Workers: the set of evaluated (and discarded) candidates —
+// and with it every telemetry unit name and rng stream — must be
+// identical at every worker count for the output byte-equality contract
+// to hold. 16 covers a full initial-simplex evaluation of any one tier's
+// space (10 vertices for the db tier); a longer tell-independent run, such
+// as the all-parameter simplex of the default strategy, is measured in
+// batches of 16.
+const lookahead = 16
+
 // drive is the hermetic tuning loop every tuning runner shares: it builds
 // a strategy of the given kind on lab and runs phaseLen iterations per
 // entry of phases, measuring every proposal via EvalConfig under that

@@ -35,8 +35,15 @@ type SingleWorkloadResult struct {
 // Both the baseline windows and the tuning iterations run hermetically
 // (DESIGN.md §10): every evaluation is a fresh per-evaluation lab keyed by
 // its configuration, so re-proposed lattice points are exact repeats and
-// memoize under cfg.EvalCache.
+// memoize under cfg.EvalCache. Candidate evaluations fan out over
+// cfg.Workers through the driver's lookahead (see drive); the result is
+// the sequential one at every worker count.
 func TuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters int, opts harmony.Options) *SingleWorkloadResult {
+	return tuneWorkload(cfg, w, iters, baselineIters, lookahead, opts)
+}
+
+// tuneWorkload is TuneWorkload driven at the given lookahead depth.
+func tuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters, depth int, opts harmony.Options) *SingleWorkloadResult {
 	res := &SingleWorkloadResult{Workload: w}
 
 	// Baseline: the default configuration, measured repeatedly.
@@ -45,7 +52,7 @@ func TuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters int, opts
 
 	// Tuning run on a fresh, identically-seeded lab.
 	lab := NewLab(telemetrySub(cfg, "tuning"), w)
-	st := drive(lab, harmony.StrategyDefault, 0, opts, []tpcw.Workload{w}, iters, 1)
+	st := drive(lab, harmony.StrategyDefault, 0, opts, []tpcw.Workload{w}, iters, depth)
 	res.Tuning = st.Perf()
 	res.BestWIPS, _ = st.Best()
 	res.BestConfigs = tierConfigs(lab, st.BestNodeConfigs())
@@ -95,7 +102,8 @@ type Figure4Result struct {
 // evalIters iterations are averaged per matrix cell.
 //
 // The three tuning runs are independent (each builds its own lab from
-// cfg.Seed) and fan out over cfg.Workers, as do the nine evaluation
+// cfg.Seed) and fan out over cfg.Workers, as do each run's candidate
+// evaluations through the driver's lookahead and the nine evaluation
 // matrix cells once every best configuration is known. The output is
 // bit-for-bit identical at any worker count.
 func RunFigure4(cfg LabConfig, iters, evalIters int, opts harmony.Options) *Figure4Result {
@@ -153,7 +161,7 @@ type Figure5Result struct {
 // output — WIPS series, Recovery, Restarts, telemetry traces/metrics and
 // simprofile stacks — is bit-for-bit identical at every worker count.
 func RunFigure5(cfg LabConfig, seq []tpcw.Workload, phaseLen, phases int, opts harmony.Options) *Figure5Result {
-	res, _ := runFigure5(cfg, seq, phaseLen, phases, figure5Lookahead, opts)
+	res, _ := runFigure5(cfg, seq, phaseLen, phases, lookahead, opts)
 	return res
 }
 
@@ -180,10 +188,17 @@ type Table4Result struct {
 // and the hybrid (§III.B future work).
 //
 // The baseline and the four method runs are independent replications,
-// each on its own identically-seeded lab, and fan out over cfg.Workers;
-// the improvement column is filled in after the join. Output is
-// bit-for-bit identical at any worker count.
+// each on its own identically-seeded lab, and fan out over cfg.Workers,
+// as do each method's candidate evaluations through the driver's
+// lookahead (see drive); the improvement column is filled in after the
+// join. Output is bit-for-bit identical at any worker count.
 func RunTable4(cfg LabConfig, iters int, opts harmony.Options) *Table4Result {
+	return runTable4(cfg, iters, lookahead, opts)
+}
+
+// runTable4 is RunTable4 with the method rows driven at the given
+// lookahead depth.
+func runTable4(cfg LabConfig, iters, depth int, opts harmony.Options) *Table4Result {
 	cfg.ProxyNodes, cfg.AppNodes, cfg.DBNodes = 2, 2, 2
 	cfg.WorkLines = 2
 
@@ -215,7 +230,7 @@ func RunTable4(cfg LabConfig, iters int, opts harmony.Options) *Table4Result {
 		}
 		kind := kinds[i-1]
 		lab := NewLab(telemetrySub(cfg, "method:"+kind.String()), tpcw.Shopping)
-		st := drive(lab, kind, cfg.WorkLines, opts, []tpcw.Workload{tpcw.Shopping}, iters, 1)
+		st := drive(lab, kind, cfg.WorkLines, opts, []tpcw.Workload{tpcw.Shopping}, iters, depth)
 		best, _ := st.Best()
 		perf := st.Perf()
 		rows[i] = Table4Row{

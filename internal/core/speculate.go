@@ -6,16 +6,6 @@ import (
 	"webharmony/internal/tpcw"
 )
 
-// figure5Lookahead bounds how many candidate iterations the speculative
-// Figure 5 runner evaluates ahead of the authoritative search. It is a
-// constant, NOT a function of LabConfig.Workers: the set of evaluated
-// (and discarded) candidates — and with it every telemetry unit name and
-// rng stream — must be identical at every worker count for the output
-// byte-equality contract to hold. 16 comfortably covers the deepest
-// tell-independent horizon the tuners expose (a full initial-simplex
-// evaluation of the widest tier space, 10 vertices for the db tier).
-const figure5Lookahead = 16
-
 // runFigure5 runs Figure 5 through drive at the given lookahead: a
 // duplication strategy tuned over phases phases of phaseLen iterations,
 // cycling through seq.

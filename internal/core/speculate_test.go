@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"webharmony/internal/evalcache"
 	"webharmony/internal/harmony"
 	"webharmony/internal/telemetry"
 	"webharmony/internal/tpcw"
@@ -49,7 +50,7 @@ func TestFigure5SpeculativeMatchesSequential(t *testing.T) {
 		opts := harmony.Options{Seed: seed, ShiftFactor: 0.1, ShiftPatience: 2}
 
 		seqRes, seqSt := runFigure5(specLab(seed, 1), seq, phaseLen, phases, 1, opts)
-		parRes, parSt := runFigure5(specLab(seed, 3), seq, phaseLen, phases, figure5Lookahead, opts)
+		parRes, parSt := runFigure5(specLab(seed, 3), seq, phaseLen, phases, lookahead, opts)
 
 		if !reflect.DeepEqual(seqRes, parRes) {
 			t.Fatalf("trial %d (seed %d, phaseLen %d, seq %v): results diverged:\nsequential: %+v\nspeculative: %+v",
@@ -76,6 +77,62 @@ func TestFigure5SpeculativeMatchesSequential(t *testing.T) {
 	}
 	if !sawRestart {
 		t.Fatal("no trial triggered a shift restart; the property was not exercised on the discard path")
+	}
+}
+
+// TestTuningRunnersLookaheadMatchesSequential extends the property above
+// to the runners without shift restarts: TuneWorkload for every mix and
+// every RunTable4 row commit at the driver's lookahead, at workers 1 and
+// 3, exactly what they commit at lookahead 1 on one worker, and make the
+// same evaluation-cache lookups and hits (a duplicate within a batch is a
+// hit whether the batch runs in parallel or in sequence).
+func TestTuningRunnersLookaheadMatchesSequential(t *testing.T) {
+	opts := harmony.Options{Seed: 7}
+	lab := func(workers int) LabConfig {
+		cfg := specLab(7, workers)
+		cfg.EvalCache = evalcache.New()
+		return cfg
+	}
+	// The property is vacuous unless the tuners expose batches deeper
+	// than one at the start of a run.
+	for _, kind := range []harmony.StrategyKind{harmony.StrategyDefault, harmony.StrategyDuplication,
+		harmony.StrategyPartitioning, harmony.StrategyHybrid} {
+		cfg := lab(1)
+		cfg.ProxyNodes, cfg.AppNodes, cfg.DBNodes, cfg.WorkLines = 2, 2, 2, 2
+		st := harmony.NewStrategy(kind, NewLab(cfg, tpcw.Shopping), cfg.WorkLines, opts)
+		if n := len(st.Lookahead(lookahead)); n < 2 {
+			t.Fatalf("%v: initial lookahead %d; the batched path is not exercised", kind, n)
+		}
+	}
+	for _, w := range tpcw.Workloads() {
+		seqCfg := lab(1)
+		want := tuneWorkload(seqCfg, w, 30, 2, 1, opts)
+		for _, workers := range []int{1, 3} {
+			cfg := lab(workers)
+			got := tuneWorkload(cfg, w, 30, 2, lookahead, opts)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("TuneWorkload %v, workers %d: lookahead %d diverged from lookahead 1:\n%+v\n%+v",
+					w, workers, lookahead, want, got)
+			}
+			if a, b := seqCfg.EvalCache.Stats(), cfg.EvalCache.Stats(); a != b {
+				t.Fatalf("TuneWorkload %v, workers %d: cache stats %+v, want %+v", w, workers, b, a)
+			}
+		}
+	}
+	seqCfg := lab(1)
+	want := runTable4(seqCfg, 24, 1, opts)
+	for _, workers := range []int{1, 3} {
+		cfg := lab(workers)
+		got := runTable4(cfg, 24, lookahead, opts)
+		for i := range want.Rows {
+			if !reflect.DeepEqual(want.Rows[i], got.Rows[i]) {
+				t.Fatalf("RunTable4 row %q, workers %d: lookahead %d diverged from lookahead 1:\n%+v\n%+v",
+					want.Rows[i].Method, workers, lookahead, want.Rows[i], got.Rows[i])
+			}
+		}
+		if a, b := seqCfg.EvalCache.Stats(), cfg.EvalCache.Stats(); a != b {
+			t.Fatalf("RunTable4, workers %d: cache stats %+v, want %+v", workers, b, a)
+		}
 	}
 }
 
@@ -146,7 +203,7 @@ func TestFigure5SpeculationStress(t *testing.T) {
 		t.Fatal("stress scenario triggered no restarts; tighten ShiftFactor")
 	}
 	for run := 0; run < 3; run++ {
-		got, _ := runFigure5(specLab(11, 8), seq, 5, 3, figure5Lookahead, opts)
+		got, _ := runFigure5(specLab(11, 8), seq, 5, 3, lookahead, opts)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("run %d: stressed speculative result diverged:\n%+v\n%+v", run, want, got)
 		}

@@ -458,3 +458,21 @@ func BenchmarkStationThroughputProfiled(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkStationDeepQueue is BenchmarkStationThroughput on a saturated
+// station: 64 jobs always wait, so every completion dequeues from a deep
+// FIFO. Dequeuing is O(1) and allocation-free, so its cost does not grow
+// with the depth.
+func BenchmarkStationDeepQueue(b *testing.B) {
+	var e Engine
+	st := NewStation(&e, "cpu", 1, 1)
+	for i := 0; i < 65; i++ {
+		st.Submit(0.001, nil)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Submit(0.001, nil)
+		e.Step()
+	}
+	e.Run()
+}

@@ -17,7 +17,7 @@ type Station struct {
 	site uint8 // span attribution site (span.go); 0 = unattributed
 
 	busy       int
-	queue      []stationJob
+	queue      fifo[stationJob]
 	busyTime   float64 // integral of busy servers dt, up to lastStamp
 	lastStamp  float64
 	completed  uint64
@@ -122,9 +122,9 @@ func (s *Station) Submit(demand float64, done func()) {
 		s.start(demand, done, a)
 		return
 	}
-	s.queue = append(s.queue, stationJob{demand: demand, done: done, attr: a})
-	if len(s.queue) > s.queuedPeak {
-		s.queuedPeak = len(s.queue)
+	s.queue.push(stationJob{demand: demand, done: done, attr: a})
+	if s.queue.len() > s.queuedPeak {
+		s.queuedPeak = s.queue.len()
 	}
 }
 
@@ -151,11 +151,8 @@ func (s *Station) complete(r *svcRecord) {
 	s.stamp()
 	s.busy--
 	s.completed++
-	if len(s.queue) > 0 {
-		next := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue[len(s.queue)-1] = stationJob{} // release the closure
-		s.queue = s.queue[:len(s.queue)-1]
+	if s.queue.len() > 0 {
+		next := s.queue.pop()
 		s.start(next.demand, next.done, next.attr)
 	}
 	if done != nil {
@@ -164,7 +161,7 @@ func (s *Station) complete(r *svcRecord) {
 }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return s.queue.len() }
 
 // Busy returns the number of servers currently serving a job.
 func (s *Station) Busy() int { return s.busy }
@@ -215,7 +212,7 @@ func (s *Station) Reset() {
 	s.busyTime = 0
 	s.completed = 0
 	s.queuedPeak = 0
-	if len(s.queue) > 0 {
+	if s.queue.len() > 0 {
 		if s.onEvict == nil {
 			panic("simnet: Reset would drop " + s.name +
 				"'s queued jobs (and leak what their callbacks hold); drain first or SetOnEvict")
@@ -224,9 +221,7 @@ func (s *Station) Reset() {
 		// job by resubmitting work to this station, and those jobs belong
 		// to the post-reset queue — they must survive, not be dropped with
 		// the evicted batch.
-		q := s.queue
-		s.queue = nil
-		for _, j := range q {
+		for _, j := range s.queue.detach() {
 			s.onEvict(j.done)
 		}
 	}
@@ -245,7 +240,7 @@ type TokenPool struct {
 	site       uint8 // span attribution site (span.go); 0 = unattributed
 
 	inUse    int
-	waiters  []waiter
+	waiters  fifo[waiter]
 	rejected uint64
 	waitPeak int
 	granting bool // grantWaiters is draining; re-entrant calls return
@@ -294,26 +289,26 @@ func (p *TokenPool) Resize(capacity int) {
 // onReject (if non-nil) runs immediately and the request counts as
 // rejected.
 //
-// The len(p.waiters) == 0 guard matters only while grantWaiters is
+// The empty-queue guard matters only while grantWaiters is
 // dispatching: there a token can be momentarily free while earlier
 // requests are still queued, and an Acquire from inside a grant callback
 // must queue behind them rather than barge past the FIFO order.
 func (p *TokenPool) Acquire(onGrant func(), onReject func()) {
-	if p.inUse < p.capacity && len(p.waiters) == 0 {
+	if p.inUse < p.capacity && p.waiters.len() == 0 {
 		p.inUse++
 		onGrant()
 		return
 	}
-	if p.maxWait >= 0 && len(p.waiters) >= p.maxWait {
+	if p.maxWait >= 0 && p.waiters.len() >= p.maxWait {
 		p.rejected++
 		if onReject != nil {
 			onReject()
 		}
 		return
 	}
-	p.waiters = append(p.waiters, waiter{fn: onGrant, attr: p.eng.deferred(p.grantFrame)})
-	if len(p.waiters) > p.waitPeak {
-		p.waitPeak = len(p.waiters)
+	p.waiters.push(waiter{fn: onGrant, attr: p.eng.deferred(p.grantFrame)})
+	if p.waiters.len() > p.waitPeak {
+		p.waitPeak = p.waiters.len()
 	}
 }
 
@@ -330,18 +325,15 @@ func (p *TokenPool) Release() {
 // callbacks run synchronously and may re-enter the pool (Acquire, Release,
 // Resize); the granting flag turns a re-entrant call into a no-op — the
 // outermost loop re-checks capacity after every callback and keeps
-// draining — so the queue is never shifted underneath an active copy and
-// recursion depth stays bounded no matter how grants chain.
+// draining — so only the outermost loop pops the queue and recursion
+// depth stays bounded no matter how grants chain.
 func (p *TokenPool) grantWaiters() {
 	if p.granting {
 		return
 	}
 	p.granting = true
-	for p.inUse < p.capacity && len(p.waiters) > 0 {
-		w := p.waiters[0]
-		copy(p.waiters, p.waiters[1:])
-		p.waiters[len(p.waiters)-1] = waiter{} // release the closure
-		p.waiters = p.waiters[:len(p.waiters)-1]
+	for p.inUse < p.capacity && p.waiters.len() > 0 {
+		w := p.waiters.pop()
 		p.inUse++
 		e := p.eng
 		if w.attr.span != nil {
@@ -361,7 +353,7 @@ func (p *TokenPool) grantWaiters() {
 func (p *TokenPool) InUse() int { return p.inUse }
 
 // Waiting returns the number of requests in the wait queue.
-func (p *TokenPool) Waiting() int { return len(p.waiters) }
+func (p *TokenPool) Waiting() int { return p.waiters.len() }
 
 // Rejected returns the number of rejected acquisitions so far.
 func (p *TokenPool) Rejected() uint64 { return p.rejected }

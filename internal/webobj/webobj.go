@@ -1,8 +1,9 @@
 // Package webobj models the population of web objects served by the
 // simulated TPC-W store: static pages, product images and dynamically
 // generated pages. Object sizes are deterministic functions of the object
-// ID, so the catalog needs no storage proportional to its size, and
-// popularity follows a Zipf distribution as observed for web traffic.
+// ID, drawn on an object's first reference and kept in a per-catalog table
+// of four bytes per object, and popularity follows a Zipf distribution as
+// observed for web traffic.
 package webobj
 
 import "webharmony/internal/rng"
@@ -51,12 +52,18 @@ func (o Object) Cacheable() bool { return o.Kind != KindDynamic }
 //	[0, nStatic)                      static pages
 //	[nStatic, nStatic+nImages)        product images (several per item)
 //	[nStatic+nImages, Total)          dynamic page identities
+//
+// A Catalog is not safe for concurrent use: Object fills its size table.
 type Catalog struct {
 	scale    int
 	nStatic  uint64
 	nImages  uint64
 	nDynamic uint64
 	sizeSeed uint64
+	// sizes[id] is object id's size in bytes once drawn, 0 before: every
+	// size is at least 1 KB and at most 512 KB, so 0 is free as the mark
+	// and int32 holds every size.
+	sizes []int32
 }
 
 // ImagesPerItem is the number of product images per catalog item
@@ -70,13 +77,15 @@ func NewCatalog(scale int, sizeSeed uint64) *Catalog {
 	if scale <= 0 {
 		panic("webobj: scale must be positive")
 	}
-	return &Catalog{
+	c := &Catalog{
 		scale:    scale,
 		nStatic:  uint64(scale)/10 + 50, // site chrome + per-category pages
 		nImages:  uint64(scale) * ImagesPerItem,
 		nDynamic: uint64(scale) + 1000, // product-detail and result pages
 		sizeSeed: sizeSeed,
 	}
+	c.sizes = make([]int32, c.Total())
+	return c
 }
 
 // Scale returns the catalog's item count.
@@ -89,28 +98,47 @@ func (c *Catalog) Total() uint64 { return c.nStatic + c.nImages + c.nDynamic }
 func (c *Catalog) CacheableTotal() uint64 { return c.nStatic + c.nImages }
 
 // Object returns the object with the given ID. Sizes are deterministic:
-// the same (catalog seed, ID) always yields the same size.
+// the same (catalog seed, ID) always yields the same size. The size is
+// drawn on the first call for an ID and read from the table afterwards.
 func (c *Catalog) Object(id uint64) Object {
-	if id >= c.Total() {
+	if id >= uint64(len(c.sizes)) {
 		panic("webobj: object ID out of range")
 	}
-	// Derive a per-object random source from the ID. A stack-allocated
-	// source: object sizes are drawn on every catalog reference, which is
-	// the proxy tier's hot path.
-	src := rng.Seeded(c.sizeSeed ^ (id * 0x9e3779b97f4a7c15) ^ 0xC0FFEE)
+	kind := c.kind(id)
+	size := c.sizes[id]
+	if size == 0 {
+		size = int32(c.drawSize(id, kind))
+		c.sizes[id] = size
+	}
+	return Object{ID: id, Kind: kind, Size: int64(size)}
+}
+
+// kind returns the kind of the object with the given (in-range) ID.
+func (c *Catalog) kind(id uint64) Kind {
 	switch {
 	case id < c.nStatic:
-		// Static pages: 2–30 KB, log-normal-ish.
-		size := int64(src.LogNormal(8.8, 0.6)) // median ≈ 6.6 KB
-		return Object{ID: id, Kind: KindStatic, Size: clampSize(size, 1<<10, 60<<10)}
+		return KindStatic
 	case id < c.nStatic+c.nImages:
+		return KindImage
+	default:
+		return KindDynamic
+	}
+}
+
+// drawSize derives an object's size from a per-object random source
+// seeded by the catalog seed and the ID.
+func (c *Catalog) drawSize(id uint64, kind Kind) int64 {
+	src := rng.Seeded(c.sizeSeed ^ (id * 0x9e3779b97f4a7c15) ^ 0xC0FFEE)
+	switch kind {
+	case KindStatic:
+		// Static pages: 2–30 KB, log-normal-ish.
+		return clampSize(int64(src.LogNormal(8.8, 0.6)), 1<<10, 60<<10) // median ≈ 6.6 KB
+	case KindImage:
 		// Images: heavy-tailed Pareto, 2 KB – 512 KB (thumbnails dominate).
-		size := int64(src.Pareto(3<<10, 1.5))
-		return Object{ID: id, Kind: KindImage, Size: clampSize(size, 2<<10, 512<<10)}
+		return clampSize(int64(src.Pareto(3<<10, 1.5)), 2<<10, 512<<10)
 	default:
 		// Dynamic pages: 4–40 KB of generated HTML.
-		size := int64(src.LogNormal(9.3, 0.5)) // median ≈ 11 KB
-		return Object{ID: id, Kind: KindDynamic, Size: clampSize(size, 2<<10, 80<<10)}
+		return clampSize(int64(src.LogNormal(9.3, 0.5)), 2<<10, 80<<10) // median ≈ 11 KB
 	}
 }
 
@@ -130,8 +158,9 @@ func clampSize(v, lo, hi int64) int64 {
 type Popularity struct {
 	cat  *Catalog
 	zipf *rng.Zipf
-	// rank → object id mapping via a cheap deterministic permutation
+	// rank → object id: x ↦ (a·x + b) & mask, cycle-walked below n
 	a, b uint64
+	mask uint64 // pow2At(n) - 1
 	n    uint64
 }
 
@@ -142,13 +171,13 @@ func NewPopularity(cat *Catalog, src *rng.Source, theta float64) *Popularity {
 	p := &Popularity{
 		cat:  cat,
 		zipf: rng.NewZipf(src, n, theta),
+		mask: pow2At(n) - 1,
 		n:    n,
 	}
-	// Affine permutation rank → id: a must be odd and coprime with n is
-	// not required since we mod by n after multiply with odd a on a prime
-	// extension; use a simple multiply-xor then mod, which is a uniform
-	// (if not bijective) spreading. To guarantee a bijection we use
-	// a = odd, over 2^k >= n with cycle-walking.
+	// Rank → ID permutation: with a odd, x ↦ (a·x + b) mod m is a
+	// bijection on [0, m) for m a power of two. Taking m as the smallest
+	// power of two >= n and re-applying the map until the result falls
+	// below n (cycle-walking) restricts it to a bijection on [0, n).
 	p.a = src.Uint64() | 1
 	p.b = src.Uint64()
 	return p
@@ -166,10 +195,9 @@ func pow2At(n uint64) uint64 {
 // rankToID maps a popularity rank to an object ID bijectively using an
 // affine permutation over the next power of two with cycle-walking.
 func (p *Popularity) rankToID(rank uint64) uint64 {
-	m := pow2At(p.n)
 	x := rank
 	for {
-		x = (x*p.a + p.b) & (m - 1)
+		x = (x*p.a + p.b) & p.mask
 		if x < p.n {
 			return x
 		}
@@ -180,6 +208,22 @@ func (p *Popularity) rankToID(rank uint64) uint64 {
 func (p *Popularity) Next() Object {
 	rank := p.zipf.Next()
 	return p.cat.Object(p.rankToID(rank))
+}
+
+// NextOf draws references until one of kind k comes up and returns it:
+// the same draws, and the same object, as calling Next until its Kind is
+// k, but the rejected draws are tested by ID range and never look up a
+// size. k must be cacheable; the sampler never draws a dynamic object.
+func (p *Popularity) NextOf(k Kind) Object {
+	if k == KindDynamic {
+		panic("webobj: NextOf(KindDynamic): the sampler draws cacheable objects only")
+	}
+	for {
+		id := p.rankToID(p.zipf.Next())
+		if p.cat.kind(id) == k {
+			return p.cat.Object(id)
+		}
+	}
 }
 
 // N returns the number of objects the sampler draws from.

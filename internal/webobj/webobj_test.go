@@ -158,6 +158,83 @@ func TestRankToIDBijection(t *testing.T) {
 	}
 }
 
+// TestNextOfMatchesRejectionLoop pins NextOf to the loop it replaces:
+// drawing with Next until the kind matches. Both samplers share a seed,
+// so equal objects over 10^5 draws per kind mean NextOf consumes exactly
+// the same Zipf draws and keeps exactly the same one each time.
+func TestNextOfMatchesRejectionLoop(t *testing.T) {
+	nextOfRef := func(p *Popularity, k Kind) Object {
+		for {
+			if o := p.Next(); o.Kind == k {
+				return o
+			}
+		}
+	}
+	kinds := map[string][]Kind{
+		"static": {KindStatic},
+		"image":  {KindImage},
+		"mixed":  {KindStatic, KindImage, KindImage},
+	}
+	for _, scale := range []int{1500, 10000} {
+		for name, seq := range kinds {
+			got := NewPopularity(NewCatalog(scale, 5), rng.New(9), 0.95)
+			want := NewPopularity(NewCatalog(scale, 5), rng.New(9), 0.95)
+			for i := 0; i < 100000; i++ {
+				k := seq[i%len(seq)]
+				if g, w := got.NextOf(k), nextOfRef(want, k); g != w {
+					t.Fatalf("scale %d, %s draw %d: NextOf = %+v, rejection loop = %+v", scale, name, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestNextOfDynamicPanics(t *testing.T) {
+	p := NewPopularity(NewCatalog(100, 1), rng.New(1), 0.9)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NextOf(KindDynamic) did not panic")
+		}
+	}()
+	p.NextOf(KindDynamic)
+}
+
+// TestSizeTableMatchesDerivation reads every object in a scattered order,
+// each several times, and checks each read against a fresh derivation:
+// the kind from the documented ID ranges and the size drawn from the
+// per-object source. The first read fills the table; later reads must
+// return the same object from it.
+func TestSizeTableMatchesDerivation(t *testing.T) {
+	for _, scale := range []int{1500, 10000} {
+		c := NewCatalog(scale, 21)
+		fresh := NewCatalog(scale, 21)
+		nStatic, cacheable := uint64(scale)/10+50, c.CacheableTotal()
+		src := rng.New(4)
+		for i := uint64(0); i < 3*c.Total(); i++ {
+			id := src.Uint64() % c.Total()
+			if i < c.Total() {
+				id = i * 7919 % c.Total() // every ID once, out of order
+			}
+			kind := KindDynamic
+			switch {
+			case id < nStatic:
+				kind = KindStatic
+			case id < cacheable:
+				kind = KindImage
+			}
+			want := Object{ID: id, Kind: kind, Size: fresh.drawSize(id, kind)}
+			if got := c.Object(id); got != want {
+				t.Fatalf("scale %d read %d: Object(%d) = %+v, fresh derivation %+v", scale, i, id, got, want)
+			}
+		}
+		for id, size := range c.sizes {
+			if size < 1<<10 {
+				t.Fatalf("scale %d: object %d left undrawn (size %d) after every ID was read", scale, id, size)
+			}
+		}
+	}
+}
+
 func BenchmarkCatalogObject(b *testing.B) {
 	c := NewCatalog(10000, 1)
 	var sink Object
