@@ -3,7 +3,11 @@ package hproto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -34,52 +38,122 @@ var fuzzSeeds = []string{
 	``,
 }
 
-// FuzzDecodeMessage fuzzes the wire-message parsing layer on both sides
-// of the protocol. Invariants: decoding never panics on any input; a
-// successfully decoded message re-encodes without error; and
-// encode∘decode is idempotent — re-decoding the canonical encoding and
-// encoding again reproduces it byte for byte (so a server relaying a
-// message cannot drift).
+// FuzzDecodeMessage checks the codec against encoding/json, its oracle,
+// on both sides of the protocol. For every input: DecodeRequest and
+// DecodeResponse never panic, fail exactly when json.Unmarshal fails, and
+// on success return values reflect.DeepEqual to json.Unmarshal's; and the
+// typed appenders write exactly json.Marshal's bytes plus a newline, for
+// every decoded message and for messages built from the raw input (so
+// arbitrary strings, floats, snapshots and values-map key tables are
+// encoded too).
 func FuzzDecodeMessage(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := DecodeRequest(data); err == nil {
-			b1, err := EncodeLine(req)
-			if err != nil {
-				t.Fatalf("decoded request %q does not re-encode: %v", data, err)
-			}
-			req2, err := DecodeRequest(b1)
-			if err != nil {
-				t.Fatalf("canonical encoding %q does not decode: %v", b1, err)
-			}
-			b2, err := EncodeLine(req2)
-			if err != nil {
-				t.Fatalf("re-decoded request does not encode: %v", err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Errorf("request encoding not idempotent:\n first %q\nsecond %q", b1, b2)
-			}
+		if req, ok := checkDecode(t, data, DecodeRequest); ok {
+			checkEncode(t, &req, AppendRequest)
 		}
-		if resp, err := DecodeResponse(data); err == nil {
-			b1, err := EncodeLine(resp)
-			if err != nil {
-				t.Fatalf("decoded response %q does not re-encode: %v", data, err)
-			}
-			resp2, err := DecodeResponse(b1)
-			if err != nil {
-				t.Fatalf("canonical encoding %q does not decode: %v", b1, err)
-			}
-			b2, err := EncodeLine(resp2)
-			if err != nil {
-				t.Fatalf("re-decoded response does not encode: %v", err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Errorf("response encoding not idempotent:\n first %q\nsecond %q", b1, b2)
-			}
+		if resp, ok := checkDecode(t, data, DecodeResponse); ok {
+			checkEncode(t, &resp, AppendResponse)
 		}
+
+		s := string(data)
+		checkEncode(t, &Request{
+			Op: Op(s), Session: s, Algorithm: s, Snapshot: data,
+			Params: []param.Def{{Name: s, Min: -1, Max: 1, Step: 1, Unit: s}},
+		}, AppendRequest)
+		checkEncode(t, &Response{
+			Error: s, Sessions: []string{s, ""}, Snapshot: data,
+			Values: map[string]int64{s: 1, "b": -2, "B": 3},
+		}, AppendResponse)
+		if len(data) >= 8 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			checkEncode(t, &Request{Op: OpReport, Perf: x, GuardFactor: x, ShiftFactor: -x}, AppendRequest)
+			checkEncode(t, &Response{OK: true, Perf: x}, AppendResponse)
+		}
+		checkValueNames(t, strings.Split(s, ","))
 	})
+}
+
+// checkDecode compares decode with json.Unmarshal on data.
+func checkDecode[T any](t *testing.T, data []byte, decode func([]byte) (T, error)) (T, bool) {
+	t.Helper()
+	got, err := decode(data)
+	if len(data) > MaxMessageSize {
+		if err == nil {
+			t.Fatalf("decoded a message of %d bytes past the limit", len(data))
+		}
+		return got, false
+	}
+	var want T
+	werr := json.Unmarshal(data, &want)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("decode %q: err = %v, json.Unmarshal err = %v", data, err, werr)
+	}
+	if err != nil {
+		return got, false
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decode %q:\n got %#v\nwant %#v", data, got, want)
+	}
+	return got, true
+}
+
+// checkEncode compares appendLine with json.Marshal on v.
+func checkEncode[T any](t *testing.T, v *T, appendLine func([]byte, *T) ([]byte, error)) {
+	t.Helper()
+	got, err := appendLine([]byte("prefix"), v)
+	want, werr := json.Marshal(v)
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("encode %#v: err = %v, json.Marshal err = %v", v, err, werr)
+	}
+	if err != nil {
+		if string(got) != "prefix" {
+			t.Fatalf("failed encode of %#v changed dst to %q", v, got)
+		}
+		return
+	}
+	if string(got) != "prefix"+string(want)+"\n" {
+		t.Fatalf("encode %#v:\n got %q\nwant %q", v, got, "prefix"+string(want)+"\n")
+	}
+}
+
+// checkValueNames compares the server's values-map key table for a space
+// with the given parameter names against json.Marshal of the map that
+// param.Config.Map builds, in a next and a best response.
+func checkValueNames(t *testing.T, names []string) {
+	t.Helper()
+	defs := make([]param.Def, len(names))
+	for i, n := range names {
+		defs[i] = param.Def{Name: n, Min: -1 << 40, Max: 1 << 40, Step: 1}
+	}
+	space, err := param.NewSpace(defs...)
+	if err != nil {
+		return // empty or duplicate names: no session has this space
+	}
+	cfg := make(param.Config, len(names))
+	for i := range cfg {
+		cfg[i] = int64(i*i) - 3
+	}
+	table := newValueNames(space)
+	for _, resp := range []Response{
+		{OK: true, Config: cfg},
+		{OK: true, Config: cfg, Perf: 1.5, HavePerf: true, Iterations: 9},
+	} {
+		got, err := appendResponse(nil, &resp, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Values = cfg.Map(space)
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want)+"\n" {
+			t.Fatalf("values table for %q:\n got %q\nwant %q", names, got, string(want)+"\n")
+		}
+	}
 }
 
 func TestDecodeRequest(t *testing.T) {
@@ -177,5 +251,51 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	if _, err := c.Do(Request{Op: OpList}); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("Do on an oversized response: err = %v, want size-limit error", err)
 	}
+	<-served
+}
+
+// TestClientRejectsUnterminatedResponse pins the client's read bound: a
+// server that streams a line past MaxMessageSize without ever ending it,
+// and keeps the connection open, gets a size-limit error from Client.Do
+// instead of making the client buffer the stream until its deadline.
+func TestClientRejectsUnterminatedResponse(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+			return
+		}
+		junk := bytes.Repeat([]byte("a"), 64<<10)
+		for sent := 0; sent < MaxMessageSize+len(junk); sent += len(junk) {
+			if _, err := conn.Write(junk); err != nil {
+				return // the client hung up once it had seen enough
+			}
+		}
+		<-release // hold the connection open, line unterminated
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	_, err = c.Do(Request{Op: OpList})
+	close(release)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("Do on an unterminated response: err = %v, want size-limit error", err)
+	}
+	c.Close()
 	<-served
 }

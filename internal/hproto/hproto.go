@@ -74,40 +74,3 @@ func Errorf(format string, args ...any) Response {
 // connection whose line exceeds this rather than buffering an unbounded
 // frame from a misbehaving client.
 const MaxMessageSize = 1 << 20
-
-// DecodeRequest parses one request message (a JSON line; a trailing
-// newline is tolerated). It is total: any input yields either a Request
-// or an error, never a panic — the server feeds it bytes straight off the
-// network, and FuzzDecodeMessage pins that property.
-func DecodeRequest(line []byte) (Request, error) {
-	var req Request
-	if len(line) > MaxMessageSize {
-		return Request{}, fmt.Errorf("hproto: message of %d bytes exceeds limit %d", len(line), MaxMessageSize)
-	}
-	if err := json.Unmarshal(line, &req); err != nil {
-		return Request{}, err
-	}
-	return req, nil
-}
-
-// DecodeResponse parses one response message, with the same totality
-// guarantee as DecodeRequest.
-func DecodeResponse(line []byte) (Response, error) {
-	var resp Response
-	if len(line) > MaxMessageSize {
-		return Response{}, fmt.Errorf("hproto: message of %d bytes exceeds limit %d", len(line), MaxMessageSize)
-	}
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-// EncodeLine marshals v followed by a newline.
-func EncodeLine(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}

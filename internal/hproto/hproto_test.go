@@ -108,7 +108,7 @@ func TestRegisterValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			resp = srv.dispatch(req)
+			resp, _ = srv.dispatch(req)
 		}
 		if resp.OK || !strings.Contains(resp.Error, f.want) {
 			t.Errorf("%s: register = %+v, want an error containing %q", f.name, resp, f.want)

@@ -3,7 +3,6 @@ package hproto
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -40,6 +39,7 @@ type Server struct {
 type sessionState struct {
 	mu      sync.Mutex
 	space   *param.Space
+	names   valueNames // the values map's key table for space
 	session *harmony.Session
 	pending bool // a config has been handed out and awaits a report
 }
@@ -160,54 +160,57 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	var (
+		strs interner
+		out  []byte // the response line, reused
+	)
 	for {
 		line, err := readLine(r, MaxMessageSize)
 		if err != nil {
-			if err != io.EOF {
-				// Connection-level failure (or an oversized frame);
-				// nothing to report to.
-				_ = err
-			}
-			return
+			return // EOF, a connection failure or an oversized frame: nothing to report to
 		}
 		s.stats.frames.Add(1)
-		var resp Response
-		if req, err := DecodeRequest(line); err != nil {
+		var (
+			resp  Response
+			names valueNames
+		)
+		if req, err := decodeRequest(line, &strs); err != nil {
 			resp = Errorf("bad request: %v", err)
 		} else {
 			t0 := time.Now()
-			resp = s.dispatch(req)
+			resp, names = s.dispatch(req)
 			s.observeLatency(req.Op, time.Since(t0).Microseconds())
 		}
-		out, err := EncodeLine(resp)
-		if err != nil {
-			out, _ = EncodeLine(Errorf("encode: %v", err))
+		if out, err = appendResponse(out[:0], &resp, names); err != nil {
+			resp = Errorf("encode: %v", err)
+			out, _ = AppendResponse(out[:0], &resp)
 		}
-		if _, err := w.Write(out); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
 }
 
 // readLine reads one newline-terminated message, failing once the line
-// grows past max bytes so a misbehaving client cannot make the server
+// grows past max bytes so a misbehaving peer cannot make the reader
 // buffer an unbounded frame. (bufio.Reader.ReadBytes has no such bound.)
+// A line that fits in r's buffer is returned in place, valid until the
+// next read; the decoders copy whatever they keep.
 func readLine(r *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	line = append([]byte(nil), line...)
 	for {
+		if len(line) > max {
+			return nil, fmt.Errorf("hproto: message exceeds limit %d", max)
+		}
 		chunk, err := r.ReadSlice('\n')
 		line = append(line, chunk...)
-		if err == bufio.ErrBufferFull {
-			if len(line) > max {
-				return nil, fmt.Errorf("hproto: message exceeds %d bytes", max)
-			}
-			continue
+		if err != bufio.ErrBufferFull {
+			return line, err
 		}
-		return line, err
 	}
 }
 
@@ -241,10 +244,13 @@ func (s *Server) get(name string) (*sessionState, bool) {
 	return st, ok
 }
 
-func (s *Server) dispatch(req Request) Response {
+// dispatch serves one request. For next and best it also returns the
+// session's values-map key table: the response's values map is encoded
+// from its configuration through names instead of being built.
+func (s *Server) dispatch(req Request) (Response, valueNames) {
 	switch req.Op {
 	case OpRegister:
-		return s.register(req)
+		return s.register(req), nil
 	case OpList:
 		s.mu.Lock()
 		names := make([]string, 0, len(s.sessions))
@@ -253,23 +259,23 @@ func (s *Server) dispatch(req Request) Response {
 		}
 		s.mu.Unlock()
 		sort.Strings(names)
-		return Response{OK: true, Sessions: names}
+		return Response{OK: true, Sessions: names}, nil
 	case OpClose:
 		s.mu.Lock()
 		_, ok := s.sessions[req.Session]
 		delete(s.sessions, req.Session)
 		s.mu.Unlock()
 		if !ok {
-			return Errorf("no session %q", req.Session)
+			return Errorf("no session %q", req.Session), nil
 		}
-		return Response{OK: true}
+		return Response{OK: true}, nil
 	case OpRestore:
-		return s.restore(req)
+		return s.restore(req), nil
 	}
 
 	st, ok := s.get(req.Session)
 	if !ok {
-		return Errorf("no session %q", req.Session)
+		return Errorf("no session %q", req.Session), nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -278,38 +284,38 @@ func (s *Server) dispatch(req Request) Response {
 		cfg := st.session.NextConfig()
 		st.pending = true
 		s.stats.asks.Add(1)
-		return Response{OK: true, Config: cfg, Values: cfg.Map(st.space)}
+		return Response{OK: true, Config: cfg}, st.names
 	case OpReport:
 		if !st.pending {
-			return Errorf("report without a pending configuration")
+			return Errorf("report without a pending configuration"), nil
 		}
 		st.session.Report(req.Perf)
 		st.pending = false
 		s.stats.tells.Add(1)
-		return Response{OK: true, Iterations: st.session.Iterations()}
+		return Response{OK: true, Iterations: st.session.Iterations()}, nil
 	case OpBest:
 		cfg, perf, have := st.session.Best()
 		return Response{
-			OK: true, Config: cfg, Values: cfg.Map(st.space),
+			OK: true, Config: cfg,
 			Perf: perf, HavePerf: have,
 			Iterations: st.session.Iterations(),
-		}
+		}, st.names
 	case OpRestart:
 		st.session.Restart()
 		st.pending = false
-		return Response{OK: true}
+		return Response{OK: true}, nil
 	case OpSave:
 		snap, err := st.session.Save()
 		if err != nil {
-			return Errorf("save: %v", err)
+			return Errorf("save: %v", err), nil
 		}
 		data, err := snap.Marshal()
 		if err != nil {
-			return Errorf("save: %v", err)
+			return Errorf("save: %v", err), nil
 		}
-		return Response{OK: true, Snapshot: data}
+		return Response{OK: true, Snapshot: data}, nil
 	default:
-		return Errorf("unknown op %q", req.Op)
+		return Errorf("unknown op %q", req.Op), nil
 	}
 }
 
@@ -346,7 +352,7 @@ func (s *Server) register(req Request) Response {
 	if _, dup := s.sessions[req.Session]; dup {
 		return Errorf("register: session %q exists", req.Session)
 	}
-	s.sessions[req.Session] = &sessionState{space: space, session: sess}
+	s.sessions[req.Session] = &sessionState{space: space, names: newValueNames(space), session: sess}
 	s.stats.sessionsCreated.Add(1)
 	return Response{OK: true}
 }
@@ -376,7 +382,7 @@ func (s *Server) restore(req Request) Response {
 	if _, dup := s.sessions[req.Session]; dup {
 		return Errorf("restore: session %q exists", req.Session)
 	}
-	s.sessions[req.Session] = &sessionState{space: space, session: sess}
+	s.sessions[req.Session] = &sessionState{space: space, names: newValueNames(space), session: sess}
 	s.stats.sessionsCreated.Add(1)
 	return Response{OK: true, Iterations: sess.Iterations()}
 }
@@ -386,6 +392,8 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 	mu   sync.Mutex
+	out  []byte   // the request line, reused under mu
+	strs interner // strings decoded over and over, such as values-map keys
 }
 
 // Dial connects to a tuning server.
@@ -404,18 +412,19 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Do(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, err := EncodeLine(req)
+	out, err := AppendRequest(c.out[:0], &req)
 	if err != nil {
 		return Response{}, err
 	}
+	c.out = out
 	if _, err := c.conn.Write(out); err != nil {
 		return Response{}, err
 	}
-	line, err := c.r.ReadBytes('\n')
+	line, err := readLine(c.r, MaxMessageSize)
 	if err != nil {
 		return Response{}, err
 	}
-	resp, err := DecodeResponse(line)
+	resp, err := decodeResponse(line, &c.strs)
 	if err != nil {
 		return Response{}, err
 	}

@@ -182,42 +182,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
 
-// TimePoint is a single (time, value) observation in a TimeSeries.
-type TimePoint struct {
-	T float64
-	V float64
-}
-
-// TimeSeries records timestamped values, e.g. WIPS per tuning iteration.
-type TimeSeries struct {
-	points []TimePoint
-}
-
-// Add appends an observation. Times should be non-decreasing.
-func (ts *TimeSeries) Add(t, v float64) {
-	ts.points = append(ts.points, TimePoint{T: t, V: v})
-}
-
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
-
-// At returns the i-th point.
-func (ts *TimeSeries) At(i int) TimePoint { return ts.points[i] }
-
-// Points returns the underlying points. Callers must not modify them.
-func (ts *TimeSeries) Points() []TimePoint { return ts.points }
-
-// Window returns the values with T in [lo, hi).
-func (ts *TimeSeries) Window(lo, hi float64) []float64 {
-	var out []float64
-	for _, p := range ts.points {
-		if p.T >= lo && p.T < hi {
-			out = append(out, p.V)
-		}
-	}
-	return out
-}
-
 // MeanOf returns the arithmetic mean of vs, or 0 when empty.
 func MeanOf(vs []float64) float64 {
 	if len(vs) == 0 {

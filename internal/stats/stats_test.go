@@ -160,20 +160,6 @@ func TestSampleMoments(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesWindow(t *testing.T) {
-	var ts TimeSeries
-	for i := 0; i < 10; i++ {
-		ts.Add(float64(i), float64(i*i))
-	}
-	w := ts.Window(3, 6)
-	if len(w) != 3 || w[0] != 9 || w[2] != 25 {
-		t.Fatalf("Window(3,6) = %v", w)
-	}
-	if ts.Len() != 10 || ts.At(2).V != 4 {
-		t.Fatal("Len/At wrong")
-	}
-}
-
 func TestMeanStdDevOf(t *testing.T) {
 	vs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almostEqual(MeanOf(vs), 5, 1e-12) {
