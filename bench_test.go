@@ -2,6 +2,8 @@ package webharmony
 
 import (
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"webharmony/internal/cluster"
@@ -234,6 +236,38 @@ func BenchmarkTable4Memoized(b *testing.B) {
 		c.Browsers = 400
 		RunTable4(c, 32, harmony.Options{Seed: 5})
 	})
+}
+
+// BenchmarkFigure4Instrumented runs Figure 4 the way webtune -telemetry
+// does: every stream on (trace, metrics, event-loop profile, latency
+// histograms, sampled spans), memo table attached, all five streams
+// written. Instrumentation bypasses the memo table (DESIGN.md §10), so
+// every evaluation simulates. live_MB is the heap still in use after the
+// run while the collector is alive: each finished evaluation unit keeps
+// only what the writers print, never its lab (DESIGN.md §9).
+func BenchmarkFigure4Instrumented(b *testing.B) {
+	var live runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		cfg := TinyLab()
+		cfg.EvalCache = NewEvalCache()
+		col := NewTelemetryCollector()
+		cfg.Telemetry = col
+		cfg.SimProfile, cfg.Spans, cfg.SpanSampleEvery = true, true, 997
+		RunFigure4(cfg.WithTelemetryUnit("figure4"), 30, 3, harmony.Options{Seed: 4})
+		for _, write := range []func(io.Writer) error{
+			col.WriteTrace, col.WriteMetrics, col.WriteSimProfile, col.WriteLatency, col.WriteSpans,
+		} {
+			if err := write(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&live)
+		runtime.KeepAlive(col)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(live.HeapAlloc)/(1<<20), "live_MB")
 }
 
 // --- Table 4: cluster tuning methods -----------------------------------------

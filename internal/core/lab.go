@@ -291,6 +291,20 @@ func (l *Lab) MeasureIteration(restart bool) websim.Measurement {
 	return m
 }
 
+// finishTelemetry ends the live phase of the lab's telemetry once the lab
+// will simulate no more: the span sink keeps only its latency row
+// summaries and the event-loop profile drops its interning index. Neither
+// references the lab's engine, so after this the recorder holds just what
+// the telemetry writers print and the finished lab can be collected.
+func (l *Lab) finishTelemetry() {
+	if l.spanSink != nil {
+		l.spanSink.Freeze()
+	}
+	if p := l.rec.SimProfile(); p != nil {
+		p.Freeze()
+	}
+}
+
 // LastReadings returns the per-node utilizations of the last iteration's
 // measurement window.
 func (l *Lab) LastReadings() []monitor.Reading { return l.lastReadings }

@@ -127,7 +127,9 @@ type stackKey struct {
 // lab owns a profile and the collector merges them after the join.
 //
 // nodes[0] is the empty stack; every other node's parent precedes it, and
-// every other node renders to a non-empty path.
+// every other node renders to a non-empty path. index interns stacks while
+// the profile records; Freeze drops it once the profile's unit is done,
+// since merging and writing read only nodes.
 type Profile struct {
 	nodes []stackNode
 	index map[stackKey]int32
@@ -149,6 +151,9 @@ func (p *Profile) child(parent int32, frame string) int32 {
 	if parent != 0 && p.nodes[parent].depth >= maxFrames-1 {
 		return parent
 	}
+	if p.index == nil {
+		panic("simnet: stack interned into a frozen profile")
+	}
 	k := stackKey{parent: parent, frame: frame}
 	if id, ok := p.index[k]; ok {
 		return id
@@ -162,6 +167,13 @@ func (p *Profile) child(parent int32, frame string) int32 {
 	p.index[k] = id
 	return id
 }
+
+// Freeze drops the interning index once the profile's unit is done: the
+// recorded stacks stay readable, mergeable into other profiles and
+// writable, but pushing a frame (Enter/EnterRoot on an engine still
+// attached) or merging into this profile panics. Freezing again is a
+// no-op.
+func (p *Profile) Freeze() { p.index = nil }
 
 // record attributes one dispatch: dt simulated seconds of clock advance.
 func (p *Profile) record(stack int32, dt float64) {

@@ -382,3 +382,51 @@ func TestProfileOnePerEngine(t *testing.T) {
 	}()
 	e.SetProfile(NewProfile())
 }
+
+// TestProfileFreeze: a frozen profile writes and merges exactly what it
+// did while recording and a second Freeze changes nothing, but pushing a
+// frame on an engine still attached to it panics by name instead of
+// writing to a nil map.
+func TestProfileFreeze(t *testing.T) {
+	e := &Engine{}
+	p := NewProfile()
+	e.SetProfile(p)
+	r := e.EnterRoot("req")
+	e.Schedule(1, func() {
+		f := e.Enter("inner")
+		e.Schedule(0.5, func() {})
+		f.Exit()
+	})
+	r.Exit()
+	e.Run()
+	folded := func(p *Profile) string {
+		var b strings.Builder
+		if err := p.WriteFolded(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	live := folded(p)
+
+	p.Freeze()
+	p.Freeze()
+	if p.index != nil {
+		t.Fatal("Freeze kept the interning index")
+	}
+	if got := folded(p); got != live {
+		t.Fatalf("frozen profile writes %q, live wrote %q", got, live)
+	}
+	m := NewProfile()
+	m.Merge(p)
+	if got := folded(m); got != live {
+		t.Fatalf("merge of the frozen profile writes %q, want %q", got, live)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "frozen profile") {
+			t.Fatalf("Enter on a frozen profile: recovered %q, want the frozen-profile panic", msg)
+		}
+	}()
+	e.Enter("req")
+}

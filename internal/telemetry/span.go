@@ -11,7 +11,6 @@ import (
 
 	"webharmony/internal/cluster"
 	"webharmony/internal/simnet"
-	"webharmony/internal/stats"
 	"webharmony/internal/tpcw"
 	"webharmony/internal/websim"
 )
@@ -136,24 +135,42 @@ const latencyHeader = "replicate,unit,interaction,tier,kind,count,mean_us,p50_us
 const attributionHeader = "replicate,unit,iter,t,tier,queue_us,service_us,queue_share,note\n"
 
 // writeHistRow emits one histogram CSV row; empty histograms are skipped.
-func writeHistRow(bw *bufio.Writer, replicate int, unit, interaction, tier, kind string, h *stats.LatencyHist) error {
-	if h.N() == 0 {
+func writeHistRow(bw *bufio.Writer, replicate int, unit, interaction, tier, kind string, row *websim.LatencyRow) error {
+	if row.N == 0 {
 		return nil
 	}
 	_, err := fmt.Fprintf(bw, "%d,%s,%s,%s,%s,%d,%.1f,%d,%d,%d,%d\n",
 		replicate, unit, interaction, tier, kind,
-		h.N(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.Max())
+		row.N, row.Mean(), row.P50, row.P95, row.P99, row.Max)
 	return err
 }
 
 // kindNames orders the two segment kinds for emission.
 var kindNames = [2]string{simnet.SpanQueue: "queue", simnet.SpanService: "service"}
 
+// writeLatencyBlock emits one interaction's rows: the end-to-end response
+// row, then one row per (tier group, kind).
+func writeLatencyBlock(bw *bufio.Writer, r *Recorder, interaction string, b *websim.LatencyBlock) error {
+	if err := writeHistRow(bw, r.replicate, r.unit, interaction, "total", "response", &b.Resp); err != nil {
+		return err
+	}
+	for g := range b.Cells {
+		for kind := range b.Cells[g] {
+			if err := writeHistRow(bw, r.replicate, r.unit, interaction,
+				cluster.SpanGroupName(uint8(g)), kindNames[kind], &b.Cells[g][kind]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // WriteLatency writes the per-(interaction, tier, kind) latency histograms
 // followed by the windowed attribution table, recorders in (replicate,
 // unit) order. The "all" interaction rows merge every interaction's
 // histogram; the tier "total" kind "response" rows are end-to-end response
-// times of successful pages.
+// times of successful pages. Reading a sink freezes it (SpanSink.Latency),
+// so WriteLatency must run after the unit's simulation is done.
 func (c *Collector) WriteLatency(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(latencyHeader); err != nil {
@@ -164,41 +181,15 @@ func (c *Collector) WriteLatency(w io.Writer) error {
 		if k == nil {
 			continue
 		}
-		// Merged-across-interactions block first.
-		var all stats.LatencyHist
-		for it := 0; it < tpcw.NumInteractions; it++ {
-			all.Merge(k.RespHist(tpcw.Interaction(it)))
-		}
-		if err := writeHistRow(bw, r.replicate, r.unit, "all", "total", "response", &all); err != nil {
+		// Merged-across-interactions block first, then per interaction in
+		// Table 1 order.
+		lat := k.Latency()
+		if err := writeLatencyBlock(bw, r, "all", &lat.All); err != nil {
 			return err
 		}
-		for g := 0; g < cluster.NumSpanGroups; g++ {
-			for kind := range kindNames {
-				var m stats.LatencyHist
-				for it := 0; it < tpcw.NumInteractions; it++ {
-					m.Merge(k.Hist(tpcw.Interaction(it), uint8(g), uint8(kind)))
-				}
-				if err := writeHistRow(bw, r.replicate, r.unit, "all",
-					cluster.SpanGroupName(uint8(g)), kindNames[kind], &m); err != nil {
-					return err
-				}
-			}
-		}
-		// Then per interaction, in Table 1 order.
-		for it := 0; it < tpcw.NumInteractions; it++ {
-			slug := tpcw.Interaction(it).Slug()
-			if err := writeHistRow(bw, r.replicate, r.unit, slug, "total", "response",
-				k.RespHist(tpcw.Interaction(it))); err != nil {
+		for it := range lat.Per {
+			if err := writeLatencyBlock(bw, r, tpcw.Interaction(it).Slug(), &lat.Per[it]); err != nil {
 				return err
-			}
-			for g := 0; g < cluster.NumSpanGroups; g++ {
-				for kind := range kindNames {
-					if err := writeHistRow(bw, r.replicate, r.unit, slug,
-						cluster.SpanGroupName(uint8(g)), kindNames[kind],
-						k.Hist(tpcw.Interaction(it), uint8(g), uint8(kind))); err != nil {
-						return err
-					}
-				}
 			}
 		}
 	}
@@ -308,31 +299,4 @@ func (c *Collector) WriteLatencyRollup(w io.Writer) error {
 		fmt.Fprintf(bw, "\n")
 	}
 	return bw.Flush()
-}
-
-// TopQueueGroup returns the name of the tier group holding the largest
-// share of a unit's total queue-wait across every replicate of that unit,
-// or "" if nothing was attributed — the bottleneck the attribution report
-// names. Exposed for tests and programmatic assertions.
-func (c *Collector) TopQueueGroup(unit string) string {
-	var totals [cluster.NumSpanGroups]int64
-	for _, r := range c.sorted() {
-		if r.unit != unit || r.spans == nil {
-			continue
-		}
-		q := r.spans.QueueTotals()
-		for g := range q {
-			totals[g] += q[g]
-		}
-	}
-	best, bestG := int64(0), -1
-	for g, q := range totals {
-		if q > best {
-			best, bestG = q, g
-		}
-	}
-	if bestG < 0 {
-		return ""
-	}
-	return cluster.SpanGroupName(uint8(bestG))
 }

@@ -6,14 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"webharmony/internal/cluster"
 	"webharmony/internal/rng"
 	"webharmony/internal/tpcw"
 	"webharmony/internal/websim"
 )
 
-// spanFixture builds a collector with one span-recording unit driven
-// through a few hundred pages and one attribution snapshot.
-func spanFixture(t *testing.T) *Collector {
+// spanFixture builds a collector with one span-recording unit ("unit-a")
+// driven through a few hundred pages and one attribution snapshot, and
+// returns it with that unit's sink.
+func spanFixture(t *testing.T) (*Collector, *websim.SpanSink) {
 	t.Helper()
 	c := NewCollector()
 	rec := c.Recorder(0, "unit-a")
@@ -35,11 +37,11 @@ func spanFixture(t *testing.T) *Collector {
 	}
 	sys.Eng.Run()
 	sink.Snapshot(1, sys.Eng.Now())
-	return c
+	return c, sink
 }
 
 func TestWriteSpansJSONL(t *testing.T) {
-	c := spanFixture(t)
+	c, _ := spanFixture(t)
 	var buf bytes.Buffer
 	if err := c.WriteSpans(&buf); err != nil {
 		t.Fatal(err)
@@ -79,7 +81,7 @@ func TestWriteSpansJSONL(t *testing.T) {
 }
 
 func TestWriteLatencyCSV(t *testing.T) {
-	c := spanFixture(t)
+	c, _ := spanFixture(t)
 	var buf bytes.Buffer
 	if err := c.WriteLatency(&buf); err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func TestWriteLatencyCSV(t *testing.T) {
 }
 
 func TestWriteLatencyRollupAndTopGroup(t *testing.T) {
-	c := spanFixture(t)
+	c, sink := spanFixture(t)
 	var buf bytes.Buffer
 	if err := c.WriteLatencyRollup(&buf); err != nil {
 		t.Fatal(err)
@@ -123,12 +125,35 @@ func TestWriteLatencyRollupAndTopGroup(t *testing.T) {
 	if !strings.Contains(out, "1 moves") {
 		t.Errorf("rollup did not count the move event: %q", out)
 	}
-	top := c.TopQueueGroup("unit-a")
-	if top == "" {
-		t.Error("TopQueueGroup found no attributed queue-wait")
+	// The first group ranked on the unit's line is its largest queue-wait
+	// total: the bottleneck the report names.
+	queue := sink.QueueTotals()
+	top := 0
+	for g := range queue {
+		if queue[g] > queue[top] {
+			top = g
+		}
 	}
-	if got := c.TopQueueGroup("no-such-unit"); got != "" {
-		t.Errorf("TopQueueGroup(%q) = %q, want empty", "no-such-unit", got)
+	if queue[top] == 0 {
+		t.Fatal("fixture attributed no queue-wait")
+	}
+	want := "; queue-wait " + cluster.SpanGroupName(uint8(top)) + " "
+	line := ""
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Contains(l, "unit unit-a:") {
+			line = l
+		}
+	}
+	if !strings.Contains(line, want) {
+		t.Errorf("rollup line %q does not rank %s first (queue totals %v)",
+			line, cluster.SpanGroupName(uint8(top)), queue)
+	}
+	// Only units with a sink get a line: not the spanless unit-b, and no
+	// unit that was never registered.
+	for _, absent := range []string{"unit unit-b", "unit no-such-unit"} {
+		if strings.Contains(out, absent) {
+			t.Errorf("rollup has a line for %q: %q", absent, out)
+		}
 	}
 }
 
@@ -148,8 +173,12 @@ func TestSpanAccessorsNilSafe(t *testing.T) {
 	if rec.Spans() != sink {
 		t.Error("Spans() did not return the attached sink")
 	}
-	if got := c.TopQueueGroup("u"); got != "" {
-		t.Errorf("TopQueueGroup with an empty sink = %q, want empty", got)
+	var buf bytes.Buffer
+	if err := c.WriteLatencyRollup(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "replicate 0 unit u: 0 pages, 0 windows, 0 moves; queue-wait none\n"; buf.String() != want {
+		t.Errorf("rollup with an empty sink = %q, want %q", buf.String(), want)
 	}
 }
 

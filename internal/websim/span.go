@@ -17,18 +17,21 @@ import (
 // worker-count-independent output.
 //
 // The fold path (page) is on the simulator's hot path and allocates
-// nothing in steady state: histograms are value-embedded fixed arrays,
-// attribution totals are plain counters, and only the sampled pages copy
-// their span tree out of the pooled request records.
+// nothing in steady state: the histogram table is allocated once, on the
+// first fold, attribution totals are plain counters, and only the sampled
+// pages copy their span tree out of the pooled request records.
+//
+// A sink lives in two phases. While live it holds the dense histogram
+// table; Freeze reduces the table to the row summaries the latency
+// writer prints and drops it, after which folding panics. The sink never
+// references the System it serves, so a finished unit's sink does not keep
+// its simulated cluster reachable.
 type SpanSink struct {
-	eng *simnet.Engine
-
-	// hists[interaction][group][kind] observes, per successful page, the
-	// page's summed ticks in that (tier group, queue|service) cell —
-	// summed across parallel children, so it is resource time, not wall
-	// clock. resp observes successful pages' end-to-end response time.
-	hists [tpcw.NumInteractions][cluster.NumSpanGroups][2]stats.LatencyHist
-	resp  [tpcw.NumInteractions]stats.LatencyHist
+	// live is the dense histogram table, nil until the first fold and
+	// again after Freeze.
+	live *spanHists
+	// frozen holds the row summaries once Freeze has run.
+	frozen *LatencySummary
 
 	// Running attribution totals over all pages (failed ones included:
 	// their waiting is real), with the previous snapshot's values kept for
@@ -45,6 +48,57 @@ type SpanSink struct {
 	// dumping.
 	sampleEvery int
 	dumps       []SpanDump
+}
+
+// spanHists is a live sink's histogram table. hists[interaction][group][kind]
+// observes, per successful page, the page's summed ticks in that (tier
+// group, queue|service) cell — summed across parallel children, so it is
+// resource time, not wall clock. resp observes successful pages' end-to-end
+// response time.
+type spanHists struct {
+	hists [tpcw.NumInteractions][cluster.NumSpanGroups][2]stats.LatencyHist
+	resp  [tpcw.NumInteractions]stats.LatencyHist
+}
+
+// LatencyRow summarizes one latency histogram: what a latency.csv row
+// prints. Quantiles are the histogram's bucket bounds (stats.LatencyHist
+// Quantile), so a summary prints exactly what its histogram would.
+type LatencyRow struct {
+	N, Sum, Max   int64
+	P50, P95, P99 int64
+}
+
+// Mean returns the exact mean of the summarized observations, or 0 if
+// there were none.
+func (r *LatencyRow) Mean() float64 {
+	if r.N == 0 {
+		return 0
+	}
+	return float64(r.Sum) / float64(r.N)
+}
+
+// summarize reduces a histogram to its row.
+func summarize(h *stats.LatencyHist) LatencyRow {
+	return LatencyRow{
+		N: h.N(), Sum: h.Sum(), Max: h.Max(),
+		P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+	}
+}
+
+// LatencyBlock is one interaction's latency rows (or, merged across
+// interactions, the "all" rows): end-to-end response time, then
+// Cells[group][kind] for each tier group and kind (simnet.SpanQueue or
+// simnet.SpanService).
+type LatencyBlock struct {
+	Resp  LatencyRow
+	Cells [cluster.NumSpanGroups][2]LatencyRow
+}
+
+// LatencySummary is a frozen sink's latency table: All merges every
+// interaction's histograms, Per holds each interaction's own.
+type LatencySummary struct {
+	All LatencyBlock
+	Per [tpcw.NumInteractions]LatencyBlock
 }
 
 // AttrSnap is the attribution delta accumulated since the previous
@@ -87,27 +141,29 @@ func NewSpanSink(sampleEvery int) *SpanSink {
 // SetSpanSink attaches a sink to the system: every page request from now
 // on records a span tree and folds it into the sink on completion. A nil
 // sink detaches, making span recording fully inert again.
-func (s *System) SetSpanSink(k *SpanSink) {
-	if k != nil {
-		k.eng = s.Eng
-	}
-	s.spanSink = k
-}
+func (s *System) SetSpanSink(k *SpanSink) { s.spanSink = k }
 
 // SpanSink returns the attached sink, or nil.
 func (s *System) SpanSink() *SpanSink { return s.spanSink }
 
-// page folds a completing page's span tree into the sink. Called from
-// pageReq.finish before the record is recycled; the span buffer's storage
-// survives only until this returns.
-func (k *SpanSink) page(r *pageReq, ok bool) {
-	end := k.eng.NowTicks()
+// page folds a completing page's span tree into the sink; eng is the
+// engine of the system serving the page. Called from pageReq.finish before
+// the record is recycled; the span buffer's storage survives only until
+// this returns.
+func (k *SpanSink) page(eng *simnet.Engine, r *pageReq, ok bool) {
+	if k.frozen != nil {
+		panic("websim: page folded into a frozen span sink")
+	}
+	if k.live == nil {
+		k.live = new(spanHists)
+	}
+	end := eng.NowTicks()
 	b := &r.span
 	b.Deactivate()
 	// Work the page's done callback schedules (browser think timers)
 	// belongs to no request; detaching here keeps the recycled buffer from
 	// leaking into it.
-	k.eng.SetSpan(nil)
+	eng.SetSpan(nil)
 
 	total := end - b.Start()
 	var acc [cluster.NumSpanGroups][2]int64
@@ -149,12 +205,12 @@ func (k *SpanSink) page(r *pageReq, ok bool) {
 			}
 			k.totals[g][kind] += d
 			if ok {
-				k.hists[it][g][kind].Observe(d)
+				k.live.hists[it][g][kind].Observe(d)
 			}
 		}
 	}
 	if ok {
-		k.resp[it].Observe(total)
+		k.live.resp[it].Observe(total)
 	}
 	if k.sampleEvery > 0 && (k.pages-1)%uint64(k.sampleEvery) == 0 {
 		k.dump(b, it, ok, total)
@@ -210,16 +266,44 @@ func (k *SpanSink) Snapshots() []AttrSnap { return k.snaps }
 // Dumps returns the sampled span dumps.
 func (k *SpanSink) Dumps() []SpanDump { return k.dumps }
 
-// Hist returns the latency histogram of (interaction, tier group, kind);
-// kind is simnet.SpanQueue or simnet.SpanService.
-func (k *SpanSink) Hist(it tpcw.Interaction, group, kind uint8) *stats.LatencyHist {
-	return &k.hists[it][group][kind]
+// Freeze ends the sink's live phase: the histogram table is reduced to
+// the row summaries Latency returns and dropped. Attribution totals,
+// snapshots and dumps are kept. Folding a page afterwards panics; freezing
+// again is a no-op.
+func (k *SpanSink) Freeze() {
+	if k.frozen != nil {
+		return
+	}
+	s := new(LatencySummary)
+	if h := k.live; h != nil {
+		// The "all" rows take their quantiles from the merged histograms:
+		// quantiles of the per-interaction rows would not compose.
+		var all stats.LatencyHist
+		for it := range h.resp {
+			all.Merge(&h.resp[it])
+			s.Per[it].Resp = summarize(&h.resp[it])
+		}
+		s.All.Resp = summarize(&all)
+		for g := range s.All.Cells {
+			for kind := range s.All.Cells[g] {
+				var m stats.LatencyHist
+				for it := range h.hists {
+					m.Merge(&h.hists[it][g][kind])
+					s.Per[it].Cells[g][kind] = summarize(&h.hists[it][g][kind])
+				}
+				s.All.Cells[g][kind] = summarize(&m)
+			}
+		}
+	}
+	k.frozen = s
+	k.live = nil
 }
 
-// RespHist returns the end-to-end response-time histogram of an
-// interaction (successful pages).
-func (k *SpanSink) RespHist(it tpcw.Interaction) *stats.LatencyHist {
-	return &k.resp[it]
+// Latency returns the sink's latency summary, freezing the sink first if
+// it is still live.
+func (k *SpanSink) Latency() *LatencySummary {
+	k.Freeze()
+	return k.frozen
 }
 
 // QueueTotals returns the running per-group queue-wait tick totals.

@@ -1,11 +1,13 @@
 package websim
 
 import (
+	"strings"
 	"testing"
 
 	"webharmony/internal/cluster"
 	"webharmony/internal/rng"
 	"webharmony/internal/simnet"
+	"webharmony/internal/stats"
 	"webharmony/internal/tpcw"
 )
 
@@ -94,7 +96,7 @@ func TestSpanDecompositionInvariant(t *testing.T) {
 	}
 	// The tier-group histograms must agree with the running totals on
 	// total observation mass for successful pages.
-	if sink.RespHist(tpcw.Home).N() == 0 {
+	if sink.Latency().Per[tpcw.Home].Resp.N == 0 {
 		t.Error("no Home response-time observations")
 	}
 }
@@ -172,6 +174,51 @@ func TestPagePathAllocsWithSpans(t *testing.T) {
 	if sys.spanSink.Pages() == 0 {
 		t.Error("sink folded no pages")
 	}
+}
+
+// TestSpanSinkFreeze pins the sink's two phases: Freeze reduces the live
+// histogram table to the rows its histograms print and drops the table, a
+// second Freeze changes nothing, and folding a page into the frozen sink
+// panics by name.
+func TestSpanSinkFreeze(t *testing.T) {
+	sys, sink := spanSystem(t, Options{
+		ProxyNodes: 1, AppNodes: 1, DBNodes: 1, Scale: 200, Seed: 13,
+	})
+	servePages(sys, 300, 8)
+	live := *sink.live
+	sink.Freeze()
+	if sink.live != nil {
+		t.Fatal("Freeze kept the histogram table")
+	}
+	lat := sink.Latency()
+	var all stats.LatencyHist
+	for it := range live.resp {
+		all.Merge(&live.resp[it])
+		if got, want := lat.Per[it].Resp, summarize(&live.resp[it]); got != want {
+			t.Errorf("%v response row %+v, want %+v", tpcw.Interaction(it), got, want)
+		}
+	}
+	if lat.All.Resp.N == 0 || lat.All.Resp != summarize(&all) {
+		t.Errorf("all response row %+v, want %+v", lat.All.Resp, summarize(&all))
+	}
+	g, kind := cluster.SpanGroupApp, simnet.SpanService
+	if got, want := lat.Per[tpcw.Home].Cells[g][kind], summarize(&live.hists[tpcw.Home][g][kind]); got.N == 0 || got != want {
+		t.Errorf("home app service row %+v, want %+v", got, want)
+	}
+
+	frozen := *lat
+	sink.Freeze()
+	if sink.Latency() != lat || *lat != frozen {
+		t.Error("a second Freeze changed the summary")
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "frozen span sink") {
+			t.Fatalf("fold into a frozen sink: recovered %q, want the frozen-sink panic", msg)
+		}
+	}()
+	servePages(sys, 16, 9)
 }
 
 // TestSpanSitesFollowMoves checks that reassigning a node to another tier

@@ -672,7 +672,7 @@ func (r *pageReq) finish(ok bool) {
 		// Fold the span before the record is recycled; the sink also
 		// detaches the engine's span context so work scheduled by done
 		// (think timers) belongs to no request.
-		s.spanSink.page(r, ok)
+		s.spanSink.page(s.Eng, r, ok)
 	}
 	done := r.done
 	eb := r.pr.Browser
