@@ -67,6 +67,8 @@ func TestGoldenReports(t *testing.T) {
 		{"table4", []string{"-scale", "tiny", "-iters", "8", "-replicates", "2", "table4"}, 4},
 		{"figure4", []string{"-scale", "tiny", "-iters", "4", "-replicates", "2", "figure4"}, 4},
 		{"figure7a", []string{"-scale", "tiny", "-replicates", "2", "figure7a"}, 4},
+		// The live §IV loop: tuning on the shared lab plus a node move.
+		{"adaptive", []string{"-scale", "tiny", "-replicates", "2", "adaptive"}, 4},
 		// Figure 5 runs through the speculative lookahead engine: workers
 		// change how many labs evaluate candidates concurrently, never what
 		// gets committed. The no-shift variant pins the path where

@@ -30,44 +30,49 @@ func captureTelemetry(t *testing.T, workers int, args ...string) (streams map[st
 	return streams, stdout
 }
 
-// TestGoldenTelemetry locks the trace JSONL and metrics CSV of the tiny
-// replicated figure4 run against golden files, and asserts both are
-// byte-identical between -workers 1 and -workers 4 — the acceptance bar
-// of the telemetry layer's determinism contract.
+// TestGoldenTelemetry locks telemetry streams against golden files and
+// asserts each is byte-identical between -workers 1 and -workers 4 — the
+// acceptance bar of the telemetry layer's determinism contract. The tiny
+// replicated figure4 run pins the hermetic runners' trace JSONL and
+// metrics CSV; the adaptive run pins the live §IV loop's trace, whose
+// engine-clock stamps record when every tuner step and node move ran.
 // Regenerate with: go test ./cmd/webtune/ -run TestGoldenTelemetry -update
 func TestGoldenTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation golden test")
 	}
-	args := []string{"-scale", "tiny", "-iters", "4", "-replicates", "2", "figure4"}
-	streams, _ := captureTelemetry(t, 1, args...)
-
-	for _, g := range []struct{ name, got string }{
-		{"figure4-trace.golden", streams["trace.jsonl"]},
-		{"figure4-metrics.golden", streams["metrics.csv"]},
-	} {
-		golden := filepath.Join("testdata", g.name)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, []byte(g.got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing golden (regenerate with -update): %v", err)
-		}
-		if g.got != string(want) {
-			t.Errorf("%s differs from golden (regenerate with -update if the change is intended)", g.name)
-		}
+	cases := []struct {
+		args    []string
+		goldens map[string]string // stream name → golden file
+	}{
+		{[]string{"-scale", "tiny", "-iters", "4", "-replicates", "2", "figure4"},
+			map[string]string{"trace.jsonl": "figure4-trace.golden", "metrics.csv": "figure4-metrics.golden"}},
+		{[]string{"-scale", "tiny", "-replicates", "2", "adaptive"},
+			map[string]string{"trace.jsonl": "adaptive-trace.golden"}},
 	}
-
-	streams4, _ := captureTelemetry(t, 4, args...)
-	for _, name := range []string{"trace.jsonl", "metrics.csv"} {
-		if streams4[name] != streams[name] {
-			t.Errorf("%s differs between -workers 1 and -workers 4", name)
+	for _, tc := range cases {
+		streams, _ := captureTelemetry(t, 1, tc.args...)
+		streams4, _ := captureTelemetry(t, 4, tc.args...)
+		for name, file := range tc.goldens {
+			golden := filepath.Join("testdata", file)
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(streams[name]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with -update): %v", err)
+			}
+			if streams[name] != string(want) {
+				t.Errorf("%s differs from golden (regenerate with -update if the change is intended)", file)
+			}
+			if streams4[name] != streams[name] {
+				t.Errorf("%s of %s differs between -workers 1 and -workers 4", name, tc.args[len(tc.args)-1])
+			}
 		}
 	}
 }
