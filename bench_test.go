@@ -22,6 +22,18 @@ import (
 // paper's multi-hour wall-clock).
 func benchLab() LabConfig { return QuickLab() }
 
+// tuneStep runs one tuning iteration exactly as the live §IV loop
+// (RunAdaptive) does: stage the strategy's next proposal on the lab,
+// restart and measure one window, then commit the measurement.
+func tuneStep(st *harmony.Strategy, lab *Lab) float64 {
+	for n, cfg := range st.Lookahead(1)[0] {
+		lab.SetNodeConfig(n, cfg)
+	}
+	m := lab.MeasureIteration(true)
+	st.CommitStep(m.WIPS, m.LineWIPS)
+	return m.WIPS
+}
+
 // --- Table 1: TPC-W workload mixes -----------------------------------------
 
 // BenchmarkTable1MixGeneration draws interactions from each Table 1 mix;
@@ -68,7 +80,7 @@ func BenchmarkSection3ATuningIteration(b *testing.B) {
 	b.ResetTimer()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		last = st.Step()
+		last = tuneStep(st, lab)
 	}
 	b.ReportMetric(last, "WIPS")
 }
@@ -347,7 +359,7 @@ func BenchmarkAblationTunerAlgorithms(b *testing.B) {
 				st := harmony.NewStrategy(harmony.StrategyDuplication, lab, 0,
 					harmony.Options{Algorithm: a.algo, Seed: 3})
 				for k := 0; k < 50; k++ {
-					st.Step()
+					tuneStep(st, lab)
 				}
 				best, _ := st.Best()
 				b.ReportMetric(best, "best_WIPS")
@@ -370,7 +382,7 @@ func BenchmarkAblationExtremeValueGuard(b *testing.B) {
 				st := harmony.NewStrategy(harmony.StrategyDuplication, lab, 0,
 					harmony.Options{Seed: 8, GuardFactor: guard})
 				for k := 0; k < 50; k++ {
-					st.Step()
+					tuneStep(st, lab)
 				}
 				perf := st.Perf()
 				b.ReportMetric(stats.StdDevOf(perf[len(perf)/2:]), "second_half_stddev")
@@ -418,7 +430,7 @@ func BenchmarkAblationHybridStrategy(b *testing.B) {
 				lab := NewLab(cfg, Shopping)
 				st := harmony.NewStrategy(kind, lab, 2, harmony.Options{Seed: 6})
 				for k := 0; k < 60; k++ {
-					st.Step()
+					tuneStep(st, lab)
 				}
 				best, _ := st.Best()
 				b.ReportMetric(best, "best_WIPS")

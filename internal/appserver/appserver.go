@@ -161,9 +161,6 @@ func (s *Server) Node() *cluster.Node { return s.node }
 // Stats returns a snapshot of the activity counters.
 func (s *Server) Stats() Stats { return s.stats }
 
-// ResetStats zeroes the activity counters.
-func (s *Server) ResetStats() { s.stats = Stats{} }
-
 // bufferEfficiency returns the IO-cost multiplier for the configured
 // buffer size: small buffers cause extra write syscalls; very large
 // buffers stop helping (diminishing returns).

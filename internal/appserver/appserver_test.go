@@ -236,16 +236,6 @@ func TestMemoryFootprintGrowsWithThreads(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	eng, s := newServer(defaults())
-	s.Serve(1<<10, 0, nil, func(bool) {})
-	eng.Run()
-	s.ResetStats()
-	if s.Stats() != (Stats{}) {
-		t.Fatal("ResetStats left residue")
-	}
-}
-
 func TestQueueDepths(t *testing.T) {
 	cfg := defaults()
 	cfg.MaxProcessors = 1

@@ -293,9 +293,6 @@ func (n *Node) SetMemUsed(bytes int64) {
 	n.disk.SetSpeed(1.0 / slow)
 }
 
-// MemUsed returns the recorded memory footprint.
-func (n *Node) MemUsed() int64 { return n.memUsed }
-
 // Slowdown returns the current thrashing multiplier (1 = no pressure).
 // Overcommit by fraction f costs 1 + 12f + 40f²: mild at first, then steep,
 // which is how real paging behaves.

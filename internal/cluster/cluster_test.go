@@ -105,7 +105,7 @@ func TestMemoryPressureSlowdown(t *testing.T) {
 		t.Fatal("slowdown not monotone in overcommit")
 	}
 	n.SetMemUsed(-5)
-	if n.MemUsed() != 0 {
+	if n.memUsed != 0 {
 		t.Fatal("negative memory not clamped")
 	}
 }

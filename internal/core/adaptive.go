@@ -56,8 +56,15 @@ func RunAdaptive(lab *Lab, iters int, opts AdaptiveOptions) *AdaptiveResult {
 	st := harmony.NewStrategy(opts.Strategy, lab, opts.WorkLines, topts)
 	acc := newUtilAccumulator()
 	for i := 0; i < iters; i++ {
-		wips := st.Step()
-		res.WIPS = append(res.WIPS, wips)
+		// One §IV iteration through the same Lookahead/CommitStep protocol
+		// the hermetic runners use, at lookahead 1 on the shared lab:
+		// stage the proposal, restart and measure, commit.
+		for n, cfg := range st.Lookahead(1)[0] {
+			lab.SetNodeConfig(n, cfg)
+		}
+		m := lab.MeasureIteration(true)
+		st.CommitStep(m.WIPS, m.LineWIPS)
+		res.WIPS = append(res.WIPS, m.WIPS)
 		res.Layouts = append(res.Layouts, lab.Sys.Cluster.Layout())
 		acc.add(lab.LastReadings())
 

@@ -17,11 +17,11 @@ func TestLabImplementsTarget(t *testing.T) {
 	if tiers[0].Name != "proxy" || len(tiers[0].Nodes) != 1 {
 		t.Fatalf("tier spec = %+v", tiers[0])
 	}
-	wips, lines := lab.RunIteration()
-	if wips <= 0 {
-		t.Fatal("no throughput from RunIteration")
+	m := lab.MeasureIteration(true)
+	if m.WIPS <= 0 {
+		t.Fatal("no throughput from MeasureIteration")
 	}
-	if lines != nil {
+	if m.LineWIPS != nil {
 		t.Fatal("line WIPS without work lines")
 	}
 	if lab.Iterations() != 1 {

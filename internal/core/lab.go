@@ -257,14 +257,6 @@ func (l *Lab) NodeConfig(node int) param.Config {
 	return l.Sys.NodeConfig(node)
 }
 
-// RunIteration implements harmony.Target: restart the servers with the
-// staged configurations and run one warm/measure/cool window, collecting
-// resource utilizations over the measurement interval.
-func (l *Lab) RunIteration() (float64, []float64) {
-	m := l.MeasureIteration(true)
-	return m.WIPS, m.LineWIPS
-}
-
 // MeasureIteration runs one iteration window; restart controls whether the
 // servers are restarted first (a tuning iteration) or left running (a
 // plain observation window).

@@ -216,9 +216,6 @@ func (s *Server) Node() *cluster.Node { return s.node }
 // Stats returns a snapshot of the activity counters.
 func (s *Server) Stats() Stats { return s.stats }
 
-// ResetStats zeroes the activity counters.
-func (s *Server) ResetStats() { s.stats = Stats{} }
-
 // PoolOccupancy returns the connection pool's in-use, waiting and capacity
 // counts, for diagnostics and the telemetry sampler.
 func (s *Server) PoolOccupancy() (inUse, waiting, capacity int) {

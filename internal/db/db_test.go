@@ -266,16 +266,6 @@ func TestInsertBatchFactorMonotone(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	eng, s := newServer(defaults())
-	s.Query(QueryRead, 1<<10, func(bool) {})
-	eng.Run()
-	s.ResetStats()
-	if s.Stats() != (Stats{}) {
-		t.Fatal("ResetStats left residue")
-	}
-}
-
 func BenchmarkQueryRead(b *testing.B) {
 	eng, s := newServer(defaults())
 	b.ResetTimer()

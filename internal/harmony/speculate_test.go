@@ -21,7 +21,7 @@ func stageConfigs(fc *fakeCluster, m map[int]param.Config) {
 // runner does), then commit the measurements in proposal order,
 // discarding the rest of the batch when a commit changes Epoch. shiftAt,
 // when positive, flips the cluster's bias once that many iterations have
-// committed — the same flip the Step-driven twin applies. Like the real
+// committed — the same flip the sequential twin applies. Like the real
 // runner, speculation never crosses the workload boundary: a candidate
 // measured under the old workload must not be committed under the new
 // one, so batches are capped at the flip. It returns how many peeked
@@ -70,9 +70,9 @@ func driveSpeculative(st *Strategy, fc *fakeCluster, iters, lookahead, shiftAt i
 // TestCommitStepMatchesStep is the harmony-level property behind the
 // speculative Figure 5 runner: for every strategy kind, driving the
 // strategy through Lookahead/CommitStep batches — including batches cut
-// short by shift-detection restarts — produces exactly the state a plain
-// Step loop reaches: same performance record, same per-session histories
-// and resets, same final answer. The fake cluster is noiseless so the
+// short by shift-detection restarts — produces exactly the state the
+// sequential reference seqStep (ask, run, tell) reaches: same performance
+// record, same per-session histories and resets, same final answer. The fake cluster is noiseless so the
 // speculative run's extra measurements of discarded candidates cannot
 // desynchronize the two runs.
 func TestCommitStepMatchesStep(t *testing.T) {
@@ -83,7 +83,7 @@ func TestCommitStepMatchesStep(t *testing.T) {
 		seqFC := newFakeCluster(0)
 		seq := NewStrategy(kind, seqFC, 2, opts)
 		for i := 0; i < iters; i++ {
-			seq.Step()
+			seqStep(seq)
 			if i+1 == shiftAt {
 				seqFC.bias = -60
 			}
@@ -146,7 +146,7 @@ func TestLookaheadBounds(t *testing.T) {
 	// Walk to one iteration short of the hybrid switch: the lookahead
 	// must be truncated to that single remaining duplication iteration.
 	for st.Iterations() < st.hybridK-1 {
-		st.Step()
+		seqStep(st)
 	}
 	if got := len(st.Lookahead(16)); got != 1 {
 		t.Fatalf("Lookahead(16) at switch-1 returned %d entries, want 1", got)
@@ -157,10 +157,10 @@ func TestLookaheadBounds(t *testing.T) {
 	if st.Iterations() != before {
 		t.Fatal("Lookahead advanced the search")
 	}
-	// The switch is lazy: after the duplication phase's final Step it
+	// The switch is lazy: after the duplication phase's final commit it
 	// happens on the next Lookahead, which must peek the new
 	// partitioning sessions rather than the retired duplication ones.
-	st.Step()
+	seqStep(st)
 	if len(st.Lookahead(4)) < 1 {
 		t.Fatal("post-switch lookahead empty")
 	}

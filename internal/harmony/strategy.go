@@ -20,15 +20,11 @@ type Target interface {
 	// Tiers returns the current tier layout.
 	Tiers() []TierSpec
 	// SetNodeConfig stages a configuration for one node; it takes effect
-	// at the next RunIteration.
+	// when the caller next restarts the servers to measure an iteration.
 	SetNodeConfig(node int, cfg param.Config)
 	// NodeConfig returns the node's currently staged configuration; the
 	// strategies anchor their searches at it.
 	NodeConfig(node int) param.Config
-	// RunIteration restarts the servers with the staged configurations and
-	// runs one warm/measure/cool cycle, returning the measured global WIPS
-	// and, when the system is partitioned into work lines, per-line WIPS.
-	RunIteration() (wips float64, lineWIPS []float64)
 }
 
 // StrategyKind selects a cluster tuning method (§III.B).
@@ -259,34 +255,17 @@ func (s *Strategy) Kind() StrategyKind { return s.kind }
 // Sessions returns the strategy's tuning sessions.
 func (s *Strategy) Sessions() []*Session { return s.sessions }
 
-// Step runs one tuning iteration: stage configurations, measure, report.
-// It returns the iteration's global WIPS.
-func (s *Strategy) Step() float64 {
-	s.maybeSwitch()
-	s.scatter(func(sess *Session) param.Config { return sess.NextConfig() }, true)
-	wips, lineWIPS := s.target.RunIteration()
-	s.commitReports(wips, lineWIPS)
-	return wips
-}
-
-// CommitStep completes one tuning iteration whose measurement was taken
-// elsewhere — a speculatively evaluated candidate: it stages the
-// iteration's configurations exactly as Step would, then reports the
-// given measurement to the sessions, skipping target.RunIteration. The
-// caller must have measured the configurations Lookahead(1) proposes at
-// the moment of the call; committing a measurement taken for any other
+// CommitStep completes one tuning iteration whose measurement the caller
+// took: it stages the iteration's configurations on the target, reports
+// the given measurement to every session and updates the strategy's
+// performance record. It is the only way a strategy advances. The caller
+// must have measured the configurations Lookahead(1) proposes at the
+// moment of the call; committing a measurement taken for any other
 // configuration corrupts the search (speculative runners re-check the
 // lookahead before every commit for exactly this reason).
 func (s *Strategy) CommitStep(wips float64, lineWIPS []float64) {
 	s.maybeSwitch()
 	s.scatter(func(sess *Session) param.Config { return sess.NextConfig() }, true)
-	s.commitReports(wips, lineWIPS)
-}
-
-// commitReports is the shared bookkeeping tail of Step and CommitStep:
-// report the iteration's measurement to every session and update the
-// strategy's performance record.
-func (s *Strategy) commitReports(wips float64, lineWIPS []float64) {
 	perLine := s.kind == StrategyPartitioning ||
 		(s.kind == StrategyHybrid && s.iters >= s.hybridK)
 	for l, sess := range s.sessions {
@@ -354,8 +333,8 @@ func (s *Strategy) Epoch() int {
 }
 
 // maybeSwitch performs the hybrid's one-time duplication→partitioning
-// transition once the duplication phase has run its course. Both the
-// stepping entry points and Lookahead call it, so a lookahead taken at
+// transition once the duplication phase has run its course. Both
+// CommitStep and Lookahead call it, so a lookahead taken at
 // the boundary peeks the sessions that will actually run next.
 func (s *Strategy) maybeSwitch() {
 	if s.kind == StrategyHybrid && s.gen == 0 && s.iters >= s.hybridK {

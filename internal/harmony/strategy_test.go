@@ -76,6 +76,19 @@ func (f *fakeCluster) RunIteration() (float64, []float64) {
 	return line0 + line1 + n0 + n1, []float64{line0 + n0, line1 + n1}
 }
 
+// seqStep is the sequential reference formulation of one tuning
+// iteration: ask each session for its next proposal and stage it on the
+// fake cluster, run the fake iteration on it, and report the measurement
+// (CommitStep re-stages the same pending proposals). The speculative
+// tests compare Lookahead/CommitStep batches against it.
+func seqStep(st *Strategy) float64 {
+	st.maybeSwitch()
+	st.scatter(func(sess *Session) param.Config { return sess.NextConfig() }, true)
+	wips, lines := st.target.(*fakeCluster).RunIteration()
+	st.CommitStep(wips, lines)
+	return wips
+}
+
 func (f *fakeCluster) defaultPerf() float64 {
 	return f.nodePerf(0) + f.nodePerf(1) + f.nodePerf(2) + f.nodePerf(3)
 }
@@ -101,7 +114,7 @@ func TestAllStrategiesImprove(t *testing.T) {
 		base := fc.defaultPerf()
 		st := NewStrategy(kind, fc, 2, Options{Seed: 7})
 		for i := 0; i < 120; i++ {
-			st.Step()
+			seqStep(st)
 		}
 		best, bestIt := st.Best()
 		if best <= base {
@@ -126,7 +139,7 @@ func TestDefaultStrategyTunesAllNodesIndependently(t *testing.T) {
 	if dim := st.Sessions()[0].Space().Len(); dim != 6 {
 		t.Fatalf("default strategy dimension = %d, want 6", dim)
 	}
-	st.Step()
+	seqStep(st)
 	// Node configs may differ across nodes of the same tier.
 	if len(fc.configs[0]) != 2 || len(fc.configs[2]) != 1 {
 		t.Fatal("config scatter wrong")
@@ -140,7 +153,7 @@ func TestDuplicationStrategySharesTierConfigs(t *testing.T) {
 		t.Fatalf("duplication has %d sessions, want 2 (one per tier)", len(st.Sessions()))
 	}
 	for i := 0; i < 10; i++ {
-		st.Step()
+		seqStep(st)
 		if !fc.configs[0].Equal(fc.configs[1]) {
 			t.Fatal("front tier nodes diverged under duplication")
 		}
@@ -163,7 +176,7 @@ func TestPartitioningStrategyUsesLineFeedback(t *testing.T) {
 		}
 	}
 	for i := 0; i < 60; i++ {
-		st.Step()
+		seqStep(st)
 	}
 	// Nodes of the same tier may legitimately differ across lines.
 	// Each line session must have 60 iterations of its own feedback.
@@ -183,7 +196,7 @@ func TestDuplicationConvergesFasterThanDefault(t *testing.T) {
 		fc := newFakeCluster(0)
 		st := NewStrategy(kind, fc, 2, Options{Seed: 11})
 		for i := 0; i < 200; i++ {
-			st.Step()
+			seqStep(st)
 		}
 		return st.ConvergenceIteration(), st.ExplorationIterations()
 	}
@@ -205,14 +218,14 @@ func TestHybridSwitchesPhases(t *testing.T) {
 		t.Fatal("hybrid should start in duplication")
 	}
 	for i := 0; i < 41; i++ {
-		st.Step()
+		seqStep(st)
 	}
 	// After the switch, sessions are per-line with concatenated spaces.
 	if got := st.Sessions()[0].Space().Len(); got != 3 {
 		t.Fatalf("hybrid did not switch to partitioning (dim=%d)", got)
 	}
 	for i := 0; i < 40; i++ {
-		st.Step()
+		seqStep(st)
 	}
 	if st.Iterations() != 81 {
 		t.Fatal("iterations lost across phase switch")
@@ -235,7 +248,7 @@ func TestConvergenceIterationBounds(t *testing.T) {
 		t.Fatal("no-history convergence should be 0")
 	}
 	for i := 0; i < 50; i++ {
-		st.Step()
+		seqStep(st)
 	}
 	ci := st.ConvergenceIteration()
 	if ci < 1 || ci > 50 {

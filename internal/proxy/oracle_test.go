@@ -163,44 +163,3 @@ func TestCacheMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCacheMatchesOracleAcrossReconfigure extends the differential test
-// across a Reconfigure boundary.
-func TestCacheMatchesOracleAcrossReconfigure(t *testing.T) {
-	src := rng.New(77)
-	cfg := DecodeConfig(Space().DefaultConfig())
-	diskCap := int64(1 << 20)
-	c := New(cfg, diskCap)
-	o := newOracle(cfg, diskCap)
-	touch := func(n int) {
-		for step := 0; step < n; step++ {
-			id := uint64(src.Intn(120))
-			size := int64(1<<10) + int64(id%31)*2048
-			obj := webobj.Object{ID: id, Kind: webobj.KindStatic, Size: size}
-			got, _ := c.Lookup(obj)
-			want := o.lookup(obj)
-			if got != want {
-				t.Fatalf("step %d id %d: %v vs oracle %v", step, id, got, want)
-			}
-			if got == Miss {
-				c.Admit(obj)
-				o.admit(obj)
-			}
-		}
-	}
-	touch(600)
-	// Reconfigure: cache keeps disk entries, demotes memory. Mirror in
-	// the oracle.
-	cfg2 := cfg
-	cfg2.CacheMemMB = 16
-	cfg2.ObjectsPerBucket = 80
-	c.Reconfigure(cfg2)
-	for i := range o.entries {
-		o.entries[i].inMem = false
-	}
-	o.cfg = cfg2
-	touch(600)
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -384,52 +384,6 @@ func (c *Cache) DiskBytes() int64 { return c.dskBytes }
 // Stats returns a snapshot of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the activity counters, keeping cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Reconfigure applies a new configuration the way a Squid restart does:
-// the disk store survives (objects stay cached, in recency order), the
-// memory level is lost, the store directory is rebuilt for the new bucket
-// geometry, and the new watermarks are enforced. Activity counters reset.
-func (c *Cache) Reconfigure(cfg Config) {
-	// Collect surviving entries from least to most recently used so that
-	// re-insertion preserves recency.
-	var survivors []*entry
-	for e := c.diskList.tail; e != nil; e = e.diskPrev {
-		survivors = append(survivors, e)
-	}
-	c.cfg = cfg
-	c.buckets = make([]*entry, cfg.bucketCount())
-	c.memList = newMemList()
-	c.diskList = newDiskList()
-	c.memBytes, c.dskBytes, c.count = 0, 0, 0
-	c.stats = Stats{}
-	for _, e := range survivors {
-		e.inMem = false
-		e.bucketNext = nil
-		e.memPrev, e.memNext = nil, nil
-		e.diskPrev, e.diskNext = nil, nil
-		b := c.bucketOf(e.id)
-		e.bucketNext = c.buckets[b]
-		c.buckets[b] = e
-		c.diskList.pushFront(e)
-		c.dskBytes += e.size
-		c.count++
-	}
-	c.enforceDisk()
-	c.stats = Stats{} // eviction counts from reconfiguration don't count
-}
-
-// Clear empties the cache (a server restart).
-func (c *Cache) Clear() {
-	for i := range c.buckets {
-		c.buckets[i] = nil
-	}
-	c.memList = newMemList()
-	c.diskList = newDiskList()
-	c.memBytes, c.dskBytes, c.count = 0, 0, 0
-}
-
 // CheckInvariants verifies internal consistency; used by property tests.
 func (c *Cache) CheckInvariants() error {
 	var memBytes, diskBytes int64

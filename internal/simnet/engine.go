@@ -239,12 +239,6 @@ func (e *Engine) deferred(frame string) attr {
 	return a
 }
 
-// At arranges for fn to run at absolute simulated time t; if t is in the
-// past it runs at the current time.
-func (e *Engine) At(t float64, fn func()) Timer {
-	return e.Schedule(t-e.now, fn)
-}
-
 // Step executes the next pending event and returns true, or returns false
 // if no events remain.
 func (e *Engine) Step() bool {

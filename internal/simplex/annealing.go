@@ -193,7 +193,4 @@ func (sa *SimulatedAnnealing) Converged() bool { return sa.temp <= sa.minTemp }
 // Evaluations returns the number of completed Ask/Tell cycles.
 func (sa *SimulatedAnnealing) Evaluations() int { return sa.evals }
 
-// Temperature returns the current annealing temperature (diagnostic).
-func (sa *SimulatedAnnealing) Temperature() float64 { return sa.temp }
-
 var _ Tuner = (*SimulatedAnnealing)(nil)

@@ -56,13 +56,13 @@ func TestAnnealingProposalsFeasible(t *testing.T) {
 func TestAnnealingCoolsAndConverges(t *testing.T) {
 	sp := space2D()
 	sa := NewSimulatedAnnealing(sp, AnnealingOptions{Seed: 3})
-	t0 := sa.Temperature()
+	t0 := sa.temp
 	drive(sa, bowl(50, 50), 250)
-	if sa.Temperature() >= t0 {
+	if sa.temp >= t0 {
 		t.Fatal("temperature did not cool")
 	}
 	if !sa.Converged() {
-		t.Fatalf("not converged after 250 evals (T=%v)", sa.Temperature())
+		t.Fatalf("not converged after 250 evals (T=%v)", sa.temp)
 	}
 	if sa.Evaluations() != 250 {
 		t.Fatal("evaluation count wrong")

@@ -179,9 +179,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.data[lo]*(1-frac) + s.data[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
 // MeanOf returns the arithmetic mean of vs, or 0 when empty.
 func MeanOf(vs []float64) float64 {
 	if len(vs) == 0 {

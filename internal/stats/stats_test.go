@@ -104,8 +104,8 @@ func TestSamplePercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		s.Add(float64(i))
 	}
-	if got := s.Median(); !almostEqual(got, 50.5, 1e-9) {
-		t.Fatalf("Median = %v, want 50.5", got)
+	if got := s.Percentile(50); !almostEqual(got, 50.5, 1e-9) {
+		t.Fatalf("P50 = %v, want 50.5", got)
 	}
 	if got := s.Percentile(0); got != 1 {
 		t.Fatalf("P0 = %v, want 1", got)
@@ -129,10 +129,10 @@ func TestSamplePercentileAfterInterleavedAdds(t *testing.T) {
 	var s Sample
 	s.Add(5)
 	s.Add(1)
-	_ = s.Median() // forces sort
-	s.Add(3)       // invalidates sort
-	if got := s.Median(); got != 3 {
-		t.Fatalf("Median after re-add = %v, want 3", got)
+	_ = s.Percentile(50) // forces sort
+	s.Add(3)             // invalidates sort
+	if got := s.Percentile(50); got != 3 {
+		t.Fatalf("P50 after re-add = %v, want 3", got)
 	}
 }
 

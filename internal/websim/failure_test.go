@@ -15,7 +15,7 @@ func TestServiceSurvivesProxyFailure(t *testing.T) {
 	sys.Eng.RunUntil(30)
 	d.ResetCounters()
 	sys.FailNode(0) // one of two proxies
-	if !sys.NodeFailed(0) {
+	if !sys.failed[0] {
 		t.Fatal("node not marked failed")
 	}
 	sys.Eng.RunUntil(sys.Eng.Now() + 60)
@@ -61,7 +61,7 @@ func TestRecoveryRestoresService(t *testing.T) {
 	sys.FailNode(2)
 	sys.Eng.RunUntil(20)
 	sys.RecoverNode(2)
-	if sys.NodeFailed(2) {
+	if sys.failed[2] {
 		t.Fatal("node still marked failed")
 	}
 	d.ResetCounters()
@@ -104,7 +104,7 @@ func TestFailRecoverIdempotent(t *testing.T) {
 	sys.FailNode(0) // no-op
 	sys.RecoverNode(0)
 	sys.RecoverNode(0) // no-op
-	if sys.NodeFailed(0) {
+	if sys.failed[0] {
 		t.Fatal("state wrong after idempotent ops")
 	}
 }

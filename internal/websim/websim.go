@@ -309,9 +309,6 @@ func (s *System) RecoverNode(nodeID int) {
 	s.startServer(n)
 }
 
-// NodeFailed reports whether the node is currently down.
-func (s *System) NodeFailed(nodeID int) bool { return s.failed[nodeID] }
-
 // lineFor returns the work line serving the given browser.
 func (s *System) lineFor(eb int) int {
 	if s.opts.WorkLines <= 0 {
