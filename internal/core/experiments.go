@@ -330,15 +330,13 @@ func GenerousConfigs() map[cluster.Tier]param.Config {
 }
 
 // RunFigure7 runs a reconfiguration experiment. Tier configurations are
-// held fixed at tierCfgs (nil = GenerousConfigs, approximating an already
-// parameter-tuned system) so the measured jump is attributable to the
-// topology change, as in the paper's figures.
-func RunFigure7(cfg LabConfig, fo Figure7Options, tierCfgs map[cluster.Tier]param.Config) *Figure7Result {
+// held fixed at GenerousConfigs, approximating an already parameter-tuned
+// system, so the measured jump is attributable to the topology change, as
+// in the paper's figures.
+func RunFigure7(cfg LabConfig, fo Figure7Options) *Figure7Result {
 	cfg.ProxyNodes, cfg.AppNodes, cfg.DBNodes = fo.ProxyNodes, fo.AppNodes, fo.DBNodes
 	lab := NewLab(cfg, fo.Start)
-	if tierCfgs == nil {
-		tierCfgs = GenerousConfigs()
-	}
+	tierCfgs := GenerousConfigs()
 	for t, c := range tierCfgs {
 		lab.Sys.SetTierConfig(t, c)
 	}
@@ -392,9 +390,8 @@ func RunFigure7(cfg LabConfig, fo Figure7Options, tierCfgs map[cluster.Tier]para
 // RunFigure7Variants runs several reconfiguration experiments, fanned out
 // over cfg.Workers; element i of the result corresponds to fos[i]. Each
 // variant builds its own lab, so the results are identical to calling
-// RunFigure7 once per variant sequentially. A nil tierCfgs gives every
-// variant its own GenerousConfigs.
-func RunFigure7Variants(cfg LabConfig, tierCfgs map[cluster.Tier]param.Config, fos ...Figure7Options) []*Figure7Result {
+// RunFigure7 once per variant sequentially.
+func RunFigure7Variants(cfg LabConfig, fos ...Figure7Options) []*Figure7Result {
 	out := make([]*Figure7Result, len(fos))
 	ForEach(cfg.Workers, len(fos), func(i int) {
 		ccfg := cfg
@@ -403,7 +400,7 @@ func RunFigure7Variants(cfg LabConfig, tierCfgs map[cluster.Tier]param.Config, f
 			// caller's unit name unchanged.
 			ccfg = telemetrySub(cfg, fmt.Sprintf("v%d", i))
 		}
-		out[i] = RunFigure7(ccfg, fos[i], tierCfgs)
+		out[i] = RunFigure7(ccfg, fos[i])
 	})
 	return out
 }

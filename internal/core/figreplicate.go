@@ -90,7 +90,7 @@ func RunFigure7Replicated(cfg LabConfig, fo Figure7Options, R int) *Figure7Repli
 		panic("core: RunFigure7Replicated needs R >= 1")
 	}
 	runs := Replicate(cfg, R, func(rcfg LabConfig, r int) *Figure7Result {
-		return RunFigure7(rcfg, fo, nil)
+		return RunFigure7(rcfg, fo)
 	})
 
 	res := &Figure7Replicated{Replicates: R, Options: fo}

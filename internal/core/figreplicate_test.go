@@ -114,7 +114,7 @@ func TestRunFigure7ReplicatedDeterminism(t *testing.T) {
 	for r := range directs {
 		rcfg := cfg
 		rcfg.Seed = ReplicateSeed(cfg.Seed, r)
-		directs[r] = RunFigure7(rcfg, fo, nil)
+		directs[r] = RunFigure7(rcfg, fo)
 	}
 	check := RunFigure7Replicated(cfg, fo, 2)
 	for r, direct := range directs {

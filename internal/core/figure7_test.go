@@ -13,7 +13,7 @@ func quickFig7Lab() LabConfig {
 
 func TestFigure7aMovesProxyToApp(t *testing.T) {
 	fo := Figure7a()
-	res := RunFigure7(quickFig7Lab(), fo, nil)
+	res := RunFigure7(quickFig7Lab(), fo)
 	t.Logf("layouts: %v", res.Layouts)
 	t.Logf("decision: %v (moved=%v at iter %d)", res.Decision, res.Moved, res.MovedAt)
 	t.Logf("before=%.1f after=%.1f improvement=%.0f%%", res.Before, res.After, 100*res.Improvement)
@@ -30,7 +30,7 @@ func TestFigure7aMovesProxyToApp(t *testing.T) {
 
 func TestFigure7bMovesAppToProxy(t *testing.T) {
 	fo := Figure7b()
-	res := RunFigure7(quickFig7Lab(), fo, nil)
+	res := RunFigure7(quickFig7Lab(), fo)
 	t.Logf("layouts: %v", res.Layouts)
 	t.Logf("decision: %v (moved=%v)", res.Decision, res.Moved)
 	t.Logf("before=%.1f after=%.1f improvement=%.0f%%", res.Before, res.After, 100*res.Improvement)
@@ -79,7 +79,7 @@ func TestFigure7TimelineRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reconfiguration run")
 	}
-	res := RunFigure7(quickFig7Lab(), Figure7a(), nil)
+	res := RunFigure7(quickFig7Lab(), Figure7a())
 	if res.Timeline == nil || len(res.Timeline.Points()) == 0 {
 		t.Fatal("no utilization timeline recorded")
 	}

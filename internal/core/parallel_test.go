@@ -114,12 +114,12 @@ func TestRunFigure7VariantsMatchSequential(t *testing.T) {
 	fos := []Figure7Options{Figure7a(), Figure7b()}
 
 	cfg.Workers = 4
-	par := RunFigure7Variants(cfg, nil, fos...)
+	par := RunFigure7Variants(cfg, fos...)
 	if len(par) != len(fos) {
 		t.Fatalf("got %d results, want %d", len(par), len(fos))
 	}
 	for i, fo := range fos {
-		seq := RunFigure7(cfg, fo, nil)
+		seq := RunFigure7(cfg, fo)
 		if got, want := exportJSON(t, par[i]), exportJSON(t, seq); !bytes.Equal(got, want) {
 			t.Errorf("variant %d differs between parallel and sequential runs", i)
 		}

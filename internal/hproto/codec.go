@@ -2,33 +2,32 @@ package hproto
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
-	"unicode"
 	"unicode/utf8"
 
 	"webharmony/internal/param"
 )
 
-// The wire codec. Request and Response are encoded by typed appenders and
-// decoded by a single-pass parser, without reflection. The contract is
-// equivalence with encoding/json, which stays the test oracle:
+// The wire codec. Request and Response are encoded by typed appenders,
+// without reflection, and decoded by a scanner that reads only the
+// canonical form those appenders write; every other line goes whole to
+// encoding/json, which is also the test oracle:
 //
 //   - AppendRequest(dst, &r) appends exactly json.Marshal(r) plus '\n',
 //     and fails exactly when json.Marshal does; likewise AppendResponse.
-//   - DecodeRequest(line) fails exactly when json.Unmarshal(line, &r) does,
-//     and on success returns a value reflect.DeepEqual to json.Unmarshal's,
-//     quirks included: case-insensitive keys, duplicate keys merging into
-//     the struct, the map and the existing slice elements, null leaving
-//     scalars alone, and the 10000-deep nesting limit.
+//   - decodeRequest(line, strs) fails exactly when json.Unmarshal(line, &r)
+//     does, with the same error text, and on success returns a value
+//     reflect.DeepEqual to json.Unmarshal's.
 //
-// A rare token — a string with escapes or invalid UTF-8, or a snapshot's
-// raw JSON — is handed to encoding/json for that one token, which is exact
-// by construction. FuzzDecodeMessage checks the contract differentially.
+// The scanner accepts no input that needs encoding/json's quirks (folded
+// keys, duplicate keys, null, escapes, deep nesting), so on the lines it
+// accepts the two agree by construction, and on every other line the
+// answer is encoding/json's own. FuzzDecodeMessage checks the contract
+// differentially.
 
 // AppendRequest appends r's wire line, json.Marshal(r) followed by a
 // newline, to dst. On error dst is returned unchanged.
@@ -254,770 +253,372 @@ func appendRaw(dst []byte, raw json.RawMessage) ([]byte, error) {
 	return append(dst, b...), nil
 }
 
-// DecodeRequest parses one request message (a JSON line; a trailing
-// newline is tolerated). It is total: any input yields either a Request
-// or an error, never a panic — the server feeds it bytes straight off the
-// network, and FuzzDecodeMessage pins that property. The result shares no
-// memory with line.
-func DecodeRequest(line []byte) (Request, error) { return decodeRequest(line, nil) }
-
-// DecodeResponse parses one response message, with the same guarantees
-// as DecodeRequest.
-func DecodeResponse(line []byte) (Response, error) { return decodeResponse(line, nil) }
-
+// decodeRequest parses one request line (a trailing newline is
+// tolerated). It is total: any input yields either a Request or an error,
+// never a panic; the server feeds it bytes straight off the network, and
+// FuzzDecodeMessage pins that property. The result shares no memory with
+// line. strs, if non-nil, interns the short strings decoded.
 func decodeRequest(line []byte, strs *interner) (Request, error) {
-	var req Request
-	d := decoder{data: line, strs: strs}
-	err := d.top(func(key []byte) error {
-		switch canonicalKey(key, requestKeys) {
-		case "op":
-			return d.string((*string)(&req.Op))
-		case "session":
-			return d.string(&req.Session)
-		case "params":
-			return d.defs(&req.Params)
-		case "algorithm":
-			return d.string(&req.Algorithm)
-		case "seed":
-			return d.uint64(&req.Seed)
-		case "guard_factor":
-			return d.float64(&req.GuardFactor)
-		case "shift_factor":
-			return d.float64(&req.ShiftFactor)
-		case "perf":
-			return d.float64(&req.Perf)
-		case "snapshot":
-			return d.raw((*[]byte)(&req.Snapshot), 1)
-		}
-		return d.skip(1)
-	})
-	if err != nil {
+	if err := checkSize(line); err != nil {
 		return Request{}, err
 	}
-	return req, nil
+	if req, ok := scanRequest(line, strs); ok {
+		return req, nil
+	}
+	return unmarshal[Request](line)
 }
 
+// decodeResponse parses one response line, with the same guarantees as
+// decodeRequest.
 func decodeResponse(line []byte, strs *interner) (Response, error) {
-	var resp Response
-	d := decoder{data: line, strs: strs}
-	err := d.top(func(key []byte) error {
-		switch canonicalKey(key, responseKeys) {
-		case "ok":
-			return d.bool(&resp.OK)
-		case "error":
-			return d.string(&resp.Error)
-		case "config":
-			return d.config(&resp.Config)
-		case "values":
-			return d.values(&resp.Values, len(resp.Config))
-		case "perf":
-			return d.float64(&resp.Perf)
-		case "have_perf":
-			return d.bool(&resp.HavePerf)
-		case "iterations":
-			return d.int(&resp.Iterations)
-		case "sessions":
-			return d.strings(&resp.Sessions)
-		case "snapshot":
-			return d.raw((*[]byte)(&resp.Snapshot), 1)
-		}
-		return d.skip(1)
-	})
-	if err != nil {
+	if err := checkSize(line); err != nil {
 		return Response{}, err
 	}
-	return resp, nil
+	if resp, ok := scanResponse(line, strs); ok {
+		return resp, nil
+	}
+	return unmarshal[Response](line)
 }
 
-// The JSON keys of Request, Response and param.Def.
+// checkSize bounds a line before either path decodes it.
+func checkSize(line []byte) error {
+	if len(line) > MaxMessageSize {
+		return fmt.Errorf("hproto: message of %d bytes exceeds limit %d", len(line), MaxMessageSize)
+	}
+	return nil
+}
+
+// unmarshal decodes a line the scanner does not accept. It decodes into
+// its own variable: handing the scanner's result to json.Unmarshal would
+// move that to the heap on every line.
+func unmarshal[T any](line []byte) (T, error) {
+	var v T
+	if err := json.Unmarshal(line, &v); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// The JSON keys the scanner accepts for Request, Response and param.Def.
+// Snapshot is not among them: a line that carries one goes to
+// encoding/json.
 var (
-	requestKeys  = []string{"op", "session", "params", "algorithm", "seed", "guard_factor", "shift_factor", "perf", "snapshot"}
-	responseKeys = []string{"ok", "error", "config", "values", "perf", "have_perf", "iterations", "sessions", "snapshot"}
+	requestKeys  = []string{"op", "session", "params", "algorithm", "seed", "guard_factor", "shift_factor", "perf"}
+	responseKeys = []string{"ok", "error", "config", "values", "perf", "have_perf", "iterations", "sessions"}
 	defKeys      = []string{"name", "min", "max", "default", "step", "unit"}
 )
 
-// canonicalKey returns the field key that an object member's unquoted key
-// selects, or "" for an unknown member. Like encoding/json it prefers an
-// exact match and falls back to a case-insensitive one under Unicode
-// simple folding, so "OP", "ſession" (long s) and "oK" (Kelvin sign)
-// select "op", "session" and "ok". Every key in keys is lower-case ASCII.
-func canonicalKey(key []byte, keys []string) string {
-	for _, k := range keys {
-		if string(key) == k {
-			return k
+// scanRequest decodes a request line in canonical form; ok is false for
+// any other line.
+func scanRequest(line []byte, strs *interner) (req Request, ok bool) {
+	s := scanner{data: line, strs: strs}
+	var seen uint
+	ok = s.object(func(key []byte) bool {
+		switch field(key, requestKeys, &seen) {
+		case "op":
+			return s.string((*string)(&req.Op))
+		case "session":
+			return s.string(&req.Session)
+		case "params":
+			return s.defs(&req.Params)
+		case "algorithm":
+			return s.string(&req.Algorithm)
+		case "seed":
+			return s.uint64(&req.Seed)
+		case "guard_factor":
+			return s.float64(&req.GuardFactor)
+		case "shift_factor":
+			return s.float64(&req.ShiftFactor)
+		case "perf":
+			return s.float64(&req.Perf)
 		}
+		return false
+	}) && s.end()
+	return req, ok
+}
+
+// scanResponse decodes a response line in canonical form; ok is false
+// for any other line.
+func scanResponse(line []byte, strs *interner) (resp Response, ok bool) {
+	s := scanner{data: line, strs: strs}
+	var seen uint
+	ok = s.object(func(key []byte) bool {
+		switch field(key, responseKeys, &seen) {
+		case "ok":
+			return s.bool(&resp.OK)
+		case "error":
+			return s.string(&resp.Error)
+		case "config":
+			return s.config(&resp.Config)
+		case "values":
+			return s.values(&resp.Values, len(resp.Config))
+		case "perf":
+			return s.float64(&resp.Perf)
+		case "have_perf":
+			return s.bool(&resp.HavePerf)
+		case "iterations":
+			v, ok := s.int(strconv.IntSize)
+			resp.Iterations = int(v)
+			return ok
+		case "sessions":
+			return s.array(func() bool {
+				resp.Sessions = append(resp.Sessions, "")
+				return s.string(&resp.Sessions[len(resp.Sessions)-1])
+			})
+		}
+		return false
+	}) && s.end()
+	return resp, ok
+}
+
+// scanner reads the canonical form of a line, the form the appenders
+// write: one object, then at most a newline; no whitespace and no null;
+// known keys spelled exactly, each at most once; strings of printable
+// ASCII other than '"' and '\\'; integers that fit their field; floats
+// in JSON's grammar that strconv.ParseFloat accepts; no empty object or
+// array. On such a line it decodes what json.Unmarshal decodes. Each
+// method reports false at the first byte outside that form, and the line
+// then goes whole to encoding/json.
+type scanner struct {
+	data []byte
+	pos  int
+	strs *interner // nil: every decoded string is a fresh copy
+}
+
+// consume moves past c if it is the next byte.
+func (s *scanner) consume(c byte) bool {
+	if s.pos < len(s.data) && s.data[s.pos] == c {
+		s.pos++
+		return true
 	}
-	var buf [32]byte
-	folded := foldName(buf[:0], key)
-	for _, k := range keys {
-		if len(folded) == len(k) && upperASCIIEqual(folded, k) {
+	return false
+}
+
+// end accepts a newline, then the end of the line.
+func (s *scanner) end() bool {
+	s.consume('\n')
+	return s.pos == len(s.data)
+}
+
+// field returns the key of keys that key spells, or "" for an unknown or
+// repeated one; seen holds a bit per key already met.
+func field(key []byte, keys []string, seen *uint) string {
+	for i, k := range keys {
+		if string(key) == k {
+			if *seen&(1<<i) != 0 {
+				return ""
+			}
+			*seen |= 1 << i
 			return k
 		}
 	}
 	return ""
 }
 
-// foldName is encoding/json's key folding: ASCII letters upper-cased, any
-// other rune mapped to the smallest rune of its simple-fold orbit.
-func foldName(out, in []byte) []byte {
-	for i := 0; i < len(in); {
-		if c := in[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			out = append(out, c)
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(in[i:])
-		for {
-			r2 := unicode.SimpleFold(r)
-			if r2 <= r {
-				r = r2
-				break
-			}
-			r = r2
-		}
-		out = utf8.AppendRune(out, r)
-		i += n
+// object scans a non-empty object, calling member with each key; member
+// scans the value.
+func (s *scanner) object(member func(key []byte) bool) bool {
+	if !s.consume('{') {
+		return false
 	}
-	return out
-}
-
-// upperASCIIEqual reports whether folded equals k with k's letters
-// upper-cased; the two have equal length.
-func upperASCIIEqual(folded []byte, k string) bool {
-	for i := 0; i < len(k); i++ {
-		c := k[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
+	for {
+		key, ok := s.str()
+		if !ok || !s.consume(':') || !member(key) {
+			return false
 		}
-		if folded[i] != c {
+		if s.consume('}') {
+			return true
+		}
+		if !s.consume(',') {
 			return false
 		}
 	}
-	return true
 }
 
-// maxDepth is encoding/json's nesting limit: the top-level object is at
-// depth 1, and opening a container past depth 10000 is an error.
-const maxDepth = 10000
-
-// decoder is the single-pass parser behind DecodeRequest and
-// DecodeResponse. It validates as it decodes, so the first syntax or type
-// error ends the parse; json.Unmarshal fails on the same inputs, and the
-// error's text is the only difference.
-type decoder struct {
-	data []byte
-	pos  int
-	strs *interner // nil: every decoded string is a fresh copy
-}
-
-// top decodes the message: one object, whose members go to field, or a
-// bare null, which leaves the zero value; then nothing but whitespace.
-func (d *decoder) top(field func(key []byte) error) error {
-	if len(d.data) > MaxMessageSize {
-		return fmt.Errorf("hproto: message of %d bytes exceeds limit %d", len(d.data), MaxMessageSize)
-	}
-	var err error
-	switch d.peek() {
-	case '{':
-		err = d.object(field)
-	case 'n':
-		err = d.literal("null")
-	default:
-		err = d.errValue()
-	}
-	if err != nil {
-		return err
-	}
-	if d.ws(); d.pos < len(d.data) {
-		return d.errAt("invalid character %q after top-level value")
-	}
-	return nil
-}
-
-func (d *decoder) ws() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
-
-// peek skips whitespace and returns the next byte, 0 at the end.
-func (d *decoder) peek() byte {
-	d.ws()
-	if d.pos < len(d.data) {
-		return d.data[d.pos]
-	}
-	return 0
-}
-
-var errEOF = errors.New("hproto: unexpected end of JSON input")
-
-// errAt reports the byte at d.pos; format holds one %q for it.
-func (d *decoder) errAt(format string) error {
-	if d.pos >= len(d.data) {
-		return errEOF
-	}
-	return fmt.Errorf("hproto: "+format+" at offset %d", d.data[d.pos], d.pos)
-}
-
-// errValue reports a value that is malformed or of the wrong type for
-// its field; either way json.Unmarshal fails too.
-func (d *decoder) errValue() error { return d.errAt("unexpected value starting with %q") }
-
-// object parses an object at d.pos, calling field with each member's
-// unquoted key, positioned at the member's value, which field consumes.
-func (d *decoder) object(field func(key []byte) error) error {
-	d.pos++ // '{'
-	if d.peek() == '}' {
-		d.pos++
-		return nil
+// array scans a non-empty array, calling elem to scan each element.
+func (s *scanner) array(elem func() bool) bool {
+	if !s.consume('[') {
+		return false
 	}
 	for {
-		if d.peek() != '"' {
-			return d.errAt("invalid character %q looking for an object key")
+		if !elem() {
+			return false
 		}
-		key, err := d.key()
-		if err != nil {
-			return err
+		if s.consume(']') {
+			return true
 		}
-		if d.peek() != ':' {
-			return d.errAt("invalid character %q after object key")
-		}
-		d.pos++
-		if err := field(key); err != nil {
-			return err
-		}
-		switch d.peek() {
-		case ',':
-			d.pos++
-		case '}':
-			d.pos++
-			return nil
-		default:
-			return d.errAt("invalid character %q after object member")
+		if !s.consume(',') {
+			return false
 		}
 	}
 }
 
-// array parses an array at d.pos, calling elem with each element's index,
-// positioned at the element, which elem consumes. It returns the count.
-func (d *decoder) array(elem func(i int) error) (int, error) {
-	d.pos++ // '['
-	if d.peek() == ']' {
-		d.pos++
-		return 0, nil
-	}
-	for i := 0; ; i++ {
-		if err := elem(i); err != nil {
-			return 0, err
-		}
-		switch d.peek() {
-		case ',':
-			d.pos++
-		case ']':
-			d.pos++
-			return i + 1, nil
-		default:
-			return 0, d.errAt("invalid character %q after array element")
-		}
-	}
-}
-
-// plainByte marks the bytes a string can hold as is: printable ASCII
-// other than '"' and '\\'.
+// plainByte marks the bytes a string in canonical form can hold:
+// printable ASCII other than '"' and '\\'.
 var plainByte = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
+	for c := 0x20; c < 0x7f; c++ {
 		t[c] = c != '"' && c != '\\'
 	}
 	return t
 }()
 
-// scanString validates the string at d.pos and moves past it. It returns
-// the bytes between the quotes and whether they are the string's value as
-// is: no escapes, and valid UTF-8 (encoding/json replaces invalid bytes).
-func (d *decoder) scanString() (content []byte, plain bool, err error) {
-	start := d.pos + 1
-	ascii, escaped := true, false
-	for p := start; p < len(d.data); p++ {
-		for p < len(d.data) && plainByte[d.data[p]] {
-			p++
-		}
-		if p == len(d.data) {
-			break
-		}
-		switch c := d.data[p]; {
-		case c == '"':
-			d.pos = p + 1
-			content = d.data[start:p]
-			return content, !escaped && (ascii || utf8.Valid(content)), nil
-		case c == '\\':
-			escaped = true
-			p++
-			if p >= len(d.data) {
-				break
-			}
-			switch d.data[p] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if p+4 >= len(d.data) || !isHex(d.data[p+1]) || !isHex(d.data[p+2]) || !isHex(d.data[p+3]) || !isHex(d.data[p+4]) {
-					d.pos = p
-					return nil, false, errors.New("hproto: invalid \\u escape in string")
-				}
-				p += 4
-			default:
-				d.pos = p
-				return nil, false, d.errAt("invalid character %q in string escape")
-			}
-		case c < 0x20:
-			d.pos = p
-			return nil, false, d.errAt("invalid character %q in string literal")
-		default:
-			ascii = false
-		}
+// str scans a string and returns the bytes between its quotes.
+func (s *scanner) str() ([]byte, bool) {
+	if !s.consume('"') {
+		return nil, false
 	}
-	d.pos = len(d.data)
-	return nil, false, errEOF
+	start := s.pos
+	for s.pos < len(s.data) && plainByte[s.data[s.pos]] {
+		s.pos++
+	}
+	content := s.data[start:s.pos]
+	return content, s.consume('"')
 }
 
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+func (s *scanner) string(dst *string) bool {
+	content, ok := s.str()
+	if ok {
+		*dst = s.strs.str(content)
+	}
+	return ok
 }
 
-// unquote decodes the string token data[start:end] that is not plain.
-func (d *decoder) unquote(start, end int) (string, error) {
-	var s string
-	err := json.Unmarshal(d.data[start:end], &s) // escapes, invalid UTF-8
-	return s, err
-}
-
-// key reads an object key. A plain key is returned in place.
-func (d *decoder) key() ([]byte, error) {
-	start := d.pos
-	content, plain, err := d.scanString()
-	if err != nil || plain {
-		return content, err
-	}
-	s, err := d.unquote(start, d.pos)
-	return []byte(s), err
-}
-
-// literal consumes the literal word (true, false or null) at d.pos.
-func (d *decoder) literal(word string) error {
-	if len(d.data)-d.pos < len(word) || string(d.data[d.pos:d.pos+len(word)]) != word {
-		return d.errAt("invalid character %q in literal")
-	}
-	d.pos += len(word)
-	return nil
-}
-
-// number scans the number at d.pos and returns its token.
-func (d *decoder) number() ([]byte, error) {
-	start, p := d.pos, d.pos
-	digits := func() bool {
-		q := p
-		for p < len(d.data) && '0' <= d.data[p] && d.data[p] <= '9' {
-			p++
-		}
-		return p > q
-	}
-	if p < len(d.data) && d.data[p] == '-' {
-		p++
-	}
-	switch {
-	case p < len(d.data) && d.data[p] == '0':
-		p++
-	case !digits():
-		d.pos = p
-		return nil, d.errAt("invalid character %q in numeric literal")
-	}
-	if p < len(d.data) && d.data[p] == '.' {
-		p++
-		if !digits() {
-			d.pos = p
-			return nil, d.errAt("invalid character %q after decimal point in numeric literal")
+func (s *scanner) bool(dst *bool) bool {
+	for _, w := range [...]string{"false", "true"} {
+		if len(s.data)-s.pos >= len(w) && string(s.data[s.pos:s.pos+len(w)]) == w {
+			s.pos += len(w)
+			*dst = w == "true"
+			return true
 		}
 	}
-	if p < len(d.data) && (d.data[p] == 'e' || d.data[p] == 'E') {
-		p++
-		if p < len(d.data) && (d.data[p] == '+' || d.data[p] == '-') {
-			p++
-		}
-		if !digits() {
-			d.pos = p
-			return nil, d.errAt("invalid character %q in exponent of numeric literal")
-		}
-	}
-	d.pos = p
-	return d.data[start:p], nil
+	return false
 }
 
-// The value decoders below follow encoding/json's rules for their target
-// type. null leaves a string, number or bool alone and sets a slice or map
-// to nil; any other mismatch is an error.
+// digits scans a run of decimal digits.
+func (s *scanner) digits() []byte {
+	start := s.pos
+	for s.pos < len(s.data) && '0' <= s.data[s.pos] && s.data[s.pos] <= '9' {
+		s.pos++
+	}
+	return s.data[start:s.pos]
+}
 
-func (d *decoder) string(dst *string) error {
-	switch d.peek() {
-	case '"':
-		start := d.pos
-		content, plain, err := d.scanString()
-		switch {
-		case err != nil:
-			return err
-		case plain:
-			*dst = d.strs.str(content)
-			return nil
+// natural scans JSON's integer part: 0, or digits without a leading zero.
+func (s *scanner) natural() ([]byte, bool) {
+	tok := s.digits()
+	return tok, len(tok) == 1 || len(tok) > 1 && tok[0] != '0'
+}
+
+// uint64 scans an unsigned integer that fits in 64 bits.
+func (s *scanner) uint64(dst *uint64) bool {
+	tok, ok := s.natural()
+	var v uint64
+	for _, c := range tok {
+		d := uint64(c - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return false
 		}
-		*dst, err = d.unquote(start, d.pos)
-		return err
-	case 'n':
-		return d.literal("null")
+		v = v*10 + d
 	}
-	return d.errValue()
+	*dst = v
+	return ok
 }
 
-func (d *decoder) bool(dst *bool) error {
-	switch d.peek() {
-	case 't':
-		*dst = true
-		return d.literal("true")
-	case 'f':
-		*dst = false
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	}
-	return d.errValue()
-}
-
-// integer reads an integer's magnitude and sign; null reports null. A
-// fraction or an exponent, even in 1e2 or 1.0, is an error, as it is for
-// strconv.ParseInt.
-func (d *decoder) integer() (mag uint64, neg, null bool, err error) {
-	switch c := d.peek(); {
-	case c == 'n':
-		return 0, false, true, d.literal("null")
-	case c == '-':
-		neg = true
-		d.pos++
-	case c < '0' || c > '9':
-		return 0, false, false, d.errValue()
-	}
-	start, p := d.pos, d.pos
-	switch {
-	case p < len(d.data) && d.data[p] == '0': // JSON allows no other leading zero
-		p++
-	case p < len(d.data) && '1' <= d.data[p] && d.data[p] <= '9':
-		for ; p < len(d.data) && '0' <= d.data[p] && d.data[p] <= '9'; p++ {
-			v := uint64(d.data[p] - '0')
-			if mag > (math.MaxUint64-v)/10 {
-				return 0, false, false, fmt.Errorf("hproto: number at offset %d overflows", start)
-			}
-			mag = mag*10 + v
-		}
-	default:
-		d.pos = p
-		return 0, false, false, d.errAt("invalid character %q in numeric literal")
-	}
-	if p < len(d.data) && (d.data[p] == '.' || d.data[p] == 'e' || d.data[p] == 'E') {
-		return 0, false, false, fmt.Errorf("hproto: number at offset %d is not an integer", start)
-	}
-	d.pos = p
-	return mag, neg, false, nil
-}
-
-// signed reads an integer that fits in bits bits; null reports null.
-func (d *decoder) signed(bits uint) (v int64, null bool, err error) {
-	start := d.pos
-	mag, neg, null, err := d.integer()
+// int scans an integer that fits in bits bits. A fraction or an
+// exponent, even in 1e2 or 1.0, is outside the form, and json.Unmarshal
+// rejects it too.
+func (s *scanner) int(bits uint) (int64, bool) {
+	neg := s.consume('-')
+	var mag uint64
 	switch limit := uint64(1) << (bits - 1); {
-	case err != nil || null:
-		return 0, null, err
+	case !s.uint64(&mag):
+		return 0, false
 	case neg && mag <= limit:
-		return -int64(mag), false, nil
+		return -int64(mag), true
 	case !neg && mag < limit:
-		return int64(mag), false, nil
+		return int64(mag), true
 	}
-	return 0, false, fmt.Errorf("hproto: number %s at offset %d overflows int%d", d.data[start:d.pos], start, bits)
+	return 0, false
 }
 
-func (d *decoder) int64(dst *int64) error {
-	v, null, err := d.signed(64)
-	if err == nil && !null {
-		*dst = v
-	}
-	return err
+func (s *scanner) int64(dst *int64) bool {
+	v, ok := s.int(64)
+	*dst = v
+	return ok
 }
 
-func (d *decoder) int(dst *int) error {
-	v, null, err := d.signed(strconv.IntSize)
-	if err == nil && !null {
-		*dst = int(v)
+// float64 scans a number in JSON's grammar that strconv.ParseFloat
+// accepts; out of range (1e400) it does not. ParseFloat also rejects an
+// exponent without digits, but it accepts a fraction without them (1.).
+func (s *scanner) float64(dst *float64) bool {
+	start := s.pos
+	s.consume('-')
+	if _, ok := s.natural(); !ok {
+		return false
 	}
-	return err
-}
-
-func (d *decoder) uint64(dst *uint64) error {
-	start := d.pos
-	mag, neg, null, err := d.integer()
-	switch {
-	case err != nil || null:
-		return err
-	case neg: // strconv.ParseUint takes no sign, not even in -0
-		return fmt.Errorf("hproto: negative number at offset %d for an unsigned field", start)
+	if s.consume('.') && len(s.digits()) == 0 {
+		return false
 	}
-	*dst = mag
-	return nil
-}
-
-func (d *decoder) float64(dst *float64) error {
-	switch c := d.peek(); {
-	case c == 'n':
-		return d.literal("null")
-	case c != '-' && (c < '0' || c > '9'):
-		return d.errValue()
+	if s.consume('e') || s.consume('E') {
+		if !s.consume('+') {
+			s.consume('-')
+		}
+		s.digits()
 	}
-	tok, err := d.number()
-	if err != nil {
-		return err
-	}
-	f, err := strconv.ParseFloat(string(tok), 64) // out of range (1e400) fails
-	if err != nil {
-		return fmt.Errorf("hproto: %w", err)
-	}
+	f, err := strconv.ParseFloat(string(s.data[start:s.pos]), 64)
 	*dst = f
-	return nil
+	return err == nil
 }
 
-// raw copies one JSON value verbatim, as json.RawMessage's UnmarshalJSON
-// does, reusing dst's storage: null is kept as the bytes "null".
-func (d *decoder) raw(dst *[]byte, depth int) error {
-	d.ws()
-	start := d.pos
-	if err := d.skip(depth); err != nil {
-		return err
-	}
-	*dst = append((*dst)[:0], d.data[start:d.pos]...)
-	return nil
-}
-
-// config decodes a param.Config through its UnmarshalJSON semantics: a
-// fresh []int64 every time, nil for null, null elements decode to 0.
-func (d *decoder) config(dst *param.Config) error {
-	switch d.peek() {
-	case 'n':
-		*dst = nil
-		return d.literal("null")
-	case '[':
-	default:
-		return d.errValue()
-	}
+// config scans a param.Config into a fresh slice of its exact length.
+func (s *scanner) config(dst *param.Config) bool {
 	var tmp [32]int64
 	vs := tmp[:0]
-	n, err := d.array(func(int) error {
+	ok := s.array(func() bool {
 		vs = append(vs, 0)
-		return d.int64(&vs[len(vs)-1])
+		return s.int64(&vs[len(vs)-1])
 	})
-	if err != nil {
-		return err
-	}
-	*dst = append(make(param.Config, 0, n), vs...)
-	return nil
+	*dst = append(make(param.Config, 0, len(vs)), vs...)
+	return ok
 }
 
-// values decodes the name → value map, merging into an existing map;
-// hint sizes a new one.
-func (d *decoder) values(dst *map[string]int64, hint int) error {
-	switch d.peek() {
-	case 'n':
-		*dst = nil
-		return d.literal("null")
-	case '{':
-	default:
-		return d.errValue()
-	}
-	if *dst == nil {
-		*dst = make(map[string]int64, hint)
-	}
-	m := *dst
-	return d.object(func(key []byte) error {
+// values scans the name → value map; hint sizes it.
+func (s *scanner) values(dst *map[string]int64, hint int) bool {
+	m := make(map[string]int64, hint)
+	*dst = m
+	return s.object(func(key []byte) bool {
 		var v int64
-		if err := d.int64(&v); err != nil {
-			return err
-		}
-		m[d.strs.str(key)] = v
-		return nil
+		ok := s.int64(&v)
+		m[s.strs.str(key)] = v
+		return ok
 	})
 }
 
-// strings decodes a []string with encoding/json's slice semantics.
-func (d *decoder) strings(dst *[]string) error {
-	return decodeSlice(d, dst, func(s *string) error { return d.string(s) })
-}
-
-// defs decodes the register parameters; each element merges into the
-// existing param.Def at its index.
-func (d *decoder) defs(dst *[]param.Def) error {
-	return decodeSlice(d, dst, func(p *param.Def) error {
-		switch d.peek() {
-		case 'n':
-			return d.literal("null")
-		case '{':
-		default:
-			return d.errValue()
-		}
-		return d.object(func(key []byte) error {
-			switch canonicalKey(key, defKeys) {
+// defs scans the register parameters.
+func (s *scanner) defs(dst *[]param.Def) bool {
+	return s.array(func() bool {
+		*dst = append(*dst, param.Def{})
+		p := &(*dst)[len(*dst)-1]
+		var seen uint
+		return s.object(func(key []byte) bool {
+			switch field(key, defKeys, &seen) {
 			case "name":
-				return d.string(&p.Name)
+				return s.string(&p.Name)
 			case "min":
-				return d.int64(&p.Min)
+				return s.int64(&p.Min)
 			case "max":
-				return d.int64(&p.Max)
+				return s.int64(&p.Max)
 			case "default":
-				return d.int64(&p.Default)
+				return s.int64(&p.Default)
 			case "step":
-				return d.int64(&p.Step)
+				return s.int64(&p.Step)
 			case "unit":
-				return d.string(&p.Unit)
+				return s.string(&p.Unit)
 			}
-			return d.skip(3) // top object, params array, this object
+			return false
 		})
 	})
-}
-
-// decodeSlice decodes a JSON array into *dst the way encoding/json does:
-// element i decodes into the existing element while i < len, into the
-// stale element beyond len while i < cap, and into a new zero element
-// appended past cap; the slice is then cut to the array's length, [] is a
-// new empty slice and null is nil. Duplicate keys can tell these apart.
-func decodeSlice[T any](d *decoder, dst *[]T, elem func(*T) error) error {
-	switch d.peek() {
-	case 'n':
-		*dst = nil
-		return d.literal("null")
-	case '[':
-	default:
-		return d.errValue()
-	}
-	s := *dst
-	n, err := d.array(func(i int) error {
-		if i >= len(s) {
-			if i < cap(s) {
-				s = s[:i+1]
-			} else {
-				var zero T
-				s = append(s, zero) // len == cap == i: grows as reflect.Value.Grow(1)
-			}
-		}
-		return elem(&s[i])
-	})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		s = make([]T, 0)
-	}
-	*dst = s[:n]
-	return nil
-}
-
-// skip validates one value of any kind at d.pos and moves past it; depth
-// is the nesting depth of the container holding it.
-func (d *decoder) skip(depth int) error {
-	var stack []byte // the open containers' closing brackets
-	for {
-		// A value.
-		switch c := d.peek(); c {
-		case '{', '[':
-			if depth+len(stack) >= maxDepth {
-				return errors.New("hproto: exceeded max depth")
-			}
-			d.pos++
-			closer := byte(']')
-			if c == '{' {
-				closer = '}'
-			}
-			if d.peek() == closer {
-				d.pos++
-				break
-			}
-			stack = append(stack, closer)
-			if c == '{' {
-				if err := d.memberKey(); err != nil {
-					return err
-				}
-			}
-			continue
-		case '"':
-			if _, _, err := d.scanString(); err != nil {
-				return err
-			}
-		case 't':
-			if err := d.literal("true"); err != nil {
-				return err
-			}
-		case 'f':
-			if err := d.literal("false"); err != nil {
-				return err
-			}
-		case 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		default:
-			if c != '-' && (c < '0' || c > '9') {
-				return d.errValue()
-			}
-			if _, err := d.number(); err != nil {
-				return err
-			}
-		}
-		// After a value: close containers until one continues.
-		for {
-			if len(stack) == 0 {
-				return nil
-			}
-			closer := stack[len(stack)-1]
-			c := d.peek()
-			if c == closer {
-				d.pos++
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if c != ',' {
-				return d.errAt("invalid character %q after a value in a container")
-			}
-			d.pos++
-			if closer == '}' {
-				if err := d.memberKey(); err != nil {
-					return err
-				}
-			}
-			break
-		}
-	}
-}
-
-// memberKey consumes `"key":` inside a skipped object.
-func (d *decoder) memberKey() error {
-	if d.peek() != '"' {
-		return d.errAt("invalid character %q looking for an object key")
-	}
-	if _, _, err := d.scanString(); err != nil {
-		return err
-	}
-	if d.peek() != ':' {
-		return d.errAt("invalid character %q after object key")
-	}
-	d.pos++
-	return nil
 }
 
 // interner shares the strings a connection decodes over and over —

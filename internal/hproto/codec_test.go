@@ -19,8 +19,8 @@ func TestDecodeCopiesInput(t *testing.T) {
 	respLine := `{"ok":false,"error":"e","config":[1,2],"values":{"threads":1,"kéy":2},"sessions":["a","b"],"snapshot":[1,"x"]}`
 	var strs interner
 	for name, decode := range map[string]func([]byte) (any, error){
-		"request":           func(b []byte) (any, error) { return DecodeRequest(b) },
-		"response":          func(b []byte) (any, error) { return DecodeResponse(b) },
+		"request":           func(b []byte) (any, error) { return decodeRequest(b, nil) },
+		"response":          func(b []byte) (any, error) { return decodeResponse(b, nil) },
 		"interned request":  func(b []byte) (any, error) { return decodeRequest(b, &strs) },
 		"interned response": func(b []byte) (any, error) { return decodeResponse(b, &strs) },
 	} {
@@ -80,6 +80,58 @@ func TestValueNamesMatchMap(t *testing.T) {
 		names = append(names, d.Name)
 	}
 	checkValueNames(t, names)
+}
+
+// TestHarmonydTrafficIsCanonical pins that the harmonyd benchmark
+// workload never reaches the encoding/json fallback: the scanner accepts
+// every line the appenders write for its messages, a Table 3 register,
+// next, report, best and close and their answers, and decodes what
+// json.Unmarshal decodes.
+func TestHarmonydTrafficIsCanonical(t *testing.T) {
+	space := tableSpace(t)
+	names := newValueNames(space)
+	cfg := space.DefaultConfig()
+	const session = "p0-c3-s41"
+	for _, req := range []Request{
+		{Op: OpRegister, Session: session, Params: space.Defs(), Algorithm: "nelder-mead", Seed: math.MaxUint64},
+		{Op: OpNext, Session: session},
+		{Op: OpReport, Session: session, Perf: 912.3456789012345},
+		{Op: OpReport, Session: session, Perf: -1e-7},
+		{Op: OpBest, Session: session},
+		{Op: OpClose, Session: session},
+	} {
+		line, err := AppendRequest(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCanonical(t, line, scanRequest)
+	}
+	for _, tc := range []struct {
+		resp  Response
+		names valueNames
+	}{
+		{Response{OK: true}, nil}, // register, close
+		{Response{OK: true, Config: cfg}, names},
+		{Response{OK: true, Iterations: 57}, nil},
+		{Response{OK: true, Config: cfg, Perf: 987.25, HavePerf: true, Iterations: 200}, names},
+	} {
+		line, err := appendResponse(nil, &tc.resp, tc.names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCanonical(t, line, scanResponse)
+	}
+}
+
+// checkCanonical asserts that scan accepts line and agrees with
+// json.Unmarshal on it.
+func checkCanonical[T any](t *testing.T, line []byte, scan func([]byte, *interner) (T, bool)) {
+	t.Helper()
+	got, ok := scan(line, nil)
+	var want T
+	if err := json.Unmarshal(line, &want); err != nil || !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("scan %s: ok = %v, got %+v; json.Unmarshal: %v, %+v", line, ok, got, err, want)
+	}
 }
 
 // tableSpace is the 23-parameter space of Table 3, every tier's knobs:

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -39,9 +41,10 @@ var fuzzSeeds = []string{
 }
 
 // FuzzDecodeMessage checks the codec against encoding/json, its oracle,
-// on both sides of the protocol. For every input: DecodeRequest and
-// DecodeResponse never panic, fail exactly when json.Unmarshal fails, and
-// on success return values reflect.DeepEqual to json.Unmarshal's; and the
+// on both sides of the protocol. For every input: decodeRequest and
+// decodeResponse never panic, fail exactly when json.Unmarshal fails,
+// with the same error text, and on success return values
+// reflect.DeepEqual to json.Unmarshal's; and the
 // typed appenders write exactly json.Marshal's bytes plus a newline, for
 // every decoded message and for messages built from the raw input (so
 // arbitrary strings, floats, snapshots and values-map key tables are
@@ -51,10 +54,10 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, ok := checkDecode(t, data, DecodeRequest); ok {
+		if req, ok := checkDecode(t, data, decodeRequest); ok {
 			checkEncode(t, &req, AppendRequest)
 		}
-		if resp, ok := checkDecode(t, data, DecodeResponse); ok {
+		if resp, ok := checkDecode(t, data, decodeResponse); ok {
 			checkEncode(t, &resp, AppendResponse)
 		}
 
@@ -77,9 +80,9 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // checkDecode compares decode with json.Unmarshal on data.
-func checkDecode[T any](t *testing.T, data []byte, decode func([]byte) (T, error)) (T, bool) {
+func checkDecode[T any](t *testing.T, data []byte, decode func([]byte, *interner) (T, error)) (T, bool) {
 	t.Helper()
-	got, err := decode(data)
+	got, err := decode(data, nil)
 	if len(data) > MaxMessageSize {
 		if err == nil {
 			t.Fatalf("decoded a message of %d bytes past the limit", len(data))
@@ -88,7 +91,7 @@ func checkDecode[T any](t *testing.T, data []byte, decode func([]byte) (T, error
 	}
 	var want T
 	werr := json.Unmarshal(data, &want)
-	if (err == nil) != (werr == nil) {
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
 		t.Fatalf("decode %q: err = %v, json.Unmarshal err = %v", data, err, werr)
 	}
 	if err != nil {
@@ -157,31 +160,31 @@ func checkValueNames(t *testing.T, names []string) {
 }
 
 func TestDecodeRequest(t *testing.T) {
-	req, err := DecodeRequest([]byte(fuzzSeeds[0] + "\n"))
+	req, err := decodeRequest([]byte(fuzzSeeds[0]+"\n"), nil)
 	if err != nil {
 		t.Fatalf("decode with trailing newline failed: %v", err)
 	}
 	if req.Op != OpRegister || req.Session != "s" || len(req.Params) != 1 || req.Seed != 7 {
 		t.Errorf("decoded request = %+v", req)
 	}
-	if _, err := DecodeRequest([]byte(`{"op":`)); err == nil {
+	if _, err := decodeRequest([]byte(`{"op":`), nil); err == nil {
 		t.Error("truncated JSON decoded without error")
 	}
 	huge := make([]byte, MaxMessageSize+1)
-	if _, err := DecodeRequest(huge); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := decodeRequest(huge, nil); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized message error = %v, want size-limit error", err)
 	}
 }
 
 func TestDecodeResponse(t *testing.T) {
-	resp, err := DecodeResponse([]byte(`{"ok":true,"config":[8,16],"perf":1.5,"have_perf":true}`))
+	resp, err := decodeResponse([]byte(`{"ok":true,"config":[8,16],"perf":1.5,"have_perf":true}`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.OK || !resp.Config.Equal(param.Config{8, 16}) || resp.Perf != 1.5 || !resp.HavePerf {
 		t.Errorf("decoded response = %+v", resp)
 	}
-	if _, err := DecodeResponse([]byte("[")); err == nil {
+	if _, err := decodeResponse([]byte("["), nil); err == nil {
 		t.Error("truncated JSON decoded without error")
 	}
 }
@@ -251,6 +254,59 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	if _, err := c.Do(Request{Op: OpList}); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("Do on an oversized response: err = %v, want size-limit error", err)
 	}
+	<-served
+}
+
+// TestClientStopsAfterLostFraming pins that a Client whose stream lost
+// its framing never pairs a request with a stale answer: after an answer
+// past MaxMessageSize, whose tail stays unread, every later call returns
+// the size-limit error instead of decoding the tail or the answer to an
+// earlier request.
+func TestClientStopsAfterLostFraming(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		for i := 0; ; i++ {
+			if _, err := r.ReadBytes('\n'); err != nil {
+				return
+			}
+			answer := fmt.Sprintf(`{"ok":true,"iterations":%d}`+"\n", i)
+			if i == 0 {
+				answer = `{"ok":true,"sessions":["` + strings.Repeat("a", 2*MaxMessageSize) + `"]}` + "\n"
+			}
+			if _, err := conn.Write([]byte(answer)); err != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	_, first := c.Do(Request{Op: OpList})
+	if first == nil || !strings.Contains(first.Error(), "exceeds limit") {
+		t.Fatalf("Do on an oversized response: err = %v, want size-limit error", first)
+	}
+	for call := 2; call <= 3; call++ {
+		if resp, err := c.Do(Request{Op: OpReport, Session: "s", Perf: 1}); !errors.Is(err, first) {
+			t.Fatalf("call %d: resp = %+v, err = %v; want the first call's error", call, resp, err)
+		}
+	}
+	c.Close()
 	<-served
 }
 

@@ -172,6 +172,40 @@ func TestMalformedLineGetsErrorResponse(t *testing.T) {
 	}
 }
 
+// TestHandTypedRequestAnsweredAsCanonical pins the encoding/json
+// fallback end to end: a request typed by hand, with whitespace, folded
+// keys, an unknown member or an escape, gets the same answer bytes from
+// the server as its canonical form.
+func TestHandTypedRequestAnsweredAsCanonical(t *testing.T) {
+	_, c := newPair(t)
+	if err := c.Register("s", testDefs(), "", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ canonical, handTyped string }{
+		{`{"op":"best","session":"s"}`, ` { "OP" : "best" , "Session":"s" } `},
+		{`{"op":"list"}`, `{"op":"list","unknown":[null,{}]}`},
+		{`{"op":"next","session":"nope"}`, `{"op":"next","session":"n\u006fpe"}`},
+	} {
+		if _, ok := scanRequest([]byte(tc.handTyped), nil); ok {
+			t.Fatalf("the scanner accepts %s; want it to fall back to encoding/json", tc.handTyped)
+		}
+		var answers [2]string
+		for i, line := range []string{tc.canonical, tc.handTyped} {
+			if _, err := c.conn.Write([]byte(line + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			answer, err := c.r.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = answer
+		}
+		if answers[0] != answers[1] {
+			t.Errorf("%s answered %q; its canonical form %s answered %q", tc.handTyped, answers[1], tc.canonical, answers[0])
+		}
+	}
+}
+
 func TestListAndClose(t *testing.T) {
 	_, c := newPair(t)
 	c.Register("b", testDefs(), "", 1)

@@ -394,6 +394,12 @@ type Client struct {
 	mu   sync.Mutex
 	out  []byte   // the request line, reused under mu
 	strs interner // strings decoded over and over, such as values-map keys
+
+	// err is the first read or write error, under mu. After it the
+	// stream may hold part of a request or answer, so the next answer
+	// read could belong to an earlier request: the connection is closed
+	// and every later call returns err.
+	err error
 }
 
 // Dial connects to a tuning server.
@@ -409,20 +415,24 @@ func Dial(addr string) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // Do sends one request and reads one response. Safe for concurrent use.
+// Once a read or write has failed, Do returns that error without sending.
 func (c *Client) Do(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.err != nil {
+		return Response{}, c.err
+	}
 	out, err := AppendRequest(c.out[:0], &req)
 	if err != nil {
 		return Response{}, err
 	}
 	c.out = out
 	if _, err := c.conn.Write(out); err != nil {
-		return Response{}, err
+		return Response{}, c.fail(err)
 	}
 	line, err := readLine(c.r, MaxMessageSize)
 	if err != nil {
-		return Response{}, err
+		return Response{}, c.fail(err)
 	}
 	resp, err := decodeResponse(line, &c.strs)
 	if err != nil {
@@ -432,6 +442,14 @@ func (c *Client) Do(req Request) (Response, error) {
 		resp.Error = "unknown server error"
 	}
 	return resp, nil
+}
+
+// fail records err as the connection's first stream error and closes
+// the connection; c.mu is held.
+func (c *Client) fail(err error) error {
+	c.err = err
+	_ = c.conn.Close() // the stream is unusable; err is what callers see
+	return err
 }
 
 // Register creates a session with the given parameters.

@@ -316,7 +316,7 @@ func TestTokenPoolRejectWhenFull(t *testing.T) {
 	p.Acquire(func() {}, nil) // waits (queue slot 1)
 	rejected := false
 	p.Acquire(func() { t.Fatal("should not grant") }, func() { rejected = true })
-	if !rejected || p.Rejected() != 1 {
+	if !rejected || p.rejected != 1 {
 		t.Fatal("third acquire should be rejected")
 	}
 }

@@ -293,11 +293,11 @@ func (p *refPool) grant() {
 	p.granting = false
 }
 
-func (p *refPool) ResetCounters()   { p.rejected, p.waitPk = 0, 0 }
-func (p *refPool) Waiting() int     { return len(p.waiters) }
-func (p *refPool) InUse() int       { return p.inUse }
-func (p *refPool) Rejected() uint64 { return p.rejected }
-func (p *refPool) peak() int        { return p.waitPk }
+func (p *refPool) ResetCounters()    { p.rejected, p.waitPk = 0, 0 }
+func (p *refPool) Waiting() int      { return len(p.waiters) }
+func (p *refPool) InUse() int        { return p.inUse }
+func (p *refPool) rejectedN() uint64 { return p.rejected }
+func (p *refPool) peak() int         { return p.waitPk }
 
 // poolOps is the surface the pool scenario drives.
 type poolOps interface {
@@ -307,13 +307,14 @@ type poolOps interface {
 	ResetCounters()
 	Waiting() int
 	InUse() int
-	Rejected() uint64
+	rejectedN() uint64
 	peak() int
 }
 
 type realPool struct{ *TokenPool }
 
-func (p realPool) peak() int { return p.waitPeak }
+func (p realPool) peak() int         { return p.waitPeak }
+func (p realPool) rejectedN() uint64 { return p.rejected }
 
 // poolScenario runs a seeded random workload against p and returns its
 // log: every grant (with the Waiting and InUse its callback saw) and
@@ -352,13 +353,13 @@ func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string
 		default:
 			e.Step()
 		}
-		log = append(log, fmt.Sprintf("op %d w=%d u=%d rej=%d peak=%d", op, p.Waiting(), p.InUse(), p.Rejected(), p.peak()))
+		log = append(log, fmt.Sprintf("op %d w=%d u=%d rej=%d peak=%d", op, p.Waiting(), p.InUse(), p.rejectedN(), p.peak()))
 		if check != nil {
 			check(op)
 		}
 	}
 	e.Run()
-	return append(log, fmt.Sprintf("end w=%d u=%d rej=%d peak=%d", p.Waiting(), p.InUse(), p.Rejected(), p.peak()))
+	return append(log, fmt.Sprintf("end w=%d u=%d rej=%d peak=%d", p.Waiting(), p.InUse(), p.rejectedN(), p.peak()))
 }
 
 // TestTokenPoolMatchesReference checks the TokenPool's O(1) wait queue

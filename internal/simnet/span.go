@@ -106,12 +106,8 @@ func (b *SpanBuf) Active() bool { return b.active }
 // Start returns the tick recording began at.
 func (b *SpanBuf) Start() int64 { return b.start }
 
-// Last returns the end tick of the last recorded segment (the start tick
-// if nothing has been recorded yet).
-func (b *SpanBuf) Last() int64 { return b.last }
-
-// Mark records the interval [Last, now] as a segment attributed to
-// (site, kind) and advances Last. Zero-length intervals are skipped —
+// Mark records the interval [last, now] as a segment attributed to
+// (site, kind) and advances last. Zero-length intervals are skipped —
 // dropping them changes no sums. No-op on an inactive buffer, which is how
 // instrumentation sites cost nothing when span recording is off.
 func (b *SpanBuf) Mark(site, kind uint8, now int64) {
@@ -122,7 +118,7 @@ func (b *SpanBuf) Mark(site, kind uint8, now int64) {
 	b.last = now
 }
 
-// CloseAt seals the buffer at tick end: an uncovered tail [Last, end] is
+// CloseAt seals the buffer at tick end: an uncovered tail [last, end] is
 // recorded as an unattributed segment (site 0) so the segments always tile
 // [Start, end] exactly, and the buffer stops accepting marks. Requests
 // that complete synchronously from their last mark leave no residual.

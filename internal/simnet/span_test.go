@@ -33,8 +33,8 @@ func TestSpanBufMarksTileTimeline(t *testing.T) {
 			t.Errorf("seg %d = %+v, want %+v", i, b.Segs[i], seg)
 		}
 	}
-	if got := sumSegs(b.Segs); got != b.Last()-b.Start() {
-		t.Errorf("segment sum %d != span extent %d", got, b.Last()-b.Start())
+	if got := sumSegs(b.Segs); got != b.last-b.Start() {
+		t.Errorf("segment sum %d != span extent %d", got, b.last-b.Start())
 	}
 }
 
@@ -210,8 +210,8 @@ func TestStationRecordsQueueAndService(t *testing.T) {
 	if len(b.Segs) != 2 || b.Segs[0] != wantB[0] || b.Segs[1] != wantB[1] {
 		t.Errorf("queued job segs = %+v, want %+v", b.Segs, wantB)
 	}
-	if got := sumSegs(b.Segs); got != b.Last()-b.Start() {
-		t.Errorf("decomposition sum %d != extent %d", got, b.Last()-b.Start())
+	if got := sumSegs(b.Segs); got != b.last-b.Start() {
+		t.Errorf("decomposition sum %d != extent %d", got, b.last-b.Start())
 	}
 }
 

