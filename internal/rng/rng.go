@@ -163,9 +163,12 @@ func (s *Source) Bernoulli(p float64) bool {
 
 // Zipf draws ranks in [0, n) following a Zipf distribution with exponent
 // theta. It uses the rejection-inversion method of Hörmann and Derflinger,
-// which is O(1) per draw after O(1) setup.
+// read off an inversion table that is built once per (n, theta) and shared
+// by every sampler in the process (zipftable.go): O(1) per draw, and the
+// same draws the iteration makes.
 type Zipf struct {
 	src              *Source
+	tab              *zipfTable // see table
 	n                uint64
 	theta            float64
 	oneMinusTheta    float64
@@ -227,19 +230,48 @@ func helper2(x float64) float64 {
 
 // Next draws the next rank in [0, n). Rank 0 is the most popular.
 func (z *Zipf) Next() uint64 {
+	t := z.table()
 	for {
-		u := z.hIntegralNumElem + z.src.Float64()*(z.hIntegralX1-z.hIntegralNumElem)
-		x := z.hIntegralInv(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		} else if k > float64(z.n) {
-			k = float64(z.n)
+		m := z.src.Uint64() >> 11
+		if t != nil {
+			if s := t.step(m); s >= 0 {
+				if s&1 == 0 {
+					return z.n - 1 - uint64(s)/2
+				}
+				continue
+			}
 		}
-		if k-x <= z.sVal || u >= z.hIntegral(k+0.5)-z.h(k) {
-			return uint64(k) - 1
+		if k, ok := z.iterate(m); ok {
+			return k
 		}
 	}
+}
+
+// table returns the inversion table of z's (n, theta), fetched on first
+// use, or nil when n is too large for one.
+func (z *Zipf) table() *zipfTable {
+	if z.tab == nil && z.n <= maxTableRanks {
+		z.tab = sharedZipfTable(z)
+	}
+	return z.tab
+}
+
+// iterate runs one rejection-inversion iteration on the 53-bit draw m (the
+// integer Float64 scales to [0, 1)) and returns the accepted rank, or false
+// to draw again.
+func (z *Zipf) iterate(m uint64) (uint64, bool) {
+	u := z.hIntegralNumElem + float64(m)/(1<<53)*(z.hIntegralX1-z.hIntegralNumElem)
+	x := z.hIntegralInv(u)
+	k := math.Floor(x + 0.5)
+	if k < 1 {
+		k = 1
+	} else if k > float64(z.n) {
+		k = float64(z.n)
+	}
+	if k-x <= z.sVal || u >= z.hIntegral(k+0.5)-z.h(k) {
+		return uint64(k) - 1, true
+	}
+	return 0, false
 }
 
 // N returns the number of ranks the sampler draws from.

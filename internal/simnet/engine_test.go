@@ -338,36 +338,6 @@ func TestTokenPoolFIFOWakeup(t *testing.T) {
 	}
 }
 
-func TestTokenPoolResizeGrowsGrants(t *testing.T) {
-	var e Engine
-	p := NewTokenPool(&e, "threads", 1, -1)
-	p.Acquire(func() {}, nil)
-	woke := false
-	p.Acquire(func() { woke = true }, nil)
-	p.Resize(2)
-	if !woke {
-		t.Fatal("resize did not wake waiter")
-	}
-}
-
-func TestTokenPoolShrink(t *testing.T) {
-	var e Engine
-	p := NewTokenPool(&e, "threads", 2, -1)
-	p.Acquire(func() {}, nil)
-	p.Acquire(func() {}, nil)
-	p.Resize(1)
-	woke := false
-	p.Acquire(func() { woke = true }, nil)
-	p.Release() // 2 in use -> 1 in use == new capacity; no wake
-	if woke {
-		t.Fatal("waiter woken while pool above capacity")
-	}
-	p.Release()
-	if !woke {
-		t.Fatal("waiter not woken after pool drained below capacity")
-	}
-}
-
 func TestTokenPoolReleaseWithoutAcquirePanics(t *testing.T) {
 	var e Engine
 	p := NewTokenPool(&e, "threads", 1, 0)

@@ -273,11 +273,6 @@ func (p *refPool) Release() {
 	p.grant()
 }
 
-func (p *refPool) Resize(capacity int) {
-	p.capacity = capacity
-	p.grant()
-}
-
 func (p *refPool) grant() {
 	if p.granting {
 		return
@@ -303,7 +298,6 @@ func (p *refPool) peak() int         { return p.waitPk }
 type poolOps interface {
 	Acquire(onGrant, onReject func())
 	Release()
-	Resize(capacity int)
 	ResetCounters()
 	Waiting() int
 	InUse() int
@@ -346,8 +340,6 @@ func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string
 			for n := r.Intn(3); n >= 0; n-- {
 				acquire()
 			}
-		case k == 38:
-			p.Resize(1 + r.Intn(4))
 		case k == 39:
 			p.ResetCounters()
 		default:
@@ -365,7 +357,7 @@ func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string
 // TestTokenPoolMatchesReference checks the TokenPool's O(1) wait queue
 // against the shifting-slice reference: the same grants and rejections
 // in the same order, and the same Waiting, InUse, Rejected and wait peak
-// at every step, with bounded and unbounded wait queues, resizes, and
+// at every step, with bounded and unbounded wait queues, counter resets, and
 // Acquire called from inside grant callbacks.
 func TestTokenPoolMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {

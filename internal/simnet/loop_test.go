@@ -366,9 +366,9 @@ func TestTokenPoolReentrantReleaseDuringGrant(t *testing.T) {
 }
 
 // TestTokenPoolReentrantAcquirePreservesFIFO: an Acquire issued from
-// inside a grant callback during a Resize-growth drain must queue behind
-// the already-waiting requests, not barge past them through a momentarily
-// free token.
+// inside a grant callback, right after that callback re-entered Release,
+// must queue behind the already-waiting requests, not barge past them
+// through the token the Release just freed.
 func TestTokenPoolReentrantAcquirePreservesFIFO(t *testing.T) {
 	e := &Engine{}
 	p := NewTokenPool(e, "pool", 1, -1)
@@ -376,11 +376,19 @@ func TestTokenPoolReentrantAcquirePreservesFIFO(t *testing.T) {
 	p.Acquire(func() {}, nil) // hold the only token; B, C wait
 	p.Acquire(func() {
 		order = append(order, "B")
-		// D arrives while the growth drain still owes C its token.
-		p.Acquire(func() { order = append(order, "D") }, nil)
+		// B hands its token straight back, and D arrives while the drain
+		// still owes C that token.
+		p.Release()
+		p.Acquire(func() {
+			order = append(order, "D")
+			p.Release()
+		}, nil)
 	}, nil)
-	p.Acquire(func() { order = append(order, "C") }, nil)
-	p.Resize(4) // grow: grants B, then C, then D — strictly FIFO
+	p.Acquire(func() {
+		order = append(order, "C")
+		p.Release()
+	}, nil)
+	p.Release() // drain: grants B, then C, then D — strictly FIFO
 	want := []string{"B", "C", "D"}
 	if len(order) != len(want) {
 		t.Fatalf("grant order %v, want %v", order, want)

@@ -273,16 +273,6 @@ func (p *TokenPool) SetSpanSite(site uint8) { p.site = site }
 // Capacity returns the number of tokens.
 func (p *TokenPool) Capacity() int { return p.capacity }
 
-// Resize changes the pool capacity. Growing immediately grants tokens to
-// waiters; shrinking takes effect as tokens are released.
-func (p *TokenPool) Resize(capacity int) {
-	if capacity <= 0 {
-		panic("simnet: token pool needs positive capacity")
-	}
-	p.capacity = capacity
-	p.grantWaiters()
-}
-
 // Acquire requests a token. If one is free and nobody is queued ahead,
 // onGrant runs immediately (synchronously). If the wait queue has room,
 // the request waits FIFO and onGrant runs when a token frees up. Otherwise
@@ -322,8 +312,8 @@ func (p *TokenPool) Release() {
 }
 
 // grantWaiters grants tokens to queued waiters in FIFO order. Grant
-// callbacks run synchronously and may re-enter the pool (Acquire, Release,
-// Resize); the granting flag turns a re-entrant call into a no-op — the
+// callbacks run synchronously and may re-enter the pool (Acquire,
+// Release); the granting flag turns a re-entrant call into a no-op — the
 // outermost loop re-checks capacity after every callback and keeps
 // draining — so only the outermost loop pops the queue and recursion
 // depth stays bounded no matter how grants chain.

@@ -85,7 +85,7 @@ while read -r name base base_ns; do
     echo "ok bench: $name at $allocs allocs/op (baseline $base, ceiling +10%)"
   fi
   if [ -n "$base_ns" ]; then
-    ns=$(echo "$line" | sed -n 's/.*[[:space:]]\([0-9][0-9]*\) ns\/op.*/\1/p')
+    ns=$(echo "$line" | sed -n 's/.*[[:space:]]\([0-9][0-9.]*\) ns\/op.*/\1/p')
     if [ -z "$ns" ]; then
       echo "FAIL bench: no ns/op figure for $name in: $line" >&2
       fail=1
