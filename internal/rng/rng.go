@@ -168,7 +168,7 @@ func (s *Source) Bernoulli(p float64) bool {
 // same draws the iteration makes.
 type Zipf struct {
 	src              *Source
-	tab              *zipfTable // see table
+	tab              *zipfTable // fetched by the first Next; nil above maxTableRanks
 	n                uint64
 	theta            float64
 	oneMinusTheta    float64
@@ -230,30 +230,30 @@ func helper2(x float64) float64 {
 
 // Next draws the next rank in [0, n). Rank 0 is the most popular.
 func (z *Zipf) Next() uint64 {
-	t := z.table()
+	if z.tab == nil && z.n <= maxTableRanks {
+		z.tab = sharedZipfTable(z)
+	}
 	for {
-		m := z.src.Uint64() >> 11
-		if t != nil {
-			if s := t.step(m); s >= 0 {
-				if s&1 == 0 {
-					return z.n - 1 - uint64(s)/2
-				}
-				continue
-			}
-		}
-		if k, ok := z.iterate(m); ok {
+		if k, ok := z.draw(z.src.Uint64() >> 11); ok {
 			return k
 		}
 	}
 }
 
-// table returns the inversion table of z's (n, theta), fetched on first
-// use, or nil when n is too large for one.
-func (z *Zipf) table() *zipfTable {
-	if z.tab == nil && z.n <= maxTableRanks {
-		z.tab = sharedZipfTable(z)
+// draw makes one draw on the 53-bit m (the integer Float64 scales to
+// [0, 1)) and returns the accepted rank, or false to draw again. It reads
+// z.tab, and runs the iteration when there is no table or m lies in its
+// guard band.
+func (z *Zipf) draw(m uint64) (uint64, bool) {
+	if z.tab != nil {
+		if s := z.tab.step(m); s >= 0 {
+			if s&1 == 1 {
+				return 0, false
+			}
+			return z.n - 1 - uint64(s)/2, true
+		}
 	}
-	return z.tab
+	return z.iterate(m)
 }
 
 // iterate runs one rejection-inversion iteration on the 53-bit draw m (the

@@ -43,7 +43,7 @@ type zipfTable struct {
 	// unit, for b in [0, nb]; the bucket of unit v is v·nb/2^32, so the
 	// first bp above v is in bp[guide[b] : guide[b+1]+1].
 	guide []uint32
-	nb    uint64 // buckets
+	nb    uint64 // buckets, one per rank
 }
 
 // step returns the table's step for the 53-bit draw m, or -1 when m lies
@@ -109,16 +109,10 @@ func newZipfTable(z *Zipf) *zipfTable {
 	for i := 1; i < len(bp); i++ {
 		bp[i] = max(bp[i], bp[i-1])
 	}
-	return newGuidedTable(bp, n)
-}
-
-// newGuidedTable wraps the breakpoints bp (bp[0] = 0, ascending, ending
-// in MaxUint32) with a guide of nb buckets.
-func newGuidedTable(bp []uint32, nb uint64) *zipfTable {
-	t := &zipfTable{bp: bp, guide: make([]uint32, nb+1), nb: nb}
+	t := &zipfTable{bp: bp, guide: make([]uint32, n+1), nb: n}
 	i := uint32(1)
 	for b := range t.guide {
-		lo := min((uint64(b)<<32+nb-1)/nb, math.MaxUint32)
+		lo := min((uint64(b)<<32+n-1)/n, math.MaxUint32)
 		for int(i) < len(bp)-1 && uint64(bp[i]) <= lo {
 			i++
 		}
@@ -152,58 +146,4 @@ func sharedZipfTable(z *Zipf) *zipfTable {
 	l := e.(*lazyZipfTable)
 	l.once.Do(func() { l.t = newZipfTable(z) })
 	return l.t
-}
-
-// ZipfFilter draws from a Zipf sampler's stream until a rank in a fixed
-// subset comes up. It keeps its own table of the subset's accept steps, with
-// every other step merged into "draw again": for a small subset the table
-// stays in cache, and a rejected rank costs a draw and a lookup. Inside the guard band of a kept step it runs the iteration.
-type ZipfFilter struct {
-	z     *Zipf
-	keep  func(rank uint64) bool
-	tab   *zipfTable // step 2j+1 accepts ranks[j], even steps draw again; nil: iterate
-	ranks []uint32
-}
-
-// Filter returns a sampler that makes the same draws, and returns the same
-// rank, as calling z.Next until keep(rank) holds. It advances z's source.
-// keep must be a fixed predicate; it is read for every rank here.
-func (z *Zipf) Filter(keep func(rank uint64) bool) *ZipfFilter {
-	f := &ZipfFilter{z: z, keep: keep}
-	t := z.table()
-	if t == nil {
-		return f
-	}
-	bp := []uint32{0}
-	for s := 0; s < len(t.bp)-1; s += 2 {
-		if r := z.n - 1 - uint64(s)/2; keep(r) {
-			bp = append(bp, t.bp[s], t.bp[s+1])
-			f.ranks = append(f.ranks, uint32(r))
-		}
-	}
-	bp = append(bp, math.MaxUint32)
-	// Eight buckets per breakpoint leave most buckets without one, so the
-	// scan in step usually stops at once and its branch predicts well: at
-	// paper scale the static pages' draws ran 25% faster than with one
-	// bucket per breakpoint, for a 67 KB guide.
-	f.tab = newGuidedTable(bp, uint64(8*len(bp)))
-	return f
-}
-
-// Next draws the next kept rank.
-func (f *ZipfFilter) Next() uint64 {
-	for {
-		m := f.z.src.Uint64() >> 11
-		if f.tab != nil {
-			if s := f.tab.step(m); s >= 0 {
-				if s&1 == 1 {
-					return uint64(f.ranks[s>>1])
-				}
-				continue
-			}
-		}
-		if k, ok := f.z.iterate(m); ok && f.keep(k) {
-			return k
-		}
-	}
 }

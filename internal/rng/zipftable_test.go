@@ -36,31 +36,26 @@ func stepRef(z *Zipf, m uint64) (uint64, bool) {
 	return 0, false
 }
 
-// tableStep is what Next does with one draw m: the table's step, or the
-// iteration inside the guard band.
-func tableStep(z *Zipf, t *zipfTable, m uint64) (uint64, bool) {
-	s := t.step(m)
-	if s < 0 {
-		return z.iterate(m)
-	}
-	if s&1 == 1 {
-		return 0, false
-	}
-	return z.n - 1 - uint64(s)/2, true
-}
-
 const maxM = 1<<53 - 1
 
-// checkTableStep fails unless the table (or its fallback) and the
-// reference iteration agree on draw m.
-func checkTableStep(t *testing.T, z *Zipf, tab *zipfTable, m uint64) {
+// checkDraw fails unless z.draw, reading z's table (or its fallback),
+// and the reference iteration agree on draw m.
+func checkDraw(t *testing.T, z *Zipf, m uint64) {
 	t.Helper()
-	gk, gok := tableStep(z, tab, m)
+	gk, gok := z.draw(m)
 	wk, wok := stepRef(z, m)
 	if gk != wk || gok != wok {
 		t.Fatalf("n=%d theta=%v m=%#x (unit %d, step %d): table (%d, %v), iteration (%d, %v)",
-			z.n, z.theta, m, m>>unitShift, tab.step(m), gk, gok, wk, wok)
+			z.n, z.theta, m, m>>unitShift, z.tab.step(m), gk, gok, wk, wok)
 	}
+}
+
+// tabled returns a sampler of (n, theta) with a table of its own, built
+// outside the shared cache.
+func tabled(n uint64, theta float64) *Zipf {
+	z := NewZipf(New(1), n, theta)
+	z.tab = newZipfTable(z)
+	return z
 }
 
 var tableCases = []struct {
@@ -72,10 +67,11 @@ var tableCases = []struct {
 	{65536, 3}, {1000, 0.999999}, {1000, 1.000001},
 }
 
-// checkAround checks the draws around breakpoint unit b: those just
-// outside its guard band, which the table answers and which lie closest to
-// a step of the iteration, and those just inside it, which fall back.
-func checkAround(t *testing.T, z *Zipf, tab *zipfTable, b uint32) {
+// checkAround checks the draws around breakpoint unit b of z's table:
+// those just outside its guard band, which the table answers and which lie
+// closest to a step of the iteration, and those just inside it, which fall
+// back.
+func checkAround(t *testing.T, z *Zipf, b uint32) {
 	t.Helper()
 	const unit = 1 << unitShift
 	base := int64(b) << unitShift
@@ -85,7 +81,7 @@ func checkAround(t *testing.T, z *Zipf, tab *zipfTable, b uint32) {
 		(guardUnits+1)*unit - 1, (guardUnits + 1) * unit, (guardUnits+2)*unit - 1,
 	} {
 		if m := base + d; m >= 0 && m <= maxM {
-			checkTableStep(t, z, tab, uint64(m))
+			checkDraw(t, z, uint64(m))
 		}
 	}
 }
@@ -94,13 +90,12 @@ func checkAround(t *testing.T, z *Zipf, tab *zipfTable, b uint32) {
 // from both sides, and both ends of the draw range.
 func TestZipfTableExactAtBreakpoints(t *testing.T) {
 	for _, c := range tableCases {
-		z := NewZipf(New(1), c.n, c.theta)
-		tab := newZipfTable(z)
-		for _, b := range tab.bp {
-			checkAround(t, z, tab, b)
+		z := tabled(c.n, c.theta)
+		for _, b := range z.tab.bp {
+			checkAround(t, z, b)
 		}
 		for _, m := range []uint64{0, 1, maxM - 1, maxM} {
-			checkTableStep(t, z, tab, m)
+			checkDraw(t, z, m)
 		}
 	}
 }
@@ -202,13 +197,12 @@ func FuzzZipfTable(f *testing.F) {
 		n     uint16
 		theta float64
 	}{{3199, 0.95}, {3199, 0.9}, {20, 1.5}, {0, 3}, {4095, 0.2}} {
-		z := NewZipf(New(1), uint64(c.n)+1, c.theta)
-		tab := newZipfTable(z)
-		for _, i := range []int{1, 2, 3, len(tab.bp) / 2, len(tab.bp) - 2} {
-			if i <= 0 || i >= len(tab.bp)-1 {
+		bp := tabled(uint64(c.n)+1, c.theta).tab.bp
+		for _, i := range []int{1, 2, 3, len(bp) / 2, len(bp) - 2} {
+			if i <= 0 || i >= len(bp)-1 {
 				continue
 			}
-			base := uint64(tab.bp[i]) << unitShift
+			base := uint64(bp[i]) << unitShift
 			f.Add(c.n, c.theta, base+1<<unitShift)
 			f.Add(c.n, c.theta, base-1<<unitShift)
 		}
@@ -219,104 +213,17 @@ func FuzzZipfTable(f *testing.F) {
 		if !(theta > 0 && theta <= 3) || theta == 1 {
 			t.Skip()
 		}
-		z := NewZipf(New(1), uint64(n16)+1, theta)
-		tab := newZipfTable(z)
+		z := tabled(uint64(n16)+1, theta)
 		m &= maxM
-		checkTableStep(t, z, tab, m)
+		checkDraw(t, z, m)
 		// And the table's answers closest to m's neighbouring breakpoints.
-		i := sort.Search(len(tab.bp), func(i int) bool { return tab.bp[i] > uint32(m>>unitShift) })
-		checkAround(t, z, tab, tab.bp[i-1])
-		if i < len(tab.bp) {
-			checkAround(t, z, tab, tab.bp[i])
+		bp := z.tab.bp
+		i := sort.Search(len(bp), func(i int) bool { return bp[i] > uint32(m>>unitShift) })
+		checkAround(t, z, bp[i-1])
+		if i < len(bp) {
+			checkAround(t, z, bp[i])
 		}
 	})
-}
-
-// filterStep is what ZipfFilter.Next does with one draw m: the kept rank,
-// or false to draw again.
-func filterStep(f *ZipfFilter, m uint64) (uint64, bool) {
-	if s := f.tab.step(m); s >= 0 {
-		if s&1 == 1 {
-			return uint64(f.ranks[s>>1]), true
-		}
-		return 0, false
-	}
-	if k, ok := f.z.iterate(m); ok && f.keep(k) {
-		return k, true
-	}
-	return 0, false
-}
-
-var filterKeeps = map[string]func(rank uint64) bool{
-	"every 20th": func(r uint64) bool { return r%20 == 7 },
-	"head":       func(r uint64) bool { return r < 3 },
-	"tail":       func(r uint64) bool { return r > 1000 },
-	"all":        func(uint64) bool { return true },
-	"none but 0": func(r uint64) bool { return r == 0 },
-}
-
-// TestZipfFilterExact checks a filtered table the way the full table is
-// checked: at every one of its breakpoints, from both sides, it must agree
-// with the iteration followed by the keep test.
-func TestZipfFilterExact(t *testing.T) {
-	for _, c := range tableCases {
-		for name, keep := range filterKeeps {
-			z := NewZipf(New(1), c.n, c.theta)
-			f := z.Filter(keep)
-			check := func(m uint64) {
-				t.Helper()
-				gk, gok := filterStep(f, m)
-				wk, wok := stepRef(z, m)
-				wok = wok && keep(wk)
-				if !wok {
-					wk = 0
-				}
-				if gk != wk || gok != wok {
-					t.Fatalf("n=%d theta=%v keep %s m=%#x: filter (%d, %v), iteration (%d, %v)",
-						c.n, c.theta, name, m, gk, gok, wk, wok)
-				}
-			}
-			const unit = 1 << unitShift
-			for _, b := range f.tab.bp {
-				base := int64(b) << unitShift
-				for _, d := range []int64{-(guardUnits+1)*unit - 1, -(guardUnits + 1) * unit, -1, 0, (guardUnits+1)*unit - 1, (guardUnits + 1) * unit} {
-					if m := base + d; m >= 0 && m <= maxM {
-						check(uint64(m))
-					}
-				}
-			}
-			for _, m := range []uint64{0, maxM} {
-				check(m)
-			}
-		}
-	}
-}
-
-// TestZipfFilterMatchesNext: a filter makes the same draws, and returns the
-// same ranks, as Next called until keep holds, also when filtered and
-// plain draws interleave on one source.
-func TestZipfFilterMatchesNext(t *testing.T) {
-	for _, n := range []uint64{3200, 21050, maxTableRanks + 1} {
-		for name, keep := range filterKeeps {
-			got := NewZipf(New(n), n, 0.95)
-			want := NewZipf(New(n), n, 0.95)
-			f := got.Filter(keep)
-			for i := 0; i < 20000; i++ {
-				var g, w uint64
-				if i%3 == 0 {
-					g, w = got.Next(), nextRef(want)
-				} else {
-					g, w = f.Next(), nextRef(want)
-					for !keep(w) {
-						w = nextRef(want)
-					}
-				}
-				if g != w {
-					t.Fatalf("n=%d keep %s draw %d: %d, want %d", n, name, i, g, w)
-				}
-			}
-		}
-	}
 }
 
 // TestZipfTableSharedAcrossGoroutines: samplers on parallel workers build

@@ -158,9 +158,6 @@ func clampSize(v, lo, hi int64) int64 {
 type Popularity struct {
 	cat  *Catalog
 	zipf *rng.Zipf
-	// statics draws NextOf(KindStatic) when static pages hold under a
-	// quarter of the ranks; built on first use (see NextOf).
-	statics *rng.ZipfFilter
 	// rank → object id: x ↦ (a·x + b) & mask, cycle-walked below n
 	a, b uint64
 	mask uint64 // pow2At(n) - 1
@@ -220,18 +217,6 @@ func (p *Popularity) Next() Object {
 func (p *Popularity) NextOf(k Kind) Object {
 	if k == KindDynamic {
 		panic("webobj: NextOf(KindDynamic): the sampler draws cacheable objects only")
-	}
-	if k == KindStatic && p.cat.nStatic*4 < p.n {
-		// Static pages are a minority: most draws come up as images and
-		// are thrown away. A table of the static ranks' accept steps, with
-		// every other step merged into "draw again", makes the same draws
-		// from about 80 KB (at paper scale) that stay in cache.
-		if p.statics == nil {
-			p.statics = p.zipf.Filter(func(rank uint64) bool {
-				return p.rankToID(rank) < p.cat.nStatic
-			})
-		}
-		return p.cat.Object(p.rankToID(p.statics.Next()))
 	}
 	for {
 		id := p.rankToID(p.zipf.Next())
