@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replicates = fs.Int("replicates", 1, "independent replicates for table4/adaptive/figure4/figure7a/figure7b; seeds derive per replicate, results report mean ± σ ± 95% CI")
 		shift      = fs.Float64("shift", 0.25, "figure5 workload-shift detection factor: sustained relative deviation from the remembered best that restarts the search (0 disables detection; must be finite and >= 0)")
 		telemetry  = fs.String("telemetry", "", "write the telemetry streams into this directory and print the profile and bottleneck rollups: trace.jsonl (tuner step trace), metrics.csv (per-tier timeseries), simprofile.folded (simnet event-loop profile, flamegraph.pl/speedscope input), latency.csv (per-(interaction, tier) latency histograms with queue-vs-service attribution) and spans.jsonl (sampled per-request span trees); byte-identical at any -workers")
-		spanEvery  = fs.Int("span-sample", 997, "with -telemetry, dump every n-th page's span tree into spans.jsonl (deterministic systematic sample)")
+		spanEvery  = fs.Int("span-sample", 997, "with -telemetry, dump every n-th page's span tree into spans.jsonl (deterministic systematic sample; 0 writes no span trees, must be >= 0)")
 		memo       = fs.Bool("memo", true, "memoize hermetic evaluations in a content-addressed cache; results are byte-identical with and without it (bypassed while -telemetry is set)")
 		cacheFile  = fs.String("evalcache", "", "persist the evaluation cache to this JSON file: load it before the run if it exists, save it after (warm-starts later runs)")
 		evalStats  = fs.Bool("evalstats", false, "print the evaluation-cache counters (lookups, hits, misses, entries, bytes, hit rate) after the run")
@@ -89,6 +89,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *replicates < 1 {
 		fmt.Fprintf(stderr, "webtune: -replicates must be >= 1, got %d\n", *replicates)
+		return 2
+	}
+	if *iters < 0 {
+		fmt.Fprintf(stderr, "webtune: -iters must be >= 0, got %d\n", *iters)
+		return 2
+	}
+	if *telemetry != "" && *spanEvery < 0 {
+		fmt.Fprintf(stderr, "webtune: -span-sample must be >= 0, got %d\n", *spanEvery)
 		return 2
 	}
 

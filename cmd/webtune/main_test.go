@@ -17,6 +17,7 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 }
 
 func TestFlagAndArgumentErrors(t *testing.T) {
+	tel := filepath.Join(t.TempDir(), "tel")
 	cases := []struct {
 		name string
 		args []string
@@ -28,6 +29,12 @@ func TestFlagAndArgumentErrors(t *testing.T) {
 		{"unknown-flag", []string{"-no-such-flag", "table1"}, "flag provided but not defined"},
 		{"bad-scale", []string{"-scale", "huge", "table1"}, `unknown scale "huge"`},
 		{"bad-replicates", []string{"-replicates", "0", "table4"}, "-replicates must be >= 1"},
+		// A negative -iters used to run zero tuning iterations and report
+		// a 0 WIPS best and a -100% improvement with exit 0.
+		{"negative-iters-sec3a", []string{"-scale", "tiny", "-iters", "-1", "sec3a"}, "-iters must be >= 0, got -1"},
+		{"negative-iters-table4", []string{"-scale", "tiny", "-iters", "-1", "table4"}, "-iters must be >= 0, got -1"},
+		{"negative-iters-figure4", []string{"-scale", "tiny", "-iters", "-1", "figure4"}, "-iters must be >= 0, got -1"},
+		{"negative-span-sample", []string{"-telemetry", tel, "-span-sample", "-1", "-scale", "tiny", "table1"}, "-span-sample must be >= 0, got -1"},
 		{"bad-workers-value", []string{"-workers", "x", "table1"}, "invalid value"},
 		// The parameter sweeps are retired: their experiment and both of
 		// their flags are rejected like any other unknown input.

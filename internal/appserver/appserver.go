@@ -152,12 +152,6 @@ func New(eng *simnet.Engine, node *cluster.Node, cfg Config, cost CostModel) *Se
 	return s
 }
 
-// Config returns the server's configuration.
-func (s *Server) Config() Config { return s.cfg }
-
-// Node returns the node the server runs on.
-func (s *Server) Node() *cluster.Node { return s.node }
-
 // Stats returns a snapshot of the activity counters.
 func (s *Server) Stats() Stats { return s.stats }
 

@@ -99,12 +99,6 @@ func TestBackendFailurePropagates(t *testing.T) {
 
 func TestAccessorsAndThreadAccounting(t *testing.T) {
 	eng, s := newServer(defaults())
-	if s.Config() != defaults() {
-		t.Errorf("Config() = %+v, want the construction config", s.Config())
-	}
-	if s.Node() == nil || s.Node().Tier() != cluster.TierApp {
-		t.Errorf("Node() = %v, want the app-tier node", s.Node())
-	}
 	// While the backend holds the request, one HTTP and one AJP
 	// processor thread must show as busy; both return to idle when the
 	// pooled call record is released.

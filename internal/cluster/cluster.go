@@ -82,9 +82,7 @@ func (r Resource) String() string {
 // a node moves tiers) plus the tier servers' pools and the inter-tier
 // hops. Site 0 is simnet's reserved "unattributed" site.
 const (
-	// SpanSiteNone is unattributed time (simnet's residual site).
-	SpanSiteNone uint8 = iota
-	SpanSiteProxyCPU
+	SpanSiteProxyCPU uint8 = iota + 1
 	SpanSiteProxyDisk
 	SpanSiteProxyNIC
 	SpanSiteAppCPU
@@ -255,9 +253,6 @@ func (n *Node) SetTier(t Tier) {
 	n.tier = t
 	n.applySpanSites()
 }
-
-// Hardware returns the node's hardware description.
-func (n *Node) Hardware() Hardware { return n.hw }
 
 // CPU returns the node's CPU station. Service demands are in seconds of
 // reference-speed compute.

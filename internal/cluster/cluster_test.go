@@ -218,7 +218,7 @@ func TestSpanSiteVocabulary(t *testing.T) {
 		t.Errorf("SpanGroupName(out of range) = %q, want \"unknown\"", got)
 	}
 	// The reserved unattributed site rolls up to "other".
-	if SpanSiteName(SpanSiteNone) != "other" || SpanSiteGroup(SpanSiteNone) != SpanGroupOther {
+	if SpanSiteName(0) != "other" || SpanSiteGroup(0) != SpanGroupOther {
 		t.Error("site 0 must be the unattributed residual")
 	}
 }
@@ -253,7 +253,7 @@ func TestSpanSitesFollowTier(t *testing.T) {
 	if seg := runOne(); seg.Site != SpanSiteDBCPU {
 		t.Errorf("after move, CPU seg at site %s, want db.cpu", SpanSiteName(seg.Site))
 	}
-	if n.Disk() == nil || n.NIC() == nil || n.Hardware() != DefaultHardware() {
+	if n.Disk() == nil || n.NIC() == nil || n.hw != DefaultHardware() {
 		t.Error("node accessors broken")
 	}
 	if n.ID() != 0 || n.Name() == "" {

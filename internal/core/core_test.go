@@ -24,7 +24,7 @@ func TestLabImplementsTarget(t *testing.T) {
 	if m.LineWIPS != nil {
 		t.Fatal("line WIPS without work lines")
 	}
-	if lab.Iterations() != 1 {
+	if lab.iterations != 1 {
 		t.Fatal("iteration count wrong")
 	}
 	if len(lab.LastReadings()) != 3 {

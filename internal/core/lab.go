@@ -301,9 +301,6 @@ func (l *Lab) finishTelemetry() {
 // measurement window.
 func (l *Lab) LastReadings() []monitor.Reading { return l.lastReadings }
 
-// Iterations returns how many iteration windows have run.
-func (l *Lab) Iterations() int { return l.iterations }
-
 // MeasureConfig applies one configuration per tier (duplicated within the
 // tier) and measures n hermetic iteration windows, returning the WIPS
 // series. Every window is an independent per-evaluation lab under the

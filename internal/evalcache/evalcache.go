@@ -212,13 +212,6 @@ func (c *Cache) add(key string, m websim.Measurement) bool {
 	return true
 }
 
-// Len returns the number of stored entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats returns the current counter values.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

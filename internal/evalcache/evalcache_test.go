@@ -253,8 +253,8 @@ func TestAddExistingWins(t *testing.T) {
 	if !cached || m.WIPS != 100 {
 		t.Fatalf("entry replaced: cached=%v wips=%v", cached, m.WIPS)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if len(c.entries) != 1 {
+		t.Fatalf("len(entries) = %d, want 1", len(c.entries))
 	}
 }
 

@@ -314,26 +314,6 @@ func (s *Session) Iterations() int { return len(s.history) }
 // plus explicit Restart calls).
 func (s *Session) Resets() int { return s.resets }
 
-// Converged reports whether the underlying search has collapsed.
-func (s *Session) Converged() bool { return s.tuner.Converged() }
-
-// ConvergenceIteration returns the first iteration whose configuration
-// equals the best-ever configuration — the paper's "iterations" column in
-// Table 4 (how long tuning took to find the configuration it settled on).
-// It returns 0 if there is no history.
-func (s *Session) ConvergenceIteration() int {
-	best, _, ok := s.BestEver()
-	if !ok {
-		return 0
-	}
-	for _, r := range s.history {
-		if r.Config.Equal(best) {
-			return r.Iteration
-		}
-	}
-	return 0
-}
-
 // String describes the session.
 func (s *Session) String() string {
 	return fmt.Sprintf("Session{dim=%d algo=%v iters=%d resets=%d}",

@@ -154,19 +154,6 @@ func TestShiftDetectionDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestConvergenceIteration(t *testing.T) {
-	s := NewSession(testSpace(), Options{Seed: 7})
-	runSession(s, peakAt(40, 60), 100)
-	ci := s.ConvergenceIteration()
-	if ci <= 0 || ci > 100 {
-		t.Fatalf("ConvergenceIteration = %d", ci)
-	}
-	best, _, _ := s.BestEver()
-	if !s.History()[ci-1].Config.Equal(best) {
-		t.Fatal("ConvergenceIteration does not point at the best config")
-	}
-}
-
 func TestSessionAlgorithms(t *testing.T) {
 	f := peakAt(60, 40)
 	for _, algo := range []Algorithm{AlgoNelderMead, AlgoRandom, AlgoCoordinate} {

@@ -110,7 +110,7 @@ func TestCommitStepMatchesStep(t *testing.T) {
 				t.Errorf("%v: Best (%v, %d) != (%v, %d)", kind, sb, si, pb, pi)
 			}
 		}
-		if seq.Iterations() != spec.Iterations() || seq.Epoch() != spec.Epoch() {
+		if seq.iters != spec.iters || seq.Epoch() != spec.Epoch() {
 			t.Errorf("%v: iterations/epoch diverged", kind)
 		}
 		for i, sess := range seq.Sessions() {
@@ -145,16 +145,16 @@ func TestLookaheadBounds(t *testing.T) {
 	}
 	// Walk to one iteration short of the hybrid switch: the lookahead
 	// must be truncated to that single remaining duplication iteration.
-	for st.Iterations() < st.hybridK-1 {
+	for st.iters < st.hybridK-1 {
 		seqStep(st)
 	}
 	if got := len(st.Lookahead(16)); got != 1 {
 		t.Fatalf("Lookahead(16) at switch-1 returned %d entries, want 1", got)
 	}
-	before := st.Iterations()
+	before := st.iters
 	st.Lookahead(16)
 	st.Lookahead(16)
-	if st.Iterations() != before {
+	if st.iters != before {
 		t.Fatal("Lookahead advanced the search")
 	}
 	// The switch is lazy: after the duplication phase's final commit it
@@ -180,9 +180,5 @@ func TestSessionPeekPending(t *testing.T) {
 	peek := sess.Peek(8)
 	if len(peek) != 1 || !peek[0].Equal(cfg) {
 		t.Fatalf("Peek during outstanding ask = %v, want [%v]", peek, cfg)
-	}
-	sess.Report(1)
-	if sess.Converged() {
-		t.Fatal("one-iteration session claims convergence")
 	}
 }

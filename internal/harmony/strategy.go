@@ -249,9 +249,6 @@ func (s *Strategy) assign(i int, cfg param.Config, stage bool, out map[int]param
 	}
 }
 
-// Kind returns the strategy kind.
-func (s *Strategy) Kind() StrategyKind { return s.kind }
-
 // Sessions returns the strategy's tuning sessions.
 func (s *Strategy) Sessions() []*Session { return s.sessions }
 
@@ -368,30 +365,12 @@ func (s *Strategy) BestNodeConfigs() map[int]param.Config {
 	}, false)
 }
 
-// Iterations returns the number of completed iterations.
-func (s *Strategy) Iterations() int { return s.iters }
-
 // Perf returns the global WIPS time series, one value per iteration.
 func (s *Strategy) Perf() []float64 { return s.perf }
 
 // Best returns the best global WIPS observed and the iteration it
 // occurred at (1-based; 0 if none).
 func (s *Strategy) Best() (float64, int) { return s.best, s.bestIt }
-
-// ConvergenceIteration returns the iteration at which the strategy's
-// tuned configuration was first proposed: the maximum over its sessions of
-// the first iteration whose configuration equals that session's best-ever
-// configuration. Under heavy measurement noise this estimate is itself
-// noisy; see ExplorationIterations for the structural component.
-func (s *Strategy) ConvergenceIteration() int {
-	worst := 0
-	for _, sess := range s.sessions {
-		if ci := sess.ConvergenceIteration(); ci > worst {
-			worst = ci
-		}
-	}
-	return worst
-}
 
 // ExplorationIterations returns the iterations the strategy necessarily
 // spends exploring its initial simplex before improvements can take

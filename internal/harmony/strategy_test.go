@@ -123,7 +123,7 @@ func TestAllStrategiesImprove(t *testing.T) {
 		if bestIt < 1 || bestIt > 120 {
 			t.Errorf("%v: bestIt = %d", kind, bestIt)
 		}
-		if st.Iterations() != 120 || len(st.Perf()) != 120 {
+		if st.iters != 120 || len(st.Perf()) != 120 {
 			t.Errorf("%v: iteration bookkeeping wrong", kind)
 		}
 	}
@@ -187,6 +187,23 @@ func TestPartitioningStrategyUsesLineFeedback(t *testing.T) {
 	}
 }
 
+// convergenceIteration is the iteration at which st's tuned configuration
+// was first proposed: the latest, over its sessions, of the first
+// iteration whose configuration equals that session's best-ever one.
+func convergenceIteration(st *Strategy) int {
+	worst := 0
+	for _, sess := range st.Sessions() {
+		best, _, _ := sess.BestEver()
+		for _, r := range sess.History() {
+			if r.Config.Equal(best) {
+				worst = max(worst, r.Iteration)
+				break
+			}
+		}
+	}
+	return worst
+}
+
 func TestDuplicationConvergesFasterThanDefault(t *testing.T) {
 	// The paper's Table 4: duplication (fewer dimensions) finds its tuned
 	// configuration in far fewer iterations than the default method. With
@@ -198,7 +215,7 @@ func TestDuplicationConvergesFasterThanDefault(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			seqStep(st)
 		}
-		return st.ConvergenceIteration(), st.ExplorationIterations()
+		return convergenceIteration(st), st.ExplorationIterations()
 	}
 	def, defExp := run(StrategyDefault)
 	dup, dupExp := run(StrategyDuplication)
@@ -227,7 +244,7 @@ func TestHybridSwitchesPhases(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		seqStep(st)
 	}
-	if st.Iterations() != 81 {
+	if st.iters != 81 {
 		t.Fatal("iterations lost across phase switch")
 	}
 }
@@ -239,22 +256,4 @@ func TestPartitioningRequiresLines(t *testing.T) {
 		}
 	}()
 	NewStrategy(StrategyPartitioning, newFakeCluster(0), 0, Options{})
-}
-
-func TestConvergenceIterationBounds(t *testing.T) {
-	fc := newFakeCluster(0)
-	st := NewStrategy(StrategyDuplication, fc, 0, Options{Seed: 1})
-	if st.ConvergenceIteration() != 0 {
-		t.Fatal("no-history convergence should be 0")
-	}
-	for i := 0; i < 50; i++ {
-		seqStep(st)
-	}
-	ci := st.ConvergenceIteration()
-	if ci < 1 || ci > 50 {
-		t.Fatalf("ConvergenceIteration = %d", ci)
-	}
-	if st.Kind() != StrategyDuplication {
-		t.Fatal("Kind accessor wrong")
-	}
 }

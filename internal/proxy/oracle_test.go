@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -151,15 +152,58 @@ func TestCacheMatchesOracle(t *testing.T) {
 					return false
 				}
 			}
-			if c.MemBytes() != o.memBytes() || c.DiskBytes() != o.diskBytes() {
+			if c.memBytes != o.memBytes() || c.dskBytes != o.diskBytes() {
 				t.Logf("seed %d step %d: bytes mem %d/%d disk %d/%d",
-					seed, step, c.MemBytes(), o.memBytes(), c.DiskBytes(), o.diskBytes())
+					seed, step, c.memBytes, o.memBytes(), c.dskBytes, o.diskBytes())
 				return false
 			}
 		}
-		return c.CheckInvariants() == nil
+		return c.checkInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkInvariants verifies the cache's internal consistency: list sums
+// and counts agree with the byte and object counters, and both levels fit
+// their capacities.
+func (c *Cache) checkInvariants() error {
+	var memBytes, diskBytes int64
+	var memCount, diskCount, bucketCount int
+	for e := c.memList.head; e != nil; e = e.memNext {
+		if !e.inMem {
+			return fmt.Errorf("mem list contains non-mem entry %d", e.id)
+		}
+		memBytes += e.size
+		memCount++
+	}
+	for e := c.diskList.head; e != nil; e = e.diskNext {
+		diskBytes += e.size
+		diskCount++
+	}
+	for _, b := range c.buckets {
+		for e := b; e != nil; e = e.bucketNext {
+			bucketCount++
+		}
+	}
+	if memBytes != c.memBytes {
+		return fmt.Errorf("memBytes %d != list sum %d", c.memBytes, memBytes)
+	}
+	if diskBytes != c.dskBytes {
+		return fmt.Errorf("diskBytes %d != list sum %d", c.dskBytes, diskBytes)
+	}
+	if diskCount != c.count || bucketCount != c.count {
+		return fmt.Errorf("count %d, disk list %d, buckets %d", c.count, diskCount, bucketCount)
+	}
+	if memCount > diskCount {
+		return fmt.Errorf("memory level larger than disk level")
+	}
+	if c.memBytes > c.cfg.CacheMemMB<<20 {
+		return fmt.Errorf("memory over capacity: %d > %d", c.memBytes, c.cfg.CacheMemMB<<20)
+	}
+	if c.dskBytes > c.diskCap {
+		return fmt.Errorf("disk over capacity: %d > %d", c.dskBytes, c.diskCap)
+	}
+	return nil
 }

@@ -208,15 +208,6 @@ type Stats struct {
 	DirectoryScan uint64 // total entries scanned during lookups
 }
 
-// HitRatio returns (mem+disk hits) / lookups, or 0 with no lookups.
-func (s Stats) HitRatio() float64 {
-	total := s.HitsMem + s.HitsDisk + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.HitsMem+s.HitsDisk) / float64(total)
-}
-
 // Cache is the proxy's object store.
 type Cache struct {
 	cfg      Config
@@ -244,9 +235,6 @@ func New(cfg Config, diskCapacity int64) *Cache {
 		diskList: newDiskList(),
 	}
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) bucketOf(id uint64) int {
 	h := id * 0x9e3779b97f4a7c15
@@ -371,56 +359,5 @@ func (c *Cache) evict(e *entry) {
 	c.stats.EvictedDisk++
 }
 
-// Len returns the number of cached objects.
-func (c *Cache) Len() int { return c.count }
-
-// MemBytes returns the bytes held in the memory level.
-func (c *Cache) MemBytes() int64 { return c.memBytes }
-
-// DiskBytes returns the bytes held on disk (includes in-memory objects,
-// which are also persisted, as in Squid).
-func (c *Cache) DiskBytes() int64 { return c.dskBytes }
-
 // Stats returns a snapshot of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// CheckInvariants verifies internal consistency; used by property tests.
-func (c *Cache) CheckInvariants() error {
-	var memBytes, diskBytes int64
-	var memCount, diskCount, bucketCount int
-	for e := c.memList.head; e != nil; e = e.memNext {
-		if !e.inMem {
-			return fmt.Errorf("mem list contains non-mem entry %d", e.id)
-		}
-		memBytes += e.size
-		memCount++
-	}
-	for e := c.diskList.head; e != nil; e = e.diskNext {
-		diskBytes += e.size
-		diskCount++
-	}
-	for _, b := range c.buckets {
-		for e := b; e != nil; e = e.bucketNext {
-			bucketCount++
-		}
-	}
-	if memBytes != c.memBytes {
-		return fmt.Errorf("memBytes %d != list sum %d", c.memBytes, memBytes)
-	}
-	if diskBytes != c.dskBytes {
-		return fmt.Errorf("diskBytes %d != list sum %d", c.dskBytes, diskBytes)
-	}
-	if diskCount != c.count || bucketCount != c.count {
-		return fmt.Errorf("count %d, disk list %d, buckets %d", c.count, diskCount, bucketCount)
-	}
-	if memCount > diskCount {
-		return fmt.Errorf("memory level larger than disk level")
-	}
-	if c.memBytes > c.cfg.CacheMemMB<<20 {
-		return fmt.Errorf("memory over capacity: %d > %d", c.memBytes, c.cfg.CacheMemMB<<20)
-	}
-	if c.dskBytes > c.diskCap {
-		return fmt.Errorf("disk over capacity: %d > %d", c.dskBytes, c.diskCap)
-	}
-	return nil
-}

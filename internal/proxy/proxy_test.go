@@ -80,7 +80,7 @@ func TestLargeObjectHitsDiskNotMem(t *testing.T) {
 	if r, _ := c.Lookup(o); r != HitDisk {
 		t.Fatalf("lookup = %v, want hit-disk", r)
 	}
-	if c.MemBytes() != 0 {
+	if c.memBytes != 0 {
 		t.Fatal("large object occupies memory level")
 	}
 }
@@ -118,8 +118,8 @@ func TestDuplicateAdmitIgnored(t *testing.T) {
 	if c.Admit(o) {
 		t.Fatal("duplicate admit succeeded")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.count != 1 {
+		t.Fatalf("count = %d, want 1", c.count)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestMemoryEvictionLRU(t *testing.T) {
 	// Three 2MB objects: only two fit in memory.
 	for id := uint64(1); id <= 3; id++ {
 		c.Admit(obj(id, 2<<20, webobj.KindImage))
-		if err := c.CheckInvariants(); err != nil {
+		if err := c.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,15 +158,15 @@ func TestDiskWatermarkEviction(t *testing.T) {
 	for id := uint64(0); id < 25; id++ {
 		before := c.Stats().EvictedDisk
 		c.Admit(obj(id, 4<<10, webobj.KindStatic))
-		if err := c.CheckInvariants(); err != nil {
+		if err := c.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if c.DiskBytes() > 80<<10 {
-			t.Fatalf("disk bytes %d above high watermark", c.DiskBytes())
+		if c.dskBytes > 80<<10 {
+			t.Fatalf("disk bytes %d above high watermark", c.dskBytes)
 		}
 		if !checkedDrop && c.Stats().EvictedDisk > before {
-			if c.DiskBytes() > 50<<10 {
-				t.Fatalf("disk bytes %d above low watermark right after eviction", c.DiskBytes())
+			if c.dskBytes > 50<<10 {
+				t.Fatalf("disk bytes %d above low watermark right after eviction", c.dskBytes)
 			}
 			checkedDrop = true
 		}
@@ -184,7 +184,7 @@ func TestEvictionRemovesFromMemoryToo(t *testing.T) {
 	c := New(cfg, 64<<10)
 	for id := uint64(0); id < 20; id++ {
 		c.Admit(obj(id, 4<<10, webobj.KindStatic))
-		if err := c.CheckInvariants(); err != nil {
+		if err := c.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,17 +231,6 @@ func TestBucketScanCost(t *testing.T) {
 	}
 }
 
-func TestHitRatio(t *testing.T) {
-	var s Stats
-	if s.HitRatio() != 0 {
-		t.Fatal("empty HitRatio != 0")
-	}
-	s = Stats{HitsMem: 3, HitsDisk: 1, Misses: 4}
-	if s.HitRatio() != 0.5 {
-		t.Fatalf("HitRatio = %v, want 0.5", s.HitRatio())
-	}
-}
-
 func TestMemoryFootprintGrowsWithCacheMem(t *testing.T) {
 	small := defaultConfig()
 	big := defaultConfig()
@@ -272,7 +261,7 @@ func TestInvariantsUnderRandomWorkload(t *testing.T) {
 				c.Admit(o)
 			}
 		}
-		return c.CheckInvariants() == nil
+		return c.checkInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -288,7 +277,7 @@ func TestHigherCacheMemImprovesMemHitRate(t *testing.T) {
 		cat := webobj.NewCatalog(2000, 1)
 		pop := webobj.NewPopularity(cat, rng.New(42), 0.9)
 		for i := 0; i < 30000; i++ {
-			o := pop.Next()
+			o := pop.NextOf(webobj.KindImage)
 			if r, _ := c.Lookup(o); r == Miss {
 				c.Admit(o)
 			}

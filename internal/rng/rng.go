@@ -274,9 +274,6 @@ func (z *Zipf) iterate(m uint64) (uint64, bool) {
 	return 0, false
 }
 
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() uint64 { return z.n }
-
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

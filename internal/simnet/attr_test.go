@@ -51,7 +51,7 @@ func runTwoRequests(t *testing.T, profile, spans bool) attrRun {
 
 	run := attrRun{seen: map[string]attrSeen{}, bufs: map[string]*SpanBuf{}}
 	observe := func(name string) {
-		run.seen[name] = attrSeen{at: e.Now(), stack: stackPath(e, e.cur.stack), span: e.CurrentSpan()}
+		run.seen[name] = attrSeen{at: e.Now(), stack: stackPath(e, e.cur.stack), span: e.cur.span}
 	}
 	begin := func(name string) Frame {
 		if spans {

@@ -377,23 +377,6 @@ func TestTokenPoolInvariant(t *testing.T) {
 	}
 }
 
-func TestStationResetPreservesInFlight(t *testing.T) {
-	var e Engine
-	st := NewStation(&e, "cpu", 1, 1)
-	completions := 0
-	st.Submit(5, func() { completions++ })
-	e.RunUntil(1)
-	st.Reset()
-	e.Run()
-	if completions != 1 {
-		t.Fatal("in-flight job lost on Reset")
-	}
-	if st.Completed() != 1 {
-		// completion happened after reset, so counter restarts and counts it
-		t.Fatalf("Completed = %d, want 1", st.Completed())
-	}
-}
-
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var e Engine

@@ -33,12 +33,3 @@ func (q *fifo[T]) pop() T {
 	}
 	return v
 }
-
-// detach empties the queue and returns its pending items in FIFO order.
-// The returned slice no longer belongs to the queue, so items pushed
-// while the caller walks it land in a fresh buffer.
-func (q *fifo[T]) detach() []T {
-	pending := q.buf[q.head:]
-	q.buf, q.head = nil, 0
-	return pending
-}

@@ -58,12 +58,6 @@ func TestFIFOMatchesSlice(t *testing.T) {
 	if compactions == 0 {
 		t.Fatal("no pop compacted a non-empty queue; the compaction path was not exercised")
 	}
-	if got := q.detach(); fmt.Sprint(got) != fmt.Sprint(ref) {
-		t.Fatalf("detach = %v, want %v", got, ref)
-	}
-	if q.len() != 0 || q.buf != nil {
-		t.Fatalf("queue not empty after detach: len %d", q.len())
-	}
 }
 
 // refStation is the station's queue discipline before the head-index
@@ -75,7 +69,6 @@ type refStation struct {
 	busy    int
 	queue   []refJob
 	queuePk int
-	onEvict func(done func())
 }
 
 type refJob struct {
@@ -108,54 +101,30 @@ func (s *refStation) start(demand float64, done func()) {
 	})
 }
 
-func (s *refStation) Reset() {
-	s.queuePk = 0
-	q := s.queue
-	s.queue = nil
-	for _, j := range q {
-		s.onEvict(j.done)
-	}
-}
-
-func (s *refStation) SetOnEvict(h func(done func())) { s.onEvict = h }
-func (s *refStation) QueueLen() int                  { return len(s.queue) }
-func (s *refStation) peak() int                      { return s.queuePk }
+func (s *refStation) QueueLen() int { return len(s.queue) }
+func (s *refStation) peak() int     { return s.queuePk }
 
 // stationOps is the surface the station scenario drives.
 type stationOps interface {
 	Submit(demand float64, done func())
-	Reset()
-	SetOnEvict(h func(done func()))
 	QueueLen() int
 	peak() int
 }
 
-// realStation adapts a Station to stationOps and counts the resets that
-// find a queue with a consumed prefix.
-type realStation struct {
-	*Station
-	resetsWithHead *int
-}
+// realStation adapts a Station to stationOps.
+type realStation struct{ *Station }
 
 func (s realStation) peak() int { return s.queuedPeak }
 
-func (s realStation) Reset() {
-	if s.queue.head > 0 && s.queue.len() > 0 {
-		*s.resetsWithHead++
-	}
-	s.Station.Reset()
-}
-
 // stationScenario runs a seeded random workload against st and returns
-// its log: every completion and eviction with the queue length its
-// callback saw, and the queue length and peak after every operation.
-// Fill phases keep the queue from draining; drain phases let it empty.
-// Completions resubmit work from inside their callbacks, and the evict
-// handler settles some jobs by resubmitting them to the station.
+// its log: every completion with the queue length its callback saw, and
+// the queue length and peak after every operation. Fill phases keep the
+// queue from draining; drain phases let it empty. Completions resubmit
+// work from inside their callbacks.
 func stationScenario(seed int64, e *Engine, st stationOps, check func(op int)) []string {
 	r := rand.New(rand.NewSource(seed))
 	var log []string
-	next, evicting := 0, false
+	next := 0
 	var submit func()
 	submit = func() {
 		id := next
@@ -165,31 +134,19 @@ func stationScenario(seed int64, e *Engine, st stationOps, check func(op int)) [
 			demand = 0
 		}
 		st.Submit(demand, func() {
-			what := "done"
-			if evicting {
-				what = "evict"
-			}
-			log = append(log, fmt.Sprintf("%s %d q=%d", what, id, st.QueueLen()))
+			log = append(log, fmt.Sprintf("done %d q=%d", id, st.QueueLen()))
 			if next < 6000 && r.Intn(3) == 0 {
 				submit()
 			}
 		})
 	}
-	st.SetOnEvict(func(done func()) {
-		evicting = true
-		done()
-		evicting = false
-	})
 	for op := 0; op < 4000; op++ {
 		fill := (op/400)%2 == 0
-		switch k := r.Intn(100); {
-		case fill && k < 45:
+		if fill && r.Intn(100) < 45 {
 			for n := r.Intn(3); n >= 0; n-- {
 				submit()
 			}
-		case fill && k == 99:
-			st.Reset()
-		default:
+		} else {
 			e.Step()
 		}
 		log = append(log, fmt.Sprintf("op %d q=%d peak=%d", op, st.QueueLen(), st.peak()))
@@ -202,10 +159,9 @@ func stationScenario(seed int64, e *Engine, st stationOps, check func(op int)) [
 }
 
 // TestStationMatchesReference checks the Station's O(1) queue against
-// the shifting-slice reference: the same completions and evictions in
-// the same order, and the same QueueLen and queue peak at every step,
-// through queues that never fully drain (so pops compact), Resets that
-// find a consumed prefix, and evict handlers that resubmit.
+// the shifting-slice reference: the same completions in the same order,
+// and the same QueueLen and queue peak at every step, through queues
+// that never fully drain (so pops compact).
 func TestStationMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		servers := 1 + int(seed%3)
@@ -213,9 +169,9 @@ func TestStationMatchesReference(t *testing.T) {
 		want := stationScenario(seed, &refEng, &refStation{eng: &refEng, servers: servers}, nil)
 
 		var e Engine
-		resets, deep, maxQueue := 0, false, 0
+		deep, maxQueue := false, 0
 		st := NewStation(&e, "cpu", servers, 1)
-		got := stationScenario(seed, &e, realStation{st, &resets}, func(op int) {
+		got := stationScenario(seed, &e, realStation{st}, func(op int) {
 			if !fifoCompact(&st.queue) {
 				t.Fatalf("seed %d op %d: head %d of %d not compacted", seed, op, st.queue.head, len(st.queue.buf))
 			}
@@ -232,9 +188,8 @@ func TestStationMatchesReference(t *testing.T) {
 			}
 			t.Fatalf("seed %d: log lengths %d != %d", seed, len(got), len(want))
 		}
-		if resets == 0 || !deep || maxQueue < 64 {
-			t.Fatalf("seed %d: scenario too shallow (resets with a consumed prefix %d, popped without draining %v, max queue %d)",
-				seed, resets, deep, maxQueue)
+		if !deep || maxQueue < 64 {
+			t.Fatalf("seed %d: scenario too shallow (popped without draining %v, max queue %d)", seed, deep, maxQueue)
 		}
 	}
 }
@@ -288,7 +243,6 @@ func (p *refPool) grant() {
 	p.granting = false
 }
 
-func (p *refPool) ResetCounters()    { p.rejected, p.waitPk = 0, 0 }
 func (p *refPool) Waiting() int      { return len(p.waiters) }
 func (p *refPool) InUse() int        { return p.inUse }
 func (p *refPool) rejectedN() uint64 { return p.rejected }
@@ -298,7 +252,6 @@ func (p *refPool) peak() int         { return p.waitPk }
 type poolOps interface {
 	Acquire(onGrant, onReject func())
 	Release()
-	ResetCounters()
 	Waiting() int
 	InUse() int
 	rejectedN() uint64
@@ -335,14 +288,11 @@ func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string
 	}
 	for op := 0; op < 4000; op++ {
 		fill := (op/400)%2 == 0
-		switch k := r.Intn(40); {
-		case fill && k < 18:
+		if fill && r.Intn(40) < 18 {
 			for n := r.Intn(3); n >= 0; n-- {
 				acquire()
 			}
-		case k == 39:
-			p.ResetCounters()
-		default:
+		} else {
 			e.Step()
 		}
 		log = append(log, fmt.Sprintf("op %d w=%d u=%d rej=%d peak=%d", op, p.Waiting(), p.InUse(), p.rejectedN(), p.peak()))
@@ -357,8 +307,8 @@ func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string
 // TestTokenPoolMatchesReference checks the TokenPool's O(1) wait queue
 // against the shifting-slice reference: the same grants and rejections
 // in the same order, and the same Waiting, InUse, Rejected and wait peak
-// at every step, with bounded and unbounded wait queues, counter resets, and
-// Acquire called from inside grant callbacks.
+// at every step, with bounded and unbounded wait queues and Acquire
+// called from inside grant callbacks.
 func TestTokenPoolMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		capacity := 1 + int(seed%3)

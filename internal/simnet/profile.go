@@ -243,19 +243,6 @@ func (p *Profile) folded() []foldedStack {
 	return out
 }
 
-// Empty reports whether nothing has been recorded. A nil profile is empty.
-func (p *Profile) Empty() bool {
-	if p == nil {
-		return true
-	}
-	for i := range p.nodes {
-		if p.nodes[i].w.events > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // totals sums the weights of fs, in order.
 func totals(fs []foldedStack) stackWeight {
 	var t stackWeight
@@ -268,10 +255,6 @@ func totals(fs []foldedStack) stackWeight {
 
 // Events returns the total number of recorded dispatches.
 func (p *Profile) Events() uint64 { return totals(p.folded()).events }
-
-// SimTime returns the total attributed simulated seconds, summed in the
-// sorted-stack order WriteFolded uses so the float total is reproducible.
-func (p *Profile) SimTime() float64 { return totals(p.folded()).simTime }
 
 // WriteFolded writes the profile in the folded-stack format consumed by
 // flamegraph.pl and speedscope: one "frame;frame;frame weight" line per

@@ -139,7 +139,7 @@ func TestProfileSimTimeWeights(t *testing.T) {
 	if got := stacks(p)["b"].simTime; got != 3 {
 		t.Fatalf("stack b simTime = %g, want 3 (5 minus the 2 already elapsed)", got)
 	}
-	if got := p.SimTime(); got != e.Now() {
+	if got := totals(p.folded()).simTime; got != e.Now() {
 		t.Fatalf("total simTime %g != clock %g", got, e.Now())
 	}
 }
@@ -300,7 +300,7 @@ func TestProfileDetachedZeroState(t *testing.T) {
 	}
 	e.Schedule(1, func() {})
 	e.Run()
-	if !p.Empty() {
+	if p.Events() != 0 {
 		t.Fatalf("detached engine recorded stacks: %v", stacks(p))
 	}
 	if f := e.Enter("x"); f.ok {
@@ -323,8 +323,8 @@ func TestProfileTotalsSortedOrder(t *testing.T) {
 		want += weights[stack]
 	}
 	for i := 0; i < 100; i++ {
-		if got := p.SimTime(); got != want {
-			t.Fatalf("call %d: SimTime() = %g, want the sorted-order sum %g", i, got, want)
+		if got := totals(p.folded()).simTime; got != want {
+			t.Fatalf("call %d: total simTime = %g, want the sorted-order sum %g", i, got, want)
 		}
 	}
 }

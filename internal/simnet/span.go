@@ -166,10 +166,6 @@ func (b *SpanBuf) KidSpanSegs(i int) []SpanSeg {
 	return b.KidSegs[k.Seg0 : k.Seg0+int32(k.NSeg)]
 }
 
-// CurrentSpan returns the span buffer of the request whose event is being
-// dispatched, or nil.
-func (e *Engine) CurrentSpan() *SpanBuf { return e.cur.span }
-
 // SetSpan installs b as the current span context and returns the previous
 // one; events scheduled while it is installed capture it. Pass nil to
 // detach — work scheduled afterwards (think timers, samplers) belongs to

@@ -158,14 +158,14 @@ func TestEngineThreadsSpanThroughEvents(t *testing.T) {
 		eng.SetSpan(&b)
 		// Scheduled while b is installed: the nested event captures it.
 		eng.Schedule(1, func() {
-			sawInner = eng.CurrentSpan()
+			sawInner = eng.cur.span
 			// An event scheduled from inside inherits too.
-			eng.Schedule(1, func() { sawOuter = eng.CurrentSpan() })
+			eng.Schedule(1, func() { sawOuter = eng.cur.span })
 		})
 		eng.SetSpan(nil)
 		// Scheduled after detach: carries no span.
 		eng.Schedule(2, func() {
-			if eng.CurrentSpan() != nil {
+			if eng.cur.span != nil {
 				t.Error("detached event carries a span")
 			}
 		})
@@ -175,7 +175,7 @@ func TestEngineThreadsSpanThroughEvents(t *testing.T) {
 		t.Errorf("span not threaded through dispatch: inner=%p outer=%p want %p",
 			sawInner, sawOuter, &b)
 	}
-	if eng.CurrentSpan() != nil {
+	if eng.cur.span != nil {
 		t.Error("engine span context not cleared after dispatch")
 	}
 }
@@ -235,7 +235,7 @@ func TestTokenPoolRecordsWait(t *testing.T) {
 		prev := eng.SetSpan(&w)
 		pool.Acquire(func() {
 			// Span context restored to the waiter's at grant time.
-			if eng.CurrentSpan() != &w {
+			if eng.cur.span != &w {
 				t.Error("pool grant did not restore waiter span context")
 			}
 			st.Submit(0.5, func() {

@@ -9,7 +9,6 @@ package simnet
 // compute utilization over measurement windows via snapshots.
 type Station struct {
 	eng      *Engine
-	name     string
 	svcFrame string // profiler frame "<name>/svc", built once
 	servers  int
 	speed    float64 // service rate multiplier; demand/speed = service time
@@ -22,10 +21,6 @@ type Station struct {
 	lastStamp  float64
 	completed  uint64
 	queuedPeak int
-
-	// onEvict, when set, receives each queued job's completion callback if
-	// Reset clears a non-empty queue; see Reset.
-	onEvict func(done func())
 
 	// freeSvc recycles in-service completion records so steady-state
 	// Submit/complete cycles are allocation-free: each record carries a
@@ -86,11 +81,8 @@ func NewStation(eng *Engine, name string, servers int, speed float64) *Station {
 	if speed <= 0 {
 		panic("simnet: station speed must be positive")
 	}
-	return &Station{eng: eng, name: name, svcFrame: name + "/svc", servers: servers, speed: speed, lastStamp: eng.Now()}
+	return &Station{eng: eng, svcFrame: name + "/svc", servers: servers, speed: speed, lastStamp: eng.Now()}
 }
-
-// Name returns the station's diagnostic name.
-func (s *Station) Name() string { return s.name }
 
 // SetSpeed changes the service-rate multiplier for jobs started afterwards.
 // Used to model thrashing slowdowns from memory pressure.
@@ -192,41 +184,6 @@ func (s *Station) Utilization(busyAtFrom, fromTime float64) float64 {
 	return u
 }
 
-// SetOnEvict installs the handler Reset hands queued jobs to. The handler
-// receives each evicted job's completion callback and must settle whatever
-// resources the job's submitter holds (release pool tokens, fail the
-// request, or — if completion semantics are acceptable — invoke done).
-func (s *Station) SetOnEvict(h func(done func())) { s.onEvict = h }
-
-// Reset clears counters and the queue (jobs in service still complete).
-// Used between measurement iterations when servers are "restarted".
-//
-// A queued job's done callback closes over upstream state — typically
-// TokenPool tokens the request holds while it waits — so silently dropping
-// the queue leaks that state across iterations. Reset therefore drains a
-// non-empty queue through the SetOnEvict handler; without one it panics,
-// asserting the invariant every current caller relies on (reset only after
-// the queue has drained).
-func (s *Station) Reset() {
-	s.stamp()
-	s.busyTime = 0
-	s.completed = 0
-	s.queuedPeak = 0
-	if s.queue.len() > 0 {
-		if s.onEvict == nil {
-			panic("simnet: Reset would drop " + s.name +
-				"'s queued jobs (and leak what their callbacks hold); drain first or SetOnEvict")
-		}
-		// Detach the queue before draining: an evict handler may settle its
-		// job by resubmitting work to this station, and those jobs belong
-		// to the post-reset queue — they must survive, not be dropped with
-		// the evicted batch.
-		for _, j := range s.queue.detach() {
-			s.onEvict(j.done)
-		}
-	}
-}
-
 // TokenPool is a counting semaphore with a FIFO wait queue of bounded
 // length. It models thread pools (tokens = threads) and connection limits;
 // the wait-queue bound models an accept/backlog queue, with arrivals beyond
@@ -262,9 +219,6 @@ func NewTokenPool(eng *Engine, name string, capacity, maxWait int) *TokenPool {
 	}
 	return &TokenPool{eng: eng, name: name, grantFrame: name + "/grant", capacity: capacity, maxWait: maxWait}
 }
-
-// Name returns the pool's diagnostic name.
-func (p *TokenPool) Name() string { return p.name }
 
 // SetSpanSite assigns the pool's span attribution site; the wait segments
 // it records carry it (span.go).
@@ -344,10 +298,3 @@ func (p *TokenPool) InUse() int { return p.inUse }
 
 // Waiting returns the number of requests in the wait queue.
 func (p *TokenPool) Waiting() int { return p.waiters.len() }
-
-// ResetCounters zeroes the rejected counter and the wait peak (state is
-// preserved).
-func (p *TokenPool) ResetCounters() {
-	p.rejected = 0
-	p.waitPeak = 0
-}

@@ -29,7 +29,6 @@ type SimulatedAnnealing struct {
 	asked   bool
 	first   bool
 
-	best     param.Config
 	bestCost float64
 	haveBest bool
 	evals    int
@@ -130,7 +129,6 @@ func (sa *SimulatedAnnealing) Tell(cost float64) {
 	sa.evals++
 	cfg := sa.space.Denormalize(sa.pending)
 	if !sa.haveBest || cost < sa.bestCost {
-		sa.best = cfg.Clone()
 		sa.bestCost = cost
 		sa.haveBest = true
 	}
@@ -165,14 +163,6 @@ func (sa *SimulatedAnnealing) Tell(cost float64) {
 	}
 }
 
-// Best returns the best configuration seen so far.
-func (sa *SimulatedAnnealing) Best() (param.Config, float64, bool) {
-	if !sa.haveBest {
-		return sa.space.DefaultConfig(), 0, false
-	}
-	return sa.best.Clone(), sa.bestCost, true
-}
-
 // Reset re-anchors the annealer at the given configuration and reheats.
 func (sa *SimulatedAnnealing) Reset(around param.Config) {
 	anchor := around.Clone()
@@ -185,10 +175,6 @@ func (sa *SimulatedAnnealing) Reset(around param.Config) {
 	sa.temp = 0.25
 	emit(sa.obs, Step{Move: "reset", Config: anchor.Clone(), Evaluations: sa.evals})
 }
-
-// Converged reports whether the temperature has cooled to the point where
-// proposals rarely leave the current lattice point.
-func (sa *SimulatedAnnealing) Converged() bool { return sa.temp <= sa.minTemp }
 
 // Evaluations returns the number of completed Ask/Tell cycles.
 func (sa *SimulatedAnnealing) Evaluations() int { return sa.evals }

@@ -5,15 +5,14 @@ import (
 	"webharmony/internal/rng"
 )
 
-// RandomSearch proposes uniform random lattice points, remembering the best.
-// It is the naive baseline the simplex method is compared against in the
-// ablation benchmarks.
+// RandomSearch proposes uniform random lattice points. It is the naive
+// baseline the simplex method is compared against in the ablation
+// benchmarks.
 type RandomSearch struct {
 	space    *param.Space
 	src      *rng.Source
 	pending  param.Config
 	asked    bool
-	best     param.Config
 	bestCost float64
 	haveBest bool
 	evals    int
@@ -89,7 +88,6 @@ func (r *RandomSearch) Tell(cost float64) {
 	r.asked = false
 	r.evals++
 	if !r.haveBest || cost < r.bestCost {
-		r.best = r.pending.Clone()
 		r.bestCost = cost
 		r.haveBest = true
 	}
@@ -99,14 +97,6 @@ func (r *RandomSearch) Tell(cost float64) {
 	})
 }
 
-// Best returns the best configuration seen so far.
-func (r *RandomSearch) Best() (param.Config, float64, bool) {
-	if !r.haveBest {
-		return r.space.DefaultConfig(), 0, false
-	}
-	return r.best.Clone(), r.bestCost, true
-}
-
 // Reset discards history; random search has no positional state to recenter.
 func (r *RandomSearch) Reset(around param.Config) {
 	r.asked = false
@@ -114,9 +104,6 @@ func (r *RandomSearch) Reset(around param.Config) {
 	r.first = true
 	emit(r.obs, Step{Move: "reset", Evaluations: r.evals})
 }
-
-// Converged always reports false: random search never stops proposing.
-func (r *RandomSearch) Converged() bool { return false }
 
 // Evaluations returns the number of completed Ask/Tell cycles.
 func (r *RandomSearch) Evaluations() int { return r.evals }
@@ -139,7 +126,6 @@ type CoordinateSearch struct {
 
 	pending  param.Config
 	asked    bool
-	best     param.Config
 	bestCost float64
 	haveBest bool
 	evals    int
@@ -222,7 +208,6 @@ func (c *CoordinateSearch) Tell(cost float64) {
 	c.asked = false
 	c.evals++
 	if !c.haveBest || cost < c.bestCost {
-		c.best = c.pending.Clone()
 		c.bestCost = cost
 		c.haveBest = true
 	}
@@ -262,14 +247,6 @@ func (c *CoordinateSearch) advance() {
 	}
 }
 
-// Best returns the best configuration seen so far.
-func (c *CoordinateSearch) Best() (param.Config, float64, bool) {
-	if !c.haveBest {
-		return c.space.DefaultConfig(), 0, false
-	}
-	return c.best.Clone(), c.bestCost, true
-}
-
 // Reset re-anchors the search at the given configuration.
 func (c *CoordinateSearch) Reset(around param.Config) {
 	c.asked = false
@@ -284,21 +261,6 @@ func (c *CoordinateSearch) Reset(around param.Config) {
 		c.step[i] = 0.25
 	}
 	emit(c.obs, Step{Move: "reset", Config: c.current.Clone(), Evaluations: c.evals})
-}
-
-// Converged reports whether the probe step has collapsed below one lattice
-// level for every parameter.
-func (c *CoordinateSearch) Converged() bool {
-	for i, d := range c.space.Defs() {
-		span := float64(d.Max - d.Min)
-		if span == 0 {
-			continue
-		}
-		if c.step[i]*span >= float64(d.Step) {
-			return false
-		}
-	}
-	return true
 }
 
 // Evaluations returns the number of completed Ask/Tell cycles.

@@ -28,17 +28,10 @@ type Tuner interface {
 	// Tell reports the cost observed for the configuration returned by the
 	// immediately preceding Ask.
 	Tell(cost float64)
-	// Best returns the best configuration and cost seen so far. Before any
-	// Tell it returns the space default and +Inf semantics are avoided by
-	// returning ok=false.
-	Best() (param.Config, float64, bool)
 	// Reset re-centers the search around the given configuration,
 	// discarding accumulated state. Used when the environment shifts
 	// (e.g. the workload changes) and old measurements are stale.
 	Reset(around param.Config)
-	// Converged reports whether the algorithm has effectively stopped
-	// moving (every candidate it would propose rounds to the same point).
-	Converged() bool
 	// Evaluations returns the number of completed Ask/Tell cycles.
 	Evaluations() int
 	// Peek returns up to max upcoming proposals without mutating the
@@ -120,7 +113,6 @@ type NelderMead struct {
 	asked   bool
 
 	reflected     vertex // candidate from the reflection step
-	bestConfig    param.Config
 	bestCost      float64
 	haveBest      bool
 	evals         int
@@ -279,7 +271,6 @@ func (nm *NelderMead) Tell(cost float64) {
 	nm.evals++
 	cfg := nm.space.Denormalize(nm.pending)
 	if !nm.haveBest || cost < nm.bestCost {
-		nm.bestConfig = cfg.Clone()
 		nm.bestCost = cost
 		nm.haveBest = true
 	}
@@ -369,14 +360,6 @@ func (nm *NelderMead) shrink() {
 	nm.idx = 1 // vertex 0 keeps its cost
 }
 
-// Best returns the best configuration and its cost observed so far.
-func (nm *NelderMead) Best() (param.Config, float64, bool) {
-	if !nm.haveBest {
-		return nm.space.DefaultConfig(), 0, false
-	}
-	return nm.bestConfig.Clone(), nm.bestCost, true
-}
-
 // Reset re-centers the simplex around the given configuration and discards
 // all stored costs; the next Asks re-evaluate a fresh simplex.
 func (nm *NelderMead) Reset(around param.Config) {
@@ -387,22 +370,6 @@ func (nm *NelderMead) Reset(around param.Config) {
 	nm.haveBest = false
 	nm.initSimplex(around)
 	emit(nm.obs, Step{Move: "reset", Config: around.Clone(), Evaluations: nm.evals})
-}
-
-// Converged reports whether every vertex of the simplex rounds to the same
-// feasible configuration — the integer-lattice analogue of a zero-diameter
-// simplex.
-func (nm *NelderMead) Converged() bool {
-	if nm.phase == phaseInit {
-		return false
-	}
-	first := nm.space.Denormalize(nm.verts[0].u)
-	for _, v := range nm.verts[1:] {
-		if !nm.space.Denormalize(v.u).Equal(first) {
-			return false
-		}
-	}
-	return true
 }
 
 // Evaluations returns the number of completed Ask/Tell cycles.

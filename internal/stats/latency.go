@@ -120,11 +120,3 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 		h.max = o.max
 	}
 }
-
-// Reset clears the histogram for reuse.
-func (h *LatencyHist) Reset() {
-	h.counts = [latencyBuckets]uint32{}
-	h.n = 0
-	h.sum = 0
-	h.max = 0
-}

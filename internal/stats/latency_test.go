@@ -118,15 +118,6 @@ func TestLatencyHistMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestLatencyHistReset(t *testing.T) {
-	var h LatencyHist
-	h.Observe(12345)
-	h.Reset()
-	if h.N() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("Reset left state behind")
-	}
-}
-
 func BenchmarkLatencyHistObserve(b *testing.B) {
 	var h LatencyHist
 	for i := 0; i < b.N; i++ {

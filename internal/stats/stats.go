@@ -1,37 +1,26 @@
 // Package stats provides the statistical accumulators and summaries used
 // when measuring simulated web-cluster performance: online mean/variance,
-// percentiles, histograms, utilization counters and time series.
+// percentiles, replicate summaries with confidence intervals, and latency
+// histograms.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Running accumulates a stream of observations using Welford's online
-// algorithm, yielding numerically stable mean and variance along with the
-// minimum and maximum. The zero value is ready to use.
+// algorithm, yielding numerically stable mean and variance. The zero value
+// is ready to use.
 type Running struct {
-	n        int
-	mean     float64
-	m2       float64
-	min, max float64
+	n    int
+	mean float64
+	m2   float64
 }
 
 // Add records one observation.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
 	r.m2 += delta * (x - r.mean)
@@ -55,56 +44,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Min returns the smallest observation, or 0 if none were recorded.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 if none were recorded.
-func (r *Running) Max() float64 { return r.max }
-
-// Sum returns the running total of observations.
-func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
-
-// Reset discards all recorded observations.
-func (r *Running) Reset() { *r = Running{} }
-
-// Merge combines another accumulator into r, as if all of other's
-// observations had been added to r directly (Chan et al. parallel variant).
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	n := r.n + other.n
-	delta := other.mean - r.mean
-	mean := r.mean + delta*float64(other.n)/float64(n)
-	m2 := r.m2 + other.m2 + delta*delta*float64(r.n)*float64(other.n)/float64(n)
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
-}
-
-// CI95 returns the half-width of a 95% confidence interval for the mean
-// using the normal approximation (adequate for the sample sizes used by the
-// experiments, which have n >= 30).
-func (r *Running) CI95() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return 1.96 * r.StdDev() / math.Sqrt(float64(r.n))
-}
-
-// String formats the accumulator as "mean ± stddev (n=...)".
-func (r *Running) String() string {
-	return fmt.Sprintf("%.2f ± %.2f (n=%d)", r.Mean(), r.StdDev(), r.n)
-}
-
 // Sample stores raw observations for percentile queries.
 type Sample struct {
 	data   []float64
@@ -117,9 +56,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.data) }
-
 // Mean returns the sample mean, or 0 when empty.
 func (s *Sample) Mean() float64 {
 	if len(s.data) == 0 {
@@ -130,21 +66,6 @@ func (s *Sample) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.data))
-}
-
-// StdDev returns the sample standard deviation (n-1), or 0 for n < 2.
-func (s *Sample) StdDev() float64 {
-	n := len(s.data)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.data {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
 }
 
 func (s *Sample) sortIfNeeded() {
@@ -235,11 +156,6 @@ func Summarize(vs []float64) Summary {
 		s.CI95 = TCritical95(s.N-1) * s.StdDev / math.Sqrt(float64(s.N))
 	}
 	return s
-}
-
-// String formats the summary as "mean ± stddev (95% CI ±ci, n=...)".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.2f ± %.2f (95%% CI ±%.2f, n=%d)", s.Mean, s.StdDev, s.CI95, s.N)
 }
 
 // tCrit95 holds two-sided 95% Student-t critical values for 1…30 degrees

@@ -82,10 +82,3 @@ func TestTCritical95(t *testing.T) {
 		}
 	}
 }
-
-func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{1, 3})
-	if got, want := s.String(), "2.00 ± 1.41 (95% CI ±12.71, n=2)"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-}

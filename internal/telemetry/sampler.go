@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"webharmony/internal/cluster"
-	"webharmony/internal/simnet"
 	"webharmony/internal/websim"
 )
 
@@ -24,7 +23,6 @@ type Sampler struct {
 
 	snaps   map[int]cluster.UtilSnapshot
 	prev    map[int]proxyCounters // per-node cache counters at the last sample
-	timer   simnet.Timer
 	running bool
 }
 
@@ -59,20 +57,11 @@ func (s *Sampler) Start() {
 	s.schedule()
 }
 
-// Stop halts sampling; recorded samples remain in the recorder.
-func (s *Sampler) Stop() {
-	s.running = false
-	s.timer.Cancel()
-}
-
 func (s *Sampler) schedule() {
 	// Sampling events belong to the telemetry layer, not to whatever
 	// request context happened to be live when the previous tick fired.
 	f := s.sys.Eng.EnterRoot("telemetry/sample")
-	s.timer = s.sys.Eng.Schedule(s.interval, func() {
-		if !s.running {
-			return
-		}
+	s.sys.Eng.Schedule(s.interval, func() {
 		s.sample()
 		s.schedule()
 	})

@@ -53,20 +53,6 @@ func TestSamplerRecordsPerTierSamples(t *testing.T) {
 	}
 }
 
-func TestSamplerStopHaltsSampling(t *testing.T) {
-	sys := loadedSystem(t)
-	rec := NewCollector().Recorder(0, "test")
-	s := NewSampler(sys, rec, 5)
-	s.Start()
-	sys.Eng.RunUntil(11)
-	n := len(rec.samples)
-	s.Stop()
-	sys.Eng.RunUntil(40)
-	if got := len(rec.samples); got != n {
-		t.Fatalf("sampler recorded %d samples after Stop, want %d", got, n)
-	}
-}
-
 func TestSamplerDeterministic(t *testing.T) {
 	runOnce := func() []Sample {
 		sys := loadedSystem(t)

@@ -68,20 +68,6 @@ func TestNilRecorderSimProfileSafe(t *testing.T) {
 	}
 }
 
-// TestEmptyConsidersSimProfiles: a collector whose only content is an
-// attached profile is not Empty.
-func TestEmptyConsidersSimProfiles(t *testing.T) {
-	c := NewCollector()
-	r := c.Recorder(0, "u")
-	if !c.Empty() {
-		t.Fatal("collector with blank recorder should be empty")
-	}
-	r.AttachSimProfile(buildProfile(t, []string{"s"}))
-	if c.Empty() {
-		t.Fatal("collector with a recorded profile reported Empty")
-	}
-}
-
 // TestWriteSimProfileRollup smoke-checks the rollup path through the
 // collector.
 func TestWriteSimProfileRollup(t *testing.T) {

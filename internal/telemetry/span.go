@@ -25,14 +25,6 @@ func (r *Recorder) AttachSpans(s *websim.SpanSink) {
 	r.spans = s
 }
 
-// Spans returns the attached span sink, if any.
-func (r *Recorder) Spans() *websim.SpanSink {
-	if r == nil {
-		return nil
-	}
-	return r.spans
-}
-
 // spanSegJSON is one span segment in an exported dump.
 type spanSegJSON struct {
 	Site string `json:"site"`

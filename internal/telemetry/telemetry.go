@@ -97,14 +97,6 @@ func (r *Recorder) Sample(s Sample) {
 	r.samples = append(r.samples, s)
 }
 
-// Events returns the recorded trace events. Callers must not modify it.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events
-}
-
 // AttachSimProfile associates the unit's event-loop profile with the
 // recorder so the collector can merge profiles across units in the same
 // fixed (replicate, unit) order it uses for traces and metrics.
@@ -246,17 +238,4 @@ func (c *Collector) WriteSimProfile(w io.Writer) error {
 // WriteSimProfileRollup writes the merged profile's human-readable rollup.
 func (c *Collector) WriteSimProfileRollup(w io.Writer) error {
 	return c.MergedSimProfile().WriteRollup(w)
-}
-
-// Empty reports whether the collector recorded nothing at all.
-func (c *Collector) Empty() bool {
-	for _, r := range c.sorted() {
-		if len(r.events) > 0 || len(r.samples) > 0 || !r.simProf.Empty() {
-			return false
-		}
-		if r.spans != nil && r.spans.Pages() > 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package tpcw
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -166,48 +165,4 @@ func (s *SessionSampler) Next() Interaction {
 	outs := sessionEdges[s.cur]
 	s.cur = outs[len(outs)-1]
 	return s.cur
-}
-
-// StationaryError returns the largest absolute deviation (in percentage
-// points) between the calibrated walk's stationary distribution and the
-// Table 1 mix — a diagnostic for the calibration quality.
-func StationaryError(w Workload) float64 {
-	p := matrixFor(w)
-	var pi [NumInteractions]float64
-	for i := range pi {
-		pi[i] = 1.0 / float64(NumInteractions)
-	}
-	for it := 0; it < 500; it++ {
-		var next [NumInteractions]float64
-		for i := range pi {
-			for j := range pi {
-				next[j] += pi[i] * p[i][j]
-			}
-		}
-		pi = next
-	}
-	mix := Mix(w)
-	worst := 0.0
-	for j := range pi {
-		if d := math.Abs(pi[j]*100 - mix[j]); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// validateGraph panics if the session graph references an unknown page or
-// leaves a page without exits; run by tests.
-func validateGraph() error {
-	for i, outs := range sessionEdges {
-		if len(outs) == 0 {
-			return fmt.Errorf("tpcw: page %v has no exits", Interaction(i))
-		}
-		for _, j := range outs {
-			if j < 0 || int(j) >= NumInteractions {
-				return fmt.Errorf("tpcw: page %v links to invalid page %d", Interaction(i), j)
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package tpcw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestTransitionMatrixRowsNormalized(t *testing.T) {
 
 func TestSessionStationaryMatchesTable1(t *testing.T) {
 	for _, w := range Workloads() {
-		if err := StationaryError(w); err > 0.05 {
+		if err := stationaryError(w); err > 0.05 {
 			t.Errorf("%v: stationary distribution deviates %.3f points from Table 1", w, err)
 		}
 	}
@@ -152,4 +153,48 @@ func BenchmarkSessionSamplerNext(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Next()
 	}
+}
+
+// stationaryError returns the largest absolute deviation (in percentage
+// points) between the calibrated walk's stationary distribution and the
+// Table 1 mix — a diagnostic for the calibration quality.
+func stationaryError(w Workload) float64 {
+	p := matrixFor(w)
+	var pi [NumInteractions]float64
+	for i := range pi {
+		pi[i] = 1.0 / float64(NumInteractions)
+	}
+	for it := 0; it < 500; it++ {
+		var next [NumInteractions]float64
+		for i := range pi {
+			for j := range pi {
+				next[j] += pi[i] * p[i][j]
+			}
+		}
+		pi = next
+	}
+	mix := Mix(w)
+	worst := 0.0
+	for j := range pi {
+		if d := math.Abs(pi[j]*100 - mix[j]); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// validateGraph reports a session graph that references an unknown page
+// or leaves a page without exits.
+func validateGraph() error {
+	for i, outs := range sessionEdges {
+		if len(outs) == 0 {
+			return fmt.Errorf("tpcw: page %v has no exits", Interaction(i))
+		}
+		for _, j := range outs {
+			if j < 0 || int(j) >= NumInteractions {
+				return fmt.Errorf("tpcw: page %v links to invalid page %d", Interaction(i), j)
+			}
+		}
+	}
+	return nil
 }

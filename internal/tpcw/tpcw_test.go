@@ -364,14 +364,14 @@ func TestDriverResponseTimesRecorded(t *testing.T) {
 	d.Start()
 	eng.RunUntil(60)
 	rt := d.ResponseTimes()
-	if rt.N() == 0 {
+	if rt.Mean() == 0 {
 		t.Fatal("no response times recorded")
 	}
 	if m := rt.Mean(); math.Abs(m-0.25) > 1e-9 {
 		t.Fatalf("mean response = %v, want 0.25 (fixed latency)", m)
 	}
 	d.ResetCounters()
-	if d.ResponseTimes().N() != 0 {
+	if d.ResponseTimes().Mean() != 0 {
 		t.Fatal("response times survived ResetCounters")
 	}
 }

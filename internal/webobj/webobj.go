@@ -55,7 +55,6 @@ func (o Object) Cacheable() bool { return o.Kind != KindDynamic }
 //
 // A Catalog is not safe for concurrent use: Object fills its size table.
 type Catalog struct {
-	scale    int
 	nStatic  uint64
 	nImages  uint64
 	nDynamic uint64
@@ -78,7 +77,6 @@ func NewCatalog(scale int, sizeSeed uint64) *Catalog {
 		panic("webobj: scale must be positive")
 	}
 	c := &Catalog{
-		scale:    scale,
 		nStatic:  uint64(scale)/10 + 50, // site chrome + per-category pages
 		nImages:  uint64(scale) * ImagesPerItem,
 		nDynamic: uint64(scale) + 1000, // product-detail and result pages
@@ -87,9 +85,6 @@ func NewCatalog(scale int, sizeSeed uint64) *Catalog {
 	c.sizes = make([]int32, c.Total())
 	return c
 }
-
-// Scale returns the catalog's item count.
-func (c *Catalog) Scale() int { return c.scale }
 
 // Total returns the total number of distinct objects.
 func (c *Catalog) Total() uint64 { return c.nStatic + c.nImages + c.nDynamic }
@@ -204,16 +199,9 @@ func (p *Popularity) rankToID(rank uint64) uint64 {
 	}
 }
 
-// Next draws the next referenced cacheable object.
-func (p *Popularity) Next() Object {
-	rank := p.zipf.Next()
-	return p.cat.Object(p.rankToID(rank))
-}
-
-// NextOf draws references until one of kind k comes up and returns it:
-// the same draws, and the same object, as calling Next until its Kind is
-// k, but the rejected draws are tested by ID range and never look up a
-// size. k must be cacheable; the sampler never draws a dynamic object.
+// NextOf draws references until one of kind k comes up and returns it.
+// The rejected draws are tested by ID range and never look up a size. k
+// must be cacheable; the sampler never draws a dynamic object.
 func (p *Popularity) NextOf(k Kind) Object {
 	if k == KindDynamic {
 		panic("webobj: NextOf(KindDynamic): the sampler draws cacheable objects only")
@@ -225,6 +213,3 @@ func (p *Popularity) NextOf(k Kind) Object {
 		}
 	}
 }
-
-// N returns the number of objects the sampler draws from.
-func (p *Popularity) N() uint64 { return p.n }

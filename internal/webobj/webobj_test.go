@@ -9,9 +9,6 @@ import (
 
 func TestCatalogCounts(t *testing.T) {
 	c := NewCatalog(10000, 1)
-	if c.Scale() != 10000 {
-		t.Fatal("scale wrong")
-	}
 	if c.CacheableTotal() >= c.Total() {
 		t.Fatal("dynamic objects missing")
 	}
@@ -106,6 +103,13 @@ func TestObjectPanicsOutOfRange(t *testing.T) {
 	c.Object(c.Total())
 }
 
+// Next draws the next referenced cacheable object: one Zipf draw, mapped
+// to its object. The simulator draws by kind (NextOf); Next is the plain
+// sampler the tests check NextOf against.
+func (p *Popularity) Next() Object {
+	return p.cat.Object(p.rankToID(p.zipf.Next()))
+}
+
 func TestPopularityInRangeAndCacheable(t *testing.T) {
 	c := NewCatalog(2000, 5)
 	p := NewPopularity(c, rng.New(9), 0.9)
@@ -145,10 +149,10 @@ func TestPopularityIsSkewed(t *testing.T) {
 func TestRankToIDBijection(t *testing.T) {
 	c := NewCatalog(500, 2)
 	p := NewPopularity(c, rng.New(3), 0.8)
-	seen := make(map[uint64]bool, p.N())
-	for r := uint64(0); r < p.N(); r++ {
+	seen := make(map[uint64]bool, p.n)
+	for r := uint64(0); r < p.n; r++ {
 		id := p.rankToID(r)
-		if id >= p.N() {
+		if id >= p.n {
 			t.Fatalf("rankToID(%d) = %d out of range", r, id)
 		}
 		if seen[id] {
@@ -242,14 +246,6 @@ func BenchmarkCatalogObject(b *testing.B) {
 		sink = c.Object(uint64(i) % c.Total())
 	}
 	_ = sink
-}
-
-func BenchmarkPopularityNext(b *testing.B) {
-	c := NewCatalog(10000, 1)
-	p := NewPopularity(c, rng.New(1), 0.9)
-	for i := 0; i < b.N; i++ {
-		p.Next()
-	}
 }
 
 // BenchmarkPopularityNextOf draws one object of each kind the way a

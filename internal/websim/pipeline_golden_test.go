@@ -80,7 +80,7 @@ func pipelineFingerprint(t *testing.T, seed uint64, sessions, churn bool) string
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%.9f pending=%d\n", sys.Eng.Now(), sys.Eng.Pending())
-	fmt.Fprintf(&b, "pages ok=%d fail=%d\n", sys.PagesOK(), sys.PagesFailed())
+	fmt.Fprintf(&b, "pages ok=%d fail=%d\n", sys.pageOK, sys.pageFail)
 	c := d.Counters()
 	fmt.Fprintf(&b, "browse=%d order=%d errors=%d\n", c.Browse, c.Order, c.Errors)
 	for i := 0; i < tpcw.NumInteractions; i++ {

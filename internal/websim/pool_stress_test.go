@@ -83,7 +83,7 @@ func TestPoolChurnStress(t *testing.T) {
 		t.Errorf("after drain: %d pages and %d objects still live, want 0/0", sys.livePages, sys.liveObjs)
 	}
 	c := d.Counters()
-	if got, want := sys.PagesOK()+sys.PagesFailed(), c.Total()+c.Errors; got != want {
+	if got, want := sys.pageOK+sys.pageFail, c.Total()+c.Errors; got != want {
 		t.Errorf("page accounting diverged: system settled %d pages, driver saw %d", got, want)
 	}
 	// Each browser has at most one page in flight, and a page at most
@@ -95,7 +95,7 @@ func TestPoolChurnStress(t *testing.T) {
 	if max := browsers * (1 + maxImages); len(sys.freeObjs) > max {
 		t.Errorf("free object list holds %d records, cap is %d", len(sys.freeObjs), max)
 	}
-	if sys.PagesOK() == 0 || sys.PagesFailed() == 0 {
-		t.Errorf("stress run not exercising both outcomes: ok=%d fail=%d", sys.PagesOK(), sys.PagesFailed())
+	if sys.pageOK == 0 || sys.pageFail == 0 {
+		t.Errorf("stress run not exercising both outcomes: ok=%d fail=%d", sys.pageOK, sys.pageFail)
 	}
 }

@@ -143,9 +143,6 @@ func NewSpanSink(sampleEvery int) *SpanSink {
 // sink detaches, making span recording fully inert again.
 func (s *System) SetSpanSink(k *SpanSink) { s.spanSink = k }
 
-// SpanSink returns the attached sink, or nil.
-func (s *System) SpanSink() *SpanSink { return s.spanSink }
-
 // page folds a completing page's span tree into the sink; eng is the
 // engine of the system serving the page. Called from pageReq.finish before
 // the record is recycled; the span buffer's storage survives only until
@@ -311,15 +308,6 @@ func (k *SpanSink) QueueTotals() [cluster.NumSpanGroups]int64 {
 	var out [cluster.NumSpanGroups]int64
 	for g := range k.totals {
 		out[g] = k.totals[g][simnet.SpanQueue]
-	}
-	return out
-}
-
-// ServiceTotals returns the running per-group service tick totals.
-func (k *SpanSink) ServiceTotals() [cluster.NumSpanGroups]int64 {
-	var out [cluster.NumSpanGroups]int64
-	for g := range k.totals {
-		out[g] = k.totals[g][simnet.SpanService]
 	}
 	return out
 }

@@ -153,7 +153,7 @@ func TestSpanRecordingIsInvisible(t *testing.T) {
 			sys.SetSpanSink(NewSpanSink(1))
 		}
 		servePages(sys, 1500, 9)
-		return sys.PagesOK(), sys.Eng.Now()
+		return sys.pageOK, sys.Eng.Now()
 	}
 	okA, tA := run(false)
 	okB, tB := run(true)
@@ -239,4 +239,13 @@ func TestSpanSitesFollowMoves(t *testing.T) {
 	if after[cluster.SpanGroupApp] <= before[cluster.SpanGroupApp] {
 		t.Error("no app-tier service time accrued after the move")
 	}
+}
+
+// ServiceTotals returns the running per-group service tick totals.
+func (k *SpanSink) ServiceTotals() [cluster.NumSpanGroups]int64 {
+	var out [cluster.NumSpanGroups]int64
+	for g := range k.totals {
+		out[g] = k.totals[g][simnet.SpanService]
+	}
+	return out
 }

@@ -915,12 +915,6 @@ func (s *System) proxyCPU(p *proxyServer, scan int, bytes int64, then func()) {
 	p.node.CPU().Submit(d, then)
 }
 
-// PagesOK returns the number of successfully completed page requests.
-func (s *System) PagesOK() uint64 { return s.pageOK }
-
-// PagesFailed returns the number of failed page requests.
-func (s *System) PagesFailed() uint64 { return s.pageFail }
-
 // LineCompleted returns the completed-page count of a work line.
 func (s *System) LineCompleted(line int) uint64 {
 	if line < 0 || line >= len(s.lineDone) {

@@ -31,7 +31,7 @@ func TestSystemServesTraffic(t *testing.T) {
 	if c.Total() == 0 {
 		t.Fatal("no pages completed")
 	}
-	if sys.PagesOK() == 0 {
+	if sys.pageOK == 0 {
 		t.Fatal("system did not count completed pages")
 	}
 	st, ok := sys.ProxyStats(0)
@@ -137,7 +137,7 @@ func TestWorkLinesRouteAndCount(t *testing.T) {
 	if sys.LineCompleted(5) != 0 || sys.LineCompleted(-1) != 0 {
 		t.Fatal("out-of-range line should count 0")
 	}
-	total := sys.PagesOK()
+	total := sys.pageOK
 	if l0+l1 != total {
 		t.Fatalf("line counts %d+%d != total %d", l0, l1, total)
 	}
@@ -156,7 +156,7 @@ func TestSystemDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
 		sys := smallSystem(0)
 		driveFor(sys, tpcw.Ordering, 60)
-		return sys.PagesOK(), sys.PagesFailed()
+		return sys.pageOK, sys.pageFail
 	}
 	ok1, f1 := run()
 	ok2, f2 := run()
@@ -169,7 +169,7 @@ func TestResetCounters(t *testing.T) {
 	sys := smallSystem(2)
 	driveFor(sys, tpcw.Shopping, 20)
 	sys.ResetCounters()
-	if sys.PagesOK() != 0 || sys.PagesFailed() != 0 || sys.LineCompleted(0) != 0 {
+	if sys.pageOK != 0 || sys.pageFail != 0 || sys.LineCompleted(0) != 0 {
 		t.Fatal("ResetCounters left residue")
 	}
 }
