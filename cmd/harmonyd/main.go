@@ -54,6 +54,14 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "harmonyd: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if *drain < 0 {
+		fmt.Fprintf(stderr, "harmonyd: -drain must be >= 0, got %v\n", *drain)
+		return 2
+	}
 
 	srv, err := hproto.NewServer(*addr)
 	if err != nil {

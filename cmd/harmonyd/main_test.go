@@ -120,10 +120,33 @@ func TestDebugAddrServesIntrospection(t *testing.T) {
 	}
 }
 
+// TestBadFlagExitsTwo checks that an unknown flag, a stray positional
+// argument and a negative -drain are refused before the daemon listens. The
+// signal channel has already fired, so a daemon that accepted the arguments
+// would start, shut down at once and exit 0 instead of hanging.
 func TestBadFlagExitsTwo(t *testing.T) {
-	var stdout, stderr syncBuffer
-	if code := run([]string{"-no-such-flag"}, &stdout, &stderr, nil); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"unknown-flag", "flag provided but not defined", []string{"-addr", "127.0.0.1:0", "-no-such-flag"}},
+		{"positional", "unexpected argument", []string{"-addr", "127.0.0.1:0", "stray"}},
+		{"negative-drain", "-drain must be >= 0", []string{"-addr", "127.0.0.1:0", "-drain", "-1s"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr syncBuffer
+			sig := make(chan os.Signal, 1)
+			sig <- os.Interrupt
+			if code := run(tc.args, &stdout, &stderr, sig); code != 2 {
+				t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr should say %q, got:\n%s", tc.want, stderr.String())
+			}
+			if strings.Contains(stdout.String(), "listening") {
+				t.Errorf("daemon started before refusing its arguments:\n%s", stdout.String())
+			}
+		})
 	}
 }
 

@@ -95,6 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "webtune: -iters must be >= 0, got %d\n", *iters)
 		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "webtune: -workers must be >= 0, got %d\n", *workers)
+		return 2
+	}
 	if *telemetry != "" && *spanEvery < 0 {
 		fmt.Fprintf(stderr, "webtune: -span-sample must be >= 0, got %d\n", *spanEvery)
 		return 2

@@ -36,6 +36,8 @@ func TestFlagAndArgumentErrors(t *testing.T) {
 		{"negative-iters-figure4", []string{"-scale", "tiny", "-iters", "-1", "figure4"}, "-iters must be >= 0, got -1"},
 		{"negative-span-sample", []string{"-telemetry", tel, "-span-sample", "-1", "-scale", "tiny", "table1"}, "-span-sample must be >= 0, got -1"},
 		{"bad-workers-value", []string{"-workers", "x", "table1"}, "invalid value"},
+		// A negative -workers used to fall back to GOMAXPROCS silently.
+		{"negative-workers", []string{"-workers", "-3", "table1"}, "-workers must be >= 0, got -3"},
 		// The parameter sweeps are retired: their experiment and both of
 		// their flags are rejected like any other unknown input.
 		{"bad-sweep-spec", []string{"-sweep", "cpus=1,2", "sweep"}, "flag provided but not defined: -sweep"},

@@ -116,22 +116,13 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Stats counts server activity since the last reset.
-type Stats struct {
-	Accepted     uint64
-	RejectedHTTP uint64 // accept queue overflow at the HTTP connector
-	RejectedAJP  uint64 // accept queue overflow at the AJP connector
-	Completed    uint64
-}
-
 // Server is one application-server instance bound to a cluster node.
 type Server struct {
-	cfg   Config
-	cost  CostModel
-	node  *cluster.Node
-	http  *simnet.TokenPool
-	ajp   *simnet.TokenPool
-	stats Stats
+	cfg  Config
+	cost CostModel
+	node *cluster.Node
+	http *simnet.TokenPool
+	ajp  *simnet.TokenPool
 
 	// free recycles per-request call records so the steady-state request
 	// path allocates no closures; see the call type and DESIGN.md §7.
@@ -151,9 +142,6 @@ func New(eng *simnet.Engine, node *cluster.Node, cfg Config, cost CostModel) *Se
 	s.ajp.SetSpanSite(cluster.SpanSiteAppAJPPool)
 	return s
 }
-
-// Stats returns a snapshot of the activity counters.
-func (s *Server) Stats() Stats { return s.stats }
 
 // bufferEfficiency returns the IO-cost multiplier for the configured
 // buffer size: small buffers cause extra write syscalls; very large
@@ -251,7 +239,6 @@ func (c *call) step() {
 	s := c.srv
 	switch c.stage {
 	case callHTTPGrant:
-		s.stats.Accepted++
 		// Parse + static part of the work on the HTTP connector thread.
 		c.stage = callParsed
 		s.node.CPU().Submit(s.cost.ParseCost, c.stepFn)
@@ -280,7 +267,6 @@ func (c *call) step() {
 		done := c.done
 		s.putCall(c)
 		s.http.Release()
-		s.stats.Completed++
 		done(true)
 	default:
 		panic("appserver: call stepped after release")
@@ -295,11 +281,9 @@ func (c *call) reject() {
 	switch c.stage {
 	case callHTTPGrant:
 		s.putCall(c)
-		s.stats.RejectedHTTP++
 		done(false)
 	case callAJPGrant:
 		s.putCall(c)
-		s.stats.RejectedAJP++
 		s.http.Release()
 		done(false)
 	default:

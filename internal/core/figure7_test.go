@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -11,9 +12,14 @@ func quickFig7Lab() LabConfig {
 	return cfg
 }
 
+// figure7a runs RunFigure7(quickFig7Lab(), Figure7a()) once for every test
+// that checks that run; the tests only read the result.
+var figure7a = sync.OnceValue(func() *Figure7Result {
+	return RunFigure7(quickFig7Lab(), Figure7a())
+})
+
 func TestFigure7aMovesProxyToApp(t *testing.T) {
-	fo := Figure7a()
-	res := RunFigure7(quickFig7Lab(), fo)
+	res := figure7a()
 	t.Logf("layouts: %v", res.Layouts)
 	t.Logf("decision: %v (moved=%v at iter %d)", res.Decision, res.Moved, res.MovedAt)
 	t.Logf("before=%.1f after=%.1f improvement=%.0f%%", res.Before, res.After, 100*res.Improvement)
@@ -79,7 +85,7 @@ func TestFigure7TimelineRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reconfiguration run")
 	}
-	res := RunFigure7(quickFig7Lab(), Figure7a())
+	res := figure7a()
 	if res.Timeline == nil || len(res.Timeline.Points()) == 0 {
 		t.Fatal("no utilization timeline recorded")
 	}

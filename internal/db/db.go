@@ -165,16 +165,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Stats counts database activity since the last reset.
-type Stats struct {
-	Queries       uint64
-	RejectedConns uint64
-	TableReopens  uint64
-	BinlogSpills  uint64
-	DiskReads     uint64
-	Completed     uint64
-}
-
 // Server is one database instance bound to a cluster node.
 type Server struct {
 	cfg     Config
@@ -183,7 +173,6 @@ type Server struct {
 	conns   *simnet.TokenPool
 	threads *simnet.TokenPool
 	src     *rng.Source
-	stats   Stats
 
 	// free recycles per-query records so the steady-state query path
 	// allocates no closures; see the query type and DESIGN.md §7.
@@ -206,9 +195,6 @@ func New(eng *simnet.Engine, node *cluster.Node, cfg Config, cost CostModel, src
 	s.threads.SetSpanSite(cluster.SpanSiteDBThreadPool)
 	return s
 }
-
-// Stats returns a snapshot of the activity counters.
-func (s *Server) Stats() Stats { return s.stats }
 
 // PoolOccupancy returns the connection pool's in-use, waiting and capacity
 // counts, for diagnostics and the telemetry sampler.
@@ -335,7 +321,6 @@ func (q *query) step() {
 		s.putQuery(q)
 		s.threads.Release()
 		s.conns.Release()
-		s.stats.Completed++
 		done(true)
 	default:
 		panic("db: query stepped after release")
@@ -350,7 +335,6 @@ func (q *query) reject() {
 	}
 	done := q.done
 	s.putQuery(q)
-	s.stats.RejectedConns++
 	done(false)
 }
 
@@ -358,7 +342,6 @@ func (q *query) reject() {
 // resultBytes of output. done(ok) fires on completion; ok=false means the
 // connection was shed at the listener.
 func (s *Server) Query(kind QueryKind, resultBytes int64, done func(ok bool)) {
-	s.stats.Queries++
 	q := s.getQuery(kind, resultBytes, done)
 	q.stage = qConnGrant
 	s.conns.Acquire(q.stepFn, q.rejectFn)
@@ -393,7 +376,6 @@ func (q *query) execute() {
 		logBytes := s.cost.WriteLogBytes
 		if txn > s.cfg.BinlogCacheSize {
 			// Binlog cache spill: the whole transaction goes through disk.
-			s.stats.BinlogSpills++
 			logBytes += txn
 		}
 		// Group commit: delayed-queue batching amortizes the whole flush
@@ -401,15 +383,12 @@ func (q *query) execute() {
 		diskSeconds += s.node.DiskDemand(logBytes) / s.insertBatchFactor()
 		// Updates read the rows they modify; those reads miss too.
 		if s.src.Bernoulli(s.cost.ReadMissProb) {
-			s.stats.DiskReads++
 			diskSeconds += s.node.DiskDemand(s.cost.ReadMissBytes)
 		}
 	} else if s.src.Bernoulli(s.cost.ReadMissProb) {
-		s.stats.DiskReads++
 		diskSeconds += s.node.DiskDemand(s.cost.ReadMissBytes)
 	}
 	if s.src.Bernoulli(s.tableReopenProb()) {
-		s.stats.TableReopens++
 		cpu += 0.0008
 		diskSeconds += s.node.DiskDemand(4 << 10) // .frm read
 	}

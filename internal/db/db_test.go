@@ -67,13 +67,11 @@ func TestQueryKindString(t *testing.T) {
 func TestSimpleQueryCompletes(t *testing.T) {
 	eng, s := newServer(defaults())
 	var ok bool
-	s.Query(QueryRead, 4<<10, func(o bool) { ok = o })
+	calls := 0
+	s.Query(QueryRead, 4<<10, func(o bool) { ok = o; calls++ })
 	eng.Run()
-	if !ok {
-		t.Fatal("read query failed")
-	}
-	if s.Stats().Completed != 1 || s.Stats().Queries != 1 {
-		t.Fatalf("stats = %+v", s.Stats())
+	if !ok || calls != 1 {
+		t.Fatalf("read query: %d callbacks, ok=%v; want one successful", calls, ok)
 	}
 }
 
@@ -84,10 +82,12 @@ func TestConnectionLimitRejects(t *testing.T) {
 	eng, s := newServer(cfg)
 	// Backlog equals max_connections (1), so the third concurrent query
 	// must be rejected.
-	rejected := 0
+	rejected, completed := 0, 0
 	for i := 0; i < 3; i++ {
 		s.Query(QueryJoin, 64<<10, func(ok bool) {
-			if !ok {
+			if ok {
+				completed++
+			} else {
 				rejected++
 			}
 		})
@@ -95,12 +95,9 @@ func TestConnectionLimitRejects(t *testing.T) {
 	if rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", rejected)
 	}
-	if s.Stats().RejectedConns != 1 {
-		t.Fatalf("RejectedConns = %d", s.Stats().RejectedConns)
-	}
 	eng.Run()
-	if s.Stats().Completed != 2 {
-		t.Fatalf("Completed = %d, want 2", s.Stats().Completed)
+	if completed != 2 {
+		t.Fatalf("completed = %d, want 2", completed)
 	}
 }
 
@@ -140,11 +137,12 @@ func TestSmallTableCacheCausesReopens(t *testing.T) {
 	}
 	engS.Run()
 	engL.Run()
-	if sS.Stats().TableReopens == 0 {
-		t.Fatal("small table cache produced no reopens")
+	// Re-opens cost CPU and a disk read: the small-cache run takes longer.
+	if engS.Now() <= engL.Now() {
+		t.Fatalf("small table cache did not slow the server: %v <= %v", engS.Now(), engL.Now())
 	}
-	if sL.Stats().TableReopens != 0 {
-		t.Fatalf("large table cache produced %d reopens", sL.Stats().TableReopens)
+	if p := sL.tableReopenProb(); p != 0 {
+		t.Fatalf("large table cache re-opens with probability %v", p)
 	}
 }
 
@@ -161,10 +159,6 @@ func TestSmallBinlogCacheSpills(t *testing.T) {
 	}
 	engS.Run()
 	engL.Run()
-	if sS.Stats().BinlogSpills <= sL.Stats().BinlogSpills {
-		t.Fatalf("spills: small-cache %d <= large-cache %d",
-			sS.Stats().BinlogSpills, sL.Stats().BinlogSpills)
-	}
 	// Spills cost disk time: the small-cache run takes longer.
 	if engS.Now() <= engL.Now() {
 		t.Fatalf("binlog spills did not slow the server: %v <= %v", engS.Now(), engL.Now())

@@ -120,11 +120,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Record is one completed tuning iteration.
+// Record is one completed tuning iteration; History()[i] is iteration i+1.
 type Record struct {
-	Iteration int
-	Config    param.Config
-	Perf      float64 // measured performance (higher is better)
+	Config param.Config
+	Perf   float64 // measured performance (higher is better)
 }
 
 // Session is one Active Harmony tuning server instance: it owns a
@@ -220,9 +219,8 @@ func (s *Session) Report(perf float64) {
 	s.asked = false
 	s.tuner.Tell(-perf) // tuners minimize cost
 	s.history = append(s.history, Record{
-		Iteration: len(s.history) + 1,
-		Config:    s.pending.Clone(),
-		Perf:      perf,
+		Config: s.pending.Clone(),
+		Perf:   perf,
 	})
 	if !s.haveBest || perf > s.bestPerf {
 		s.bestCfg = s.pending.Clone()

@@ -194,9 +194,9 @@ func convergenceIteration(st *Strategy) int {
 	worst := 0
 	for _, sess := range st.Sessions() {
 		best, _, _ := sess.BestEver()
-		for _, r := range sess.History() {
+		for i, r := range sess.History() {
 			if r.Config.Equal(best) {
-				worst = max(worst, r.Iteration)
+				worst = max(worst, i+1)
 				break
 			}
 		}

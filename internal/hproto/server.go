@@ -38,8 +38,7 @@ type Server struct {
 
 type sessionState struct {
 	mu      sync.Mutex
-	space   *param.Space
-	names   valueNames // the values map's key table for space
+	names   valueNames // the values map's key table for the session's space
 	session *harmony.Session
 	pending bool // a config has been handed out and awaits a report
 }
@@ -352,7 +351,7 @@ func (s *Server) register(req Request) Response {
 	if _, dup := s.sessions[req.Session]; dup {
 		return Errorf("register: session %q exists", req.Session)
 	}
-	s.sessions[req.Session] = &sessionState{space: space, names: newValueNames(space), session: sess}
+	s.sessions[req.Session] = &sessionState{names: newValueNames(space), session: sess}
 	s.stats.sessionsCreated.Add(1)
 	return Response{OK: true}
 }
@@ -382,7 +381,7 @@ func (s *Server) restore(req Request) Response {
 	if _, dup := s.sessions[req.Session]; dup {
 		return Errorf("restore: session %q exists", req.Session)
 	}
-	s.sessions[req.Session] = &sessionState{space: space, names: newValueNames(space), session: sess}
+	s.sessions[req.Session] = &sessionState{names: newValueNames(space), session: sess}
 	s.stats.sessionsCreated.Add(1)
 	return Response{OK: true, Iterations: sess.Iterations()}
 }

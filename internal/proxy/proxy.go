@@ -195,17 +195,11 @@ func (l *lruList) moveFront(e *entry) {
 	l.pushFront(e)
 }
 
-// Stats counts cache activity since the last reset.
+// Stats counts lookups by outcome.
 type Stats struct {
-	HitsMem       uint64
-	HitsDisk      uint64
-	Misses        uint64
-	Admitted      uint64
-	RejectedSize  uint64 // admission declined by object-size limits
-	EvictedDisk   uint64
-	DemotedMem    uint64 // pushed out of memory but kept on disk
-	BytesServed   int64
-	DirectoryScan uint64 // total entries scanned during lookups
+	HitsMem  uint64
+	HitsDisk uint64
+	Misses   uint64
 }
 
 // Cache is the proxy's object store.
@@ -257,13 +251,11 @@ func (c *Cache) find(id uint64) (*entry, int) {
 // (the caller charges CPU proportional to the scan).
 func (c *Cache) Lookup(o webobj.Object) (LookupResult, int) {
 	e, scanned := c.find(o.ID)
-	c.stats.DirectoryScan += uint64(scanned)
 	if e == nil {
 		c.stats.Misses++
 		return Miss, scanned
 	}
 	c.diskList.moveFront(e)
-	c.stats.BytesServed += e.size
 	if e.inMem {
 		c.memList.moveFront(e)
 		c.stats.HitsMem++
@@ -282,7 +274,6 @@ func (c *Cache) Admit(o webobj.Object) bool {
 	}
 	sizeKB := o.Size >> 10
 	if sizeKB < c.cfg.MinObjectKB || sizeKB > c.cfg.MaxObjectKB || o.Size > c.diskCap {
-		c.stats.RejectedSize++
 		return false
 	}
 	if e, _ := c.find(o.ID); e != nil {
@@ -295,7 +286,6 @@ func (c *Cache) Admit(o webobj.Object) bool {
 	c.diskList.pushFront(e)
 	c.dskBytes += e.size
 	c.count++
-	c.stats.Admitted++
 
 	if sizeKB <= c.cfg.MaxObjectMemKB {
 		e.inMem = true
@@ -316,7 +306,6 @@ func (c *Cache) enforceMem() {
 		c.memList.remove(e)
 		e.inMem = false
 		c.memBytes -= e.size
-		c.stats.DemotedMem++
 	}
 }
 
@@ -356,8 +345,7 @@ func (c *Cache) evict(e *entry) {
 	}
 	e.bucketNext = nil
 	c.count--
-	c.stats.EvictedDisk++
 }
 
-// Stats returns a snapshot of the activity counters.
+// Stats returns a snapshot of the lookup counters.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -172,7 +172,6 @@ type Zipf struct {
 	n                uint64
 	theta            float64
 	oneMinusTheta    float64
-	oneOverOneMinus  float64
 	hIntegralX1      float64
 	hIntegralNumElem float64
 	sVal             float64
@@ -190,7 +189,6 @@ func NewZipf(src *Source, n uint64, theta float64) *Zipf {
 	}
 	z := &Zipf{src: src, n: n, theta: theta}
 	z.oneMinusTheta = 1 - theta
-	z.oneOverOneMinus = 1 / z.oneMinusTheta
 	z.hIntegralX1 = z.hIntegral(1.5) - 1
 	z.hIntegralNumElem = z.hIntegral(float64(n) + 0.5)
 	z.sVal = 2 - z.hIntegralInv(z.hIntegral(2.5)-z.h(2))

@@ -284,6 +284,3 @@ func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
-
-// Pending returns the number of live (scheduled and not canceled) events.
-func (e *Engine) Pending() int { return len(e.events) - e.canceled }

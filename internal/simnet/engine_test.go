@@ -172,8 +172,8 @@ func TestStationSingleServer(t *testing.T) {
 			t.Fatalf("completion %d at %v, want %v", i, done[i], w)
 		}
 	}
-	if st.Completed() != 3 {
-		t.Fatal("counters wrong")
+	if len(done) != 3 {
+		t.Fatalf("%d completions, want 3", len(done))
 	}
 }
 
@@ -273,7 +273,7 @@ func TestStationConservation(t *testing.T) {
 			st.Submit(src.Exp(1), func() { completed = completed + 1 })
 		}
 		e.Run()
-		return completed == n && st.Completed() == uint64(n) && st.Busy() == 0 && st.QueueLen() == 0
+		return completed == n && st.Busy() == 0 && st.QueueLen() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -314,10 +314,10 @@ func TestTokenPoolRejectWhenFull(t *testing.T) {
 	p := NewTokenPool(&e, "threads", 1, 1)
 	p.Acquire(func() {}, nil) // takes the token
 	p.Acquire(func() {}, nil) // waits (queue slot 1)
-	rejected := false
-	p.Acquire(func() { t.Fatal("should not grant") }, func() { rejected = true })
-	if !rejected || p.rejected != 1 {
-		t.Fatal("third acquire should be rejected")
+	rejected := 0
+	p.Acquire(func() { t.Fatal("should not grant") }, func() { rejected++ })
+	if rejected != 1 {
+		t.Fatal("third acquire should be rejected once")
 	}
 }
 

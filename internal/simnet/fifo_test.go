@@ -68,7 +68,6 @@ type refStation struct {
 	servers int
 	busy    int
 	queue   []refJob
-	queuePk int
 }
 
 type refJob struct {
@@ -82,9 +81,6 @@ func (s *refStation) Submit(demand float64, done func()) {
 		return
 	}
 	s.queue = append(s.queue, refJob{demand, done})
-	if len(s.queue) > s.queuePk {
-		s.queuePk = len(s.queue)
-	}
 }
 
 func (s *refStation) start(demand float64, done func()) {
@@ -102,23 +98,16 @@ func (s *refStation) start(demand float64, done func()) {
 }
 
 func (s *refStation) QueueLen() int { return len(s.queue) }
-func (s *refStation) peak() int     { return s.queuePk }
 
 // stationOps is the surface the station scenario drives.
 type stationOps interface {
 	Submit(demand float64, done func())
 	QueueLen() int
-	peak() int
 }
-
-// realStation adapts a Station to stationOps.
-type realStation struct{ *Station }
-
-func (s realStation) peak() int { return s.queuedPeak }
 
 // stationScenario runs a seeded random workload against st and returns
 // its log: every completion with the queue length its callback saw, and
-// the queue length and peak after every operation. Fill phases keep the
+// the queue length after every operation. Fill phases keep the
 // queue from draining; drain phases let it empty. Completions resubmit
 // work from inside their callbacks.
 func stationScenario(seed int64, e *Engine, st stationOps, check func(op int)) []string {
@@ -149,19 +138,19 @@ func stationScenario(seed int64, e *Engine, st stationOps, check func(op int)) [
 		} else {
 			e.Step()
 		}
-		log = append(log, fmt.Sprintf("op %d q=%d peak=%d", op, st.QueueLen(), st.peak()))
+		log = append(log, fmt.Sprintf("op %d q=%d", op, st.QueueLen()))
 		if check != nil {
 			check(op)
 		}
 	}
 	e.Run()
-	return append(log, fmt.Sprintf("end q=%d peak=%d", st.QueueLen(), st.peak()))
+	return append(log, fmt.Sprintf("end q=%d", st.QueueLen()))
 }
 
 // TestStationMatchesReference checks the Station's O(1) queue against
 // the shifting-slice reference: the same completions in the same order,
-// and the same QueueLen and queue peak at every step, through queues
-// that never fully drain (so pops compact).
+// and the same QueueLen at every step, through queues that never fully
+// drain (so pops compact).
 func TestStationMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		servers := 1 + int(seed%3)
@@ -171,7 +160,7 @@ func TestStationMatchesReference(t *testing.T) {
 		var e Engine
 		deep, maxQueue := false, 0
 		st := NewStation(&e, "cpu", servers, 1)
-		got := stationScenario(seed, &e, realStation{st}, func(op int) {
+		got := stationScenario(seed, &e, st, func(op int) {
 			if !fifoCompact(&st.queue) {
 				t.Fatalf("seed %d op %d: head %d of %d not compacted", seed, op, st.queue.head, len(st.queue.buf))
 			}
@@ -198,10 +187,9 @@ func TestStationMatchesReference(t *testing.T) {
 // slice shifted down by one on every grant, with the same re-entrancy
 // guard. It is the reference model the TokenPool is checked against.
 type refPool struct {
-	capacity, maxWait, inUse, waitPk int
-	waiters                          []func()
-	rejected                         uint64
-	granting                         bool
+	capacity, maxWait, inUse int
+	waiters                  []func()
+	granting                 bool
 }
 
 func (p *refPool) Acquire(onGrant, onReject func()) {
@@ -211,16 +199,12 @@ func (p *refPool) Acquire(onGrant, onReject func()) {
 		return
 	}
 	if p.maxWait >= 0 && len(p.waiters) >= p.maxWait {
-		p.rejected++
 		if onReject != nil {
 			onReject()
 		}
 		return
 	}
 	p.waiters = append(p.waiters, onGrant)
-	if len(p.waiters) > p.waitPk {
-		p.waitPk = len(p.waiters)
-	}
 }
 
 func (p *refPool) Release() {
@@ -243,10 +227,8 @@ func (p *refPool) grant() {
 	p.granting = false
 }
 
-func (p *refPool) Waiting() int      { return len(p.waiters) }
-func (p *refPool) InUse() int        { return p.inUse }
-func (p *refPool) rejectedN() uint64 { return p.rejected }
-func (p *refPool) peak() int         { return p.waitPk }
+func (p *refPool) Waiting() int { return len(p.waiters) }
+func (p *refPool) InUse() int   { return p.inUse }
 
 // poolOps is the surface the pool scenario drives.
 type poolOps interface {
@@ -254,24 +236,18 @@ type poolOps interface {
 	Release()
 	Waiting() int
 	InUse() int
-	rejectedN() uint64
-	peak() int
 }
-
-type realPool struct{ *TokenPool }
-
-func (p realPool) peak() int         { return p.waitPeak }
-func (p realPool) rejectedN() uint64 { return p.rejected }
 
 // poolScenario runs a seeded random workload against p and returns its
 // log: every grant (with the Waiting and InUse its callback saw) and
-// rejection, and the pool's counters after every operation. Each grant
+// rejection, and the pool's counters and the rejections its onReject
+// callbacks saw so far after every operation. Each grant
 // holds its token for a random time; some grant callbacks Acquire again
 // from inside the grant, while the pool is still dispatching.
 func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string {
 	r := rand.New(rand.NewSource(seed))
 	var log []string
-	next := 0
+	next, rejected := 0, 0
 	var acquire func()
 	acquire = func() {
 		id := next
@@ -283,6 +259,7 @@ func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string
 			}
 			e.Schedule(r.Float64(), func() { p.Release() })
 		}, func() {
+			rejected++
 			log = append(log, fmt.Sprintf("reject %d", id))
 		})
 	}
@@ -295,19 +272,19 @@ func poolScenario(seed int64, e *Engine, p poolOps, check func(op int)) []string
 		} else {
 			e.Step()
 		}
-		log = append(log, fmt.Sprintf("op %d w=%d u=%d rej=%d peak=%d", op, p.Waiting(), p.InUse(), p.rejectedN(), p.peak()))
+		log = append(log, fmt.Sprintf("op %d w=%d u=%d rej=%d", op, p.Waiting(), p.InUse(), rejected))
 		if check != nil {
 			check(op)
 		}
 	}
 	e.Run()
-	return append(log, fmt.Sprintf("end w=%d u=%d rej=%d peak=%d", p.Waiting(), p.InUse(), p.rejectedN(), p.peak()))
+	return append(log, fmt.Sprintf("end w=%d u=%d rej=%d", p.Waiting(), p.InUse(), rejected))
 }
 
 // TestTokenPoolMatchesReference checks the TokenPool's O(1) wait queue
 // against the shifting-slice reference: the same grants and rejections
-// in the same order, and the same Waiting, InUse, Rejected and wait peak
-// at every step, with bounded and unbounded wait queues and Acquire
+// in the same order, and the same Waiting, InUse and rejection count at
+// every step, with bounded and unbounded wait queues and Acquire
 // called from inside grant callbacks.
 func TestTokenPoolMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -319,7 +296,7 @@ func TestTokenPoolMatchesReference(t *testing.T) {
 		var e Engine
 		deep := false
 		p := NewTokenPool(&e, "threads", capacity, maxWait)
-		got := poolScenario(seed, &e, realPool{p}, func(op int) {
+		got := poolScenario(seed, &e, p, func(op int) {
 			if !fifoCompact(&p.waiters) {
 				t.Fatalf("seed %d op %d: head %d of %d not compacted", seed, op, p.waiters.head, len(p.waiters.buf))
 			}

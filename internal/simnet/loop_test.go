@@ -5,33 +5,36 @@ import (
 	"testing"
 )
 
-// --- event free-list, lazy cancel, and Pending semantics ---
+// --- event free-list, lazy cancel, and live-event bookkeeping ---
 
-// TestPendingExcludesCanceled locks the Pending contract: canceled events
-// still physically in the heap do not count as pending.
+// pending returns the number of live (scheduled and not canceled) events.
+func pending(e *Engine) int { return len(e.events) - e.canceled }
+
+// TestPendingExcludesCanceled locks the engine's canceled-event count:
+// canceled events still physically in the heap do not count as pending.
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := &Engine{}
 	timers := make([]Timer, 10)
 	for i := range timers {
 		timers[i] = e.Schedule(float64(i+1), func() {})
 	}
-	if got := e.Pending(); got != 10 {
-		t.Fatalf("Pending = %d, want 10", got)
+	if got := pending(e); got != 10 {
+		t.Fatalf("pending = %d, want 10", got)
 	}
 	for i := 0; i < 4; i++ {
 		timers[i].Cancel()
 	}
-	if got := e.Pending(); got != 6 {
-		t.Fatalf("Pending after 4 cancels = %d, want 6", got)
+	if got := pending(e); got != 6 {
+		t.Fatalf("pending after 4 cancels = %d, want 6", got)
 	}
 	// Canceling twice must not double-count.
 	timers[0].Cancel()
-	if got := e.Pending(); got != 6 {
-		t.Fatalf("Pending after re-cancel = %d, want 6", got)
+	if got := pending(e); got != 6 {
+		t.Fatalf("pending after re-cancel = %d, want 6", got)
 	}
 	e.Run()
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending after Run = %d, want 0", got)
+	if got := pending(e); got != 0 {
+		t.Fatalf("pending after Run = %d, want 0", got)
 	}
 }
 
@@ -76,8 +79,8 @@ func TestCancelCompaction(t *testing.T) {
 	if len(e.events) >= n/2 {
 		t.Fatalf("heap holds %d of %d entries after mass cancel; compaction reclaimed nothing", len(e.events), n)
 	}
-	if e.Pending() != n/4 {
-		t.Fatalf("Pending = %d, want %d", e.Pending(), n/4)
+	if pending(e) != n/4 {
+		t.Fatalf("pending = %d, want %d", pending(e), n/4)
 	}
 	// The surviving events still fire in order.
 	var prev float64 = -1
@@ -232,8 +235,8 @@ func TestInterleavedScheduleCancelStepProperty(t *testing.T) {
 				t.Fatalf("trial %d drain: fired %d, reference wants %d", trial, gotFired[before], wantID)
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: Pending = %d after drain", trial, e.Pending())
+		if pending(e) != 0 {
+			t.Fatalf("trial %d: Pending = %d after drain", trial, pending(e))
 		}
 	}
 }

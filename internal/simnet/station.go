@@ -15,12 +15,10 @@ type Station struct {
 
 	site uint8 // span attribution site (span.go); 0 = unattributed
 
-	busy       int
-	queue      fifo[stationJob]
-	busyTime   float64 // integral of busy servers dt, up to lastStamp
-	lastStamp  float64
-	completed  uint64
-	queuedPeak int
+	busy      int
+	queue     fifo[stationJob]
+	busyTime  float64 // integral of busy servers dt, up to lastStamp
+	lastStamp float64
 
 	// freeSvc recycles in-service completion records so steady-state
 	// Submit/complete cycles are allocation-free: each record carries a
@@ -115,9 +113,6 @@ func (s *Station) Submit(demand float64, done func()) {
 		return
 	}
 	s.queue.push(stationJob{demand: demand, done: done, attr: a})
-	if s.queue.len() > s.queuedPeak {
-		s.queuedPeak = s.queue.len()
-	}
 }
 
 func (s *Station) start(demand float64, done func(), a attr) {
@@ -142,7 +137,6 @@ func (s *Station) complete(r *svcRecord) {
 	s.putSvc(r)
 	s.stamp()
 	s.busy--
-	s.completed++
 	if s.queue.len() > 0 {
 		next := s.queue.pop()
 		s.start(next.demand, next.done, next.attr)
@@ -157,9 +151,6 @@ func (s *Station) QueueLen() int { return s.queue.len() }
 
 // Busy returns the number of servers currently serving a job.
 func (s *Station) Busy() int { return s.busy }
-
-// Completed returns the number of jobs that have finished service.
-func (s *Station) Completed() uint64 { return s.completed }
 
 // BusyTime returns the cumulative busy-server-seconds up to now.
 func (s *Station) BusyTime() float64 {
@@ -198,8 +189,6 @@ type TokenPool struct {
 
 	inUse    int
 	waiters  fifo[waiter]
-	rejected uint64
-	waitPeak int
 	granting bool // grantWaiters is draining; re-entrant calls return
 }
 
@@ -230,8 +219,7 @@ func (p *TokenPool) Capacity() int { return p.capacity }
 // Acquire requests a token. If one is free and nobody is queued ahead,
 // onGrant runs immediately (synchronously). If the wait queue has room,
 // the request waits FIFO and onGrant runs when a token frees up. Otherwise
-// onReject (if non-nil) runs immediately and the request counts as
-// rejected.
+// onReject (if non-nil) runs immediately.
 //
 // The empty-queue guard matters only while grantWaiters is
 // dispatching: there a token can be momentarily free while earlier
@@ -244,16 +232,12 @@ func (p *TokenPool) Acquire(onGrant func(), onReject func()) {
 		return
 	}
 	if p.maxWait >= 0 && p.waiters.len() >= p.maxWait {
-		p.rejected++
 		if onReject != nil {
 			onReject()
 		}
 		return
 	}
 	p.waiters.push(waiter{fn: onGrant, attr: p.eng.deferred(p.grantFrame)})
-	if p.waiters.len() > p.waitPeak {
-		p.waitPeak = p.waiters.len()
-	}
 }
 
 // Release returns a token to the pool, waking the oldest waiter if any.

@@ -23,7 +23,6 @@ type SimulatedAnnealing struct {
 
 	current     []float64 // unit-cube position of the accepted point
 	currentCost float64
-	haveCurrent bool
 
 	pending []float64
 	asked   bool
@@ -143,7 +142,6 @@ func (sa *SimulatedAnnealing) Tell(cost float64) {
 	if sa.first {
 		sa.first = false
 		sa.currentCost = cost
-		sa.haveCurrent = true
 		sa.scale = math.Abs(cost)/10 + 1e-9
 		return
 	}
@@ -170,7 +168,6 @@ func (sa *SimulatedAnnealing) Reset(around param.Config) {
 	sa.current = sa.space.Normalize(anchor)
 	sa.asked = false
 	sa.haveBest = false
-	sa.haveCurrent = false
 	sa.first = true
 	sa.temp = 0.25
 	emit(sa.obs, Step{Move: "reset", Config: anchor.Clone(), Evaluations: sa.evals})

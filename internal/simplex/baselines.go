@@ -117,7 +117,6 @@ type CoordinateSearch struct {
 	space   *param.Space
 	current param.Config
 	curCost float64
-	haveCur bool
 
 	dim      int
 	dir      int // +1 then -1 per dimension
@@ -217,7 +216,6 @@ func (c *CoordinateSearch) Tell(cost float64) {
 	})
 	if c.phase == 0 {
 		c.curCost = cost
-		c.haveCur = true
 		c.phase = 1
 		return
 	}
@@ -251,7 +249,6 @@ func (c *CoordinateSearch) advance() {
 func (c *CoordinateSearch) Reset(around param.Config) {
 	c.asked = false
 	c.haveBest = false
-	c.haveCur = false
 	c.current = around.Clone()
 	c.space.Clamp(c.current)
 	c.dim = 0

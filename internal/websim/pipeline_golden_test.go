@@ -17,10 +17,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // pipelineFingerprint drives one small simulated site through a fixed
-// scenario and renders every observable the request pipeline produces —
-// page counters, per-interaction counts, response-time statistics,
-// per-tier server stats and the full sim-time-weighted attribution
-// profile — into one deterministic document.
+// scenario and renders what the programs observe of the request pipeline —
+// the driver's page counters, response-time statistics, each node's CPU
+// busy time, the proxies' cache hits and the full sim-time-weighted
+// attribution profile, whose stacks count every station's service
+// dispatches — into one deterministic document.
 //
 // The golden recorded from this fingerprint pins the closure-based
 // pipeline's exact behavior: event order, RNG draw order, queueing
@@ -79,8 +80,7 @@ func pipelineFingerprint(t *testing.T, seed uint64, sessions, churn bool) string
 	sys.Eng.Run() // drain in-flight pages
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "now=%.9f pending=%d\n", sys.Eng.Now(), sys.Eng.Pending())
-	fmt.Fprintf(&b, "pages ok=%d fail=%d\n", sys.pageOK, sys.pageFail)
+	fmt.Fprintf(&b, "now=%.9f\n", sys.Eng.Now())
 	c := d.Counters()
 	fmt.Fprintf(&b, "browse=%d order=%d errors=%d\n", c.Browse, c.Order, c.Errors)
 	for i := 0; i < tpcw.NumInteractions; i++ {
@@ -90,21 +90,9 @@ func pipelineFingerprint(t *testing.T, seed uint64, sessions, churn bool) string
 	fmt.Fprintf(&b, "resp mean=%.12g p50=%.12g p90=%.12g p99=%.12g\n",
 		rt.Mean(), rt.Percentile(50), rt.Percentile(90), rt.Percentile(99))
 	for _, n := range sys.Cluster.Nodes() {
-		fmt.Fprintf(&b, "node %d tier=%v cpu(busy=%.9f done=%d) disk(done=%d) nic(done=%d)\n",
-			n.ID(), n.Tier(), n.CPU().BusyTime(), n.CPU().Completed(),
-			n.Disk().Completed(), n.NIC().Completed())
+		fmt.Fprintf(&b, "node %d tier=%v cpu(busy=%.9f)\n", n.ID(), n.Tier(), n.CPU().BusyTime())
 		if ps, ok := sys.ProxyStats(n.ID()); ok {
 			fmt.Fprintf(&b, "  proxy hits=%d/%d misses=%d\n", ps.HitsMem, ps.HitsDisk, ps.Misses)
-		}
-		if a, ok := sys.AppServer(n.ID()); ok {
-			as := a.Stats()
-			fmt.Fprintf(&b, "  app acc=%d rejH=%d rejA=%d done=%d\n",
-				as.Accepted, as.RejectedHTTP, as.RejectedAJP, as.Completed)
-		}
-		if dbs, ok := sys.DBServer(n.ID()); ok {
-			ds := dbs.Stats()
-			fmt.Fprintf(&b, "  db q=%d rej=%d reopen=%d spill=%d reads=%d done=%d\n",
-				ds.Queries, ds.RejectedConns, ds.TableReopens, ds.BinlogSpills, ds.DiskReads, ds.Completed)
 		}
 	}
 	b.WriteString("--- profile ---\n")
@@ -118,7 +106,7 @@ func pipelineFingerprint(t *testing.T, seed uint64, sessions, churn bool) string
 // behavior across a seed matrix — quiet runs, session-graph browsing and
 // mid-flight failure/restart churn. The full rendering runs to ~30k lines,
 // almost all of it profile stacks, so the golden pins it by SHA-256 and
-// keeps only a readable excerpt: the counters and per-tier stats of every
+// keeps only a readable excerpt: the counters and per-node figures of every
 // scenario, with the profile reduced to its stack count. On a mismatch the
 // test writes the full rendering to a temporary file and names it.
 // Regenerate (only when an intentional behavior change is being made)

@@ -18,10 +18,9 @@ func TestProbeRejectionSources(t *testing.T) {
 		a, _ := sys.AppServer(1)
 		dbs, _ := sys.DBServer(2)
 		ps, _ := sys.ProxyStats(0)
-		t.Logf("%v: WIPS=%.1f err=%.3f | app rejHTTP=%d rejAJP=%d acc=%d | db rejConn=%d q=%d | proxy hitMem=%d hitDisk=%d miss=%d",
-			w, m.WIPS, m.ErrorRate,
-			a.Stats().RejectedHTTP, a.Stats().RejectedAJP, a.Stats().Accepted,
-			dbs.Stats().RejectedConns, dbs.Stats().Queries,
-			ps.HitsMem, ps.HitsDisk, ps.Misses)
+		httpQ, ajpQ := a.QueueDepths()
+		_, dbWait, _ := dbs.PoolOccupancy()
+		t.Logf("%v: WIPS=%.1f err=%.3f | app queued http=%d ajp=%d | db conns waiting=%d | proxy hitMem=%d hitDisk=%d miss=%d",
+			w, m.WIPS, m.ErrorRate, httpQ, ajpQ, dbWait, ps.HitsMem, ps.HitsDisk, ps.Misses)
 	}
 }

@@ -36,10 +36,9 @@ type SpanSink struct {
 	// Running attribution totals over all pages (failed ones included:
 	// their waiting is real), with the previous snapshot's values kept for
 	// per-iteration deltas.
-	totals    [cluster.NumSpanGroups][2]int64
-	prev      [cluster.NumSpanGroups][2]int64
-	pages     uint64
-	prevPages uint64
+	totals [cluster.NumSpanGroups][2]int64
+	prev   [cluster.NumSpanGroups][2]int64
+	pages  uint64
 
 	snaps []AttrSnap
 
@@ -106,7 +105,6 @@ type LatencySummary struct {
 type AttrSnap struct {
 	Iter  int     // tuning iteration the window ended at
 	T     float64 // simulated time of the snapshot
-	Pages uint64  // pages folded in the window
 	Queue [cluster.NumSpanGroups]int64
 	Svc   [cluster.NumSpanGroups]int64
 }
@@ -244,13 +242,12 @@ func (k *SpanSink) dump(b *simnet.SpanBuf, it tpcw.Interaction, ok bool, total i
 // accumulated since the previous snapshot are recorded against tuning
 // iteration iter at simulated time t. Call once per measured iteration.
 func (k *SpanSink) Snapshot(iter int, t float64) {
-	sn := AttrSnap{Iter: iter, T: t, Pages: k.pages - k.prevPages}
+	sn := AttrSnap{Iter: iter, T: t}
 	for g := range k.totals {
 		sn.Queue[g] = k.totals[g][simnet.SpanQueue] - k.prev[g][simnet.SpanQueue]
 		sn.Svc[g] = k.totals[g][simnet.SpanService] - k.prev[g][simnet.SpanService]
 	}
 	k.prev = k.totals
-	k.prevPages = k.pages
 	k.snaps = append(k.snaps, sn)
 }
 

@@ -90,7 +90,6 @@ const osBaseMemory int64 = 128 << 20
 type proxyServer struct {
 	node  *cluster.Node
 	cache *proxy.Cache
-	cfg   proxy.Config
 }
 
 // System is the simulated cluster-based web service.
@@ -117,8 +116,6 @@ type System struct {
 
 	// Per-work-line completion counters (successful interactions).
 	lineDone []uint64
-	pageOK   uint64
-	pageFail uint64
 
 	// Free lists recycling the pooled request state machines (pageReq,
 	// objReq) so the steady-state page path allocates no per-request
@@ -198,7 +195,7 @@ func (s *System) startServer(n *cluster.Node) {
 		// configuration (with an inherited store, a configuration that
 		// admits nothing still measures well). The warm-up window fills
 		// the cache before measurement begins.
-		s.proxies[id] = &proxyServer{node: n, cache: proxy.New(pc, s.opts.ProxyDiskBytes), cfg: pc}
+		s.proxies[id] = &proxyServer{node: n, cache: proxy.New(pc, s.opts.ProxyDiskBytes)}
 		n.SetMemUsed(osBaseMemory + pc.MemoryFootprint())
 	case cluster.TierApp:
 		ac := appserver.DecodeConfig(cfg)
@@ -417,9 +414,8 @@ const (
 // in this package.
 //
 // Records return to the system's free list before the page's done callback
-// runs (the engine's release-before-callback discipline); gen counts
-// recycles so stress tests can detect a stale callback reaching a reused
-// record.
+// runs (the engine's release-before-callback discipline); a recycled
+// record's stage is pgFree, so a stale callback that reaches it panics.
 type pageReq struct {
 	s    *System
 	pr   tpcw.PageRequest
@@ -433,7 +429,6 @@ type pageReq struct {
 	rel   func(ok bool) // appserver release, held across the database leg
 	relOK bool          // query outcome, carried to the pgDBRelease event
 	stage int8
-	gen   uint32
 
 	// span is the page's latency span, recorded only when the system has a
 	// span sink; its storage is recycled with the record. critKid tracks the
@@ -474,10 +469,9 @@ func (s *System) getPage(pr tpcw.PageRequest, done func(ok bool)) *pageReq {
 	return r
 }
 
-// putPage recycles a page record: references are dropped, the stale-
-// dispatch sentinel armed and the generation bumped.
+// putPage recycles a page record: references are dropped and the stale-
+// dispatch sentinel armed.
 func (s *System) putPage(r *pageReq) {
-	r.gen++
 	r.stage = pgFree
 	r.pr = tpcw.PageRequest{}
 	r.done = nil
@@ -675,12 +669,9 @@ func (r *pageReq) finish(ok bool) {
 	eb := r.pr.Browser
 	s.putPage(r)
 	if ok {
-		s.pageOK++
 		if line := s.lineFor(eb); line >= 0 {
 			s.lineDone[line]++
 		}
-	} else {
-		s.pageFail++
 	}
 	done(ok)
 }
@@ -707,7 +698,6 @@ type objReq struct {
 	p     *proxyServer
 	done  func(ok bool)
 	stage int8
-	gen   uint32
 
 	// span is the object's latency span; pg is the page whose span tree it
 	// folds into on completion, non-nil only while recording. label carries
@@ -763,7 +753,6 @@ func (s *System) getObj(o webobj.Object, eb int, p *proxyServer, done func(ok bo
 
 // putObj recycles an object record.
 func (s *System) putObj(r *objReq) {
-	r.gen++
 	r.stage = objFree
 	r.o = webobj.Object{}
 	r.p = nil
@@ -926,9 +915,8 @@ func (s *System) LineCompleted(line int) uint64 {
 // WorkLines returns the configured number of work lines (0 = none).
 func (s *System) WorkLines() int { return s.opts.WorkLines }
 
-// ResetCounters zeroes the system's page counters (not server stats).
+// ResetCounters zeroes the per-work-line completion counters.
 func (s *System) ResetCounters() {
-	s.pageOK, s.pageFail = 0, 0
 	for i := range s.lineDone {
 		s.lineDone[i] = 0
 	}
