@@ -51,36 +51,6 @@ func TestFigure7bMovesAppToProxy(t *testing.T) {
 	}
 }
 
-// TestFigure7UtilProbe prints per-node utilization in the imbalanced
-// phase; diagnostic for threshold calibration.
-func TestFigure7UtilProbe(t *testing.T) {
-	for _, variant := range []struct {
-		name string
-		fo   Figure7Options
-	}{{"a", Figure7a()}, {"b", Figure7b()}} {
-		cfg := quickFig7Lab()
-		cfg.ProxyNodes, cfg.AppNodes, cfg.DBNodes = variant.fo.ProxyNodes, variant.fo.AppNodes, variant.fo.DBNodes
-		lab := NewLab(cfg, variant.fo.Start)
-		for t, c := range GenerousConfigs() {
-			lab.Sys.SetTierConfig(t, c)
-		}
-		lab.Sys.Restart()
-		for i := 0; i <= variant.fo.CheckAt; i++ {
-			if i == variant.fo.SwitchAt && variant.fo.SwitchTo != variant.fo.Start {
-				lab.Driver.SetWorkload(variant.fo.SwitchTo)
-			}
-			m := lab.MeasureIteration(false)
-			if i == variant.fo.CheckAt {
-				t.Logf("variant %s: WIPS=%.1f err=%.2f", variant.name, m.WIPS, m.ErrorRate)
-				for _, r := range lab.LastReadings() {
-					t.Logf("  node%d(%v): cpu=%.2f mem=%.2f net=%.2f disk=%.2f",
-						r.Node, r.Tier, r.Util[0], r.Util[1], r.Util[2], r.Util[3])
-				}
-			}
-		}
-	}
-}
-
 func TestFigure7TimelineRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reconfiguration run")

@@ -11,8 +11,17 @@
 // per-event heap allocation by recycling event records through a free list
 // (Timers carry a generation number so a handle to a fired-and-recycled
 // event can never cancel its successor) and keeps canceled timers cheap by
-// marking them dead in place (lazy cancel) and compacting the heap only
-// when dead entries pile up. See DESIGN.md §7.
+// marking them dead in place (lazy cancel) and compacting the heaps only
+// when dead entries pile up.
+//
+// Pending events live in two binary heaps cut by how far ahead they were
+// scheduled: near holds what is due within farDelay (service completions,
+// LAN hops), far holds the rest (mostly browser think timers, seconds
+// ahead). The hot events then sift through a heap of a handful of entries
+// instead of one holding every think timer. Both heaps are ordered by
+// (at, seq) and share one seq counter, and the loop always takes the
+// earlier of the two heads, so events pop in exactly the order a single
+// heap would give; the cut changes speed, never results. See DESIGN.md §7.
 package simnet
 
 // Engine is the event loop of a simulation. The zero value is ready to use
@@ -20,9 +29,10 @@ package simnet
 type Engine struct {
 	now      float64
 	seq      uint64
-	events   eventHeap
-	canceled int      // dead (canceled, unpopped) events still in the heap
-	free     []*event // recycled event records
+	near     eventHeap // events scheduled less than farDelay ahead
+	far      eventHeap // events scheduled farDelay or more ahead
+	canceled int       // dead (canceled, unpopped) events still in a heap
+	free     []*event  // recycled event records
 
 	// prof is the attached trace-driven profiler (profile.go), nil when
 	// profiling is off. owner is the first profile ever attached, the one
@@ -60,8 +70,23 @@ type event struct {
 }
 
 // compactMin is the minimum number of dead events before Cancel considers
-// compacting the heap; below it the lazy pop-time sweep is always cheaper.
+// compacting the heaps; below it the lazy pop-time sweep is always cheaper.
 const compactMin = 64
+
+// farDelay is the cut between the two heaps: an event scheduled this many
+// seconds or more ahead goes to far. In StandardLab windows at the
+// default configurations, 90–94% of events are scheduled under 10 ms
+// ahead, 0.6–2.3% between 10 and 100 ms, and 5–8% at 100 ms or more.
+const farDelay = 0.05
+
+// before reports whether a fires before b: the total (at, seq) order of
+// the event loop.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
 
 // eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
 // rather than layered on container/heap: the event loop pushes and pops
@@ -69,12 +94,7 @@ const compactMin = 64
 // heap.Push/heap.Pop is measurable there.
 type eventHeap []*event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return before(h[i], h[j]) }
 
 func (h eventHeap) siftUp(i int) {
 	for i > 0 {
@@ -142,9 +162,9 @@ type Timer struct {
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled timer is a no-op. The canceled event's callback — and
 // any state its closure captured — is released immediately rather than
-// lingering in the heap until popped, and when dead events outnumber live
-// ones the heap is compacted, so long runs that cancel many timers (e.g.
-// the Figure 5 think-time churn) hold no unbounded garbage.
+// lingering in a heap until popped, and when dead events outnumber live
+// ones both heaps are compacted, so long runs that cancel many timers
+// (e.g. the Figure 5 think-time churn) hold no unbounded garbage.
 func (t *Timer) Cancel() {
 	if t == nil || t.ev == nil {
 		return
@@ -157,15 +177,18 @@ func (t *Timer) Cancel() {
 	ev.attr = attr{}
 	e := t.eng
 	e.canceled++
-	if e.canceled >= compactMin && e.canceled*2 > len(e.events) {
-		e.compact()
+	if e.canceled >= compactMin && e.canceled*2 > len(e.near)+len(e.far) {
+		e.compact(&e.near)
+		e.compact(&e.far)
+		e.canceled = 0
 	}
 }
 
-// compact rebuilds the heap without its dead events, recycling them.
-func (e *Engine) compact() {
-	live := e.events[:0]
-	for _, ev := range e.events {
+// compact rebuilds h without its dead events, recycling them.
+func (e *Engine) compact(h *eventHeap) {
+	old := *h
+	live := old[:0]
+	for _, ev := range old {
 		if ev.fn != nil {
 			live = append(live, ev)
 		} else {
@@ -173,12 +196,11 @@ func (e *Engine) compact() {
 		}
 	}
 	// Zero the tail so released records are not retained twice.
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
+	for i := len(live); i < len(old); i++ {
+		old[i] = nil
 	}
-	e.events = live
-	e.events.init()
-	e.canceled = 0
+	live.init()
+	*h = live
 }
 
 // alloc returns a recycled event record, or a fresh one.
@@ -223,7 +245,11 @@ func (e *Engine) scheduleAttr(delay float64, a attr, fn func()) Timer {
 	ev.fn = fn
 	ev.attr = a
 	e.seq++
-	e.events.push(ev)
+	if delay >= farDelay {
+		e.far.push(ev)
+	} else {
+		e.near.push(ev)
+	}
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -239,11 +265,27 @@ func (e *Engine) deferred(frame string) attr {
 	return a
 }
 
+// head returns the heap whose top is the earliest pending event, dead or
+// alive, or nil when both heaps are empty.
+func (e *Engine) head() *eventHeap {
+	switch {
+	case len(e.near) == 0:
+		if len(e.far) == 0 {
+			return nil
+		}
+		return &e.far
+	case len(e.far) == 0 || before(e.near[0], e.far[0]):
+		return &e.near
+	default:
+		return &e.far
+	}
+}
+
 // Step executes the next pending event and returns true, or returns false
 // if no events remain.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.events.pop()
+	for h := e.head(); h != nil; h = e.head() {
+		ev := h.pop()
 		if ev.fn == nil {
 			e.canceled--
 			e.release(ev)
@@ -266,12 +308,8 @@ func (e *Engine) Step() bool {
 // RunUntil executes events in order until the next event would fire after
 // time t (or no events remain), then advances the clock to exactly t.
 func (e *Engine) RunUntil(t float64) {
-	for len(e.events) > 0 {
-		// Peek; heap index 0 is the earliest event. A dead event at the
-		// head is fine: every live event fires at or after its time.
-		if e.events[0].at > t {
-			break
-		}
+	// Peek at the earliest event, dead or alive, as a single heap would.
+	for h := e.head(); h != nil && (*h)[0].at <= t; h = e.head() {
 		e.Step()
 	}
 	if t > e.now {

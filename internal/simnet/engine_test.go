@@ -387,6 +387,30 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineHold times one dispatch under the event mix of a
+// paper-scale window: 512 browser think timers drawn from Exp(2 s), each
+// re-armed when it fires, and 8 service completions or LAN hops in
+// flight, each re-armed within 10 ms. About 86% of the dispatches are the
+// near events, as in StandardLab windows. One op is one Step.
+func BenchmarkEngineHold(b *testing.B) {
+	b.ReportAllocs()
+	var e Engine
+	src := rng.New(1)
+	var think, hop func()
+	think = func() { e.Schedule(src.Exp(2), think) }
+	hop = func() { e.Schedule(src.Uniform(0, 0.01), hop) }
+	for i := 0; i < 512; i++ {
+		e.Schedule(src.Exp(2), think)
+	}
+	for i := 0; i < 8; i++ {
+		e.Schedule(src.Uniform(0, 0.01), hop)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 func BenchmarkStationThroughput(b *testing.B) {
 	var e Engine
 	st := NewStation(&e, "cpu", 2, 1)

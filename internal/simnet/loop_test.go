@@ -7,8 +7,11 @@ import (
 
 // --- event free-list, lazy cancel, and live-event bookkeeping ---
 
+// queued returns the number of events, dead or alive, in both heaps.
+func queued(e *Engine) int { return len(e.near) + len(e.far) }
+
 // pending returns the number of live (scheduled and not canceled) events.
-func pending(e *Engine) int { return len(e.events) - e.canceled }
+func pending(e *Engine) int { return queued(e) - e.canceled }
 
 // TestPendingExcludesCanceled locks the engine's canceled-event count:
 // canceled events still physically in the heap do not count as pending.
@@ -57,13 +60,22 @@ func TestCancelReleasesClosure(t *testing.T) {
 
 // TestCancelCompaction verifies that heavy cancellation triggers heap
 // compaction: dead events are physically removed and recycled rather than
-// retained until their (possibly far-future) pop time.
+// retained until their (possibly far-future) pop time. Even timers go to
+// the near heap and odd ones to the far heap, so compaction must clear
+// both.
 func TestCancelCompaction(t *testing.T) {
 	e := &Engine{}
 	const n = 4 * compactMin
 	timers := make([]Timer, n)
 	for i := range timers {
-		timers[i] = e.Schedule(float64(i+1), func() {})
+		delay := float64(i + 1)
+		if i%2 == 0 {
+			delay = farDelay * float64(i+1) / (2 * n)
+		}
+		timers[i] = e.Schedule(delay, func() {})
+	}
+	if len(e.near) != n/2 || len(e.far) != n/2 {
+		t.Fatalf("near %d, far %d entries, want %d each", len(e.near), len(e.far), n/2)
 	}
 	// Cancel most of the far-future events. Compaction keeps the invariant
 	// "dead entries stay under compactMin or under half the heap", so the
@@ -71,13 +83,13 @@ func TestCancelCompaction(t *testing.T) {
 	// every canceled record until its pop time.
 	for i := n / 4; i < n; i++ {
 		timers[i].Cancel()
-		if e.canceled >= compactMin && e.canceled*2 > len(e.events) {
-			t.Fatalf("after cancel %d: %d dead in a %d-entry heap, compaction never ran",
-				i, e.canceled, len(e.events))
+		if e.canceled >= compactMin && e.canceled*2 > queued(e) {
+			t.Fatalf("after cancel %d: %d dead in %d queued entries, compaction never ran",
+				i, e.canceled, queued(e))
 		}
 	}
-	if len(e.events) >= n/2 {
-		t.Fatalf("heap holds %d of %d entries after mass cancel; compaction reclaimed nothing", len(e.events), n)
+	if queued(e) >= n/2 {
+		t.Fatalf("heaps hold %d of %d entries after mass cancel; compaction reclaimed nothing", queued(e), n)
 	}
 	if pending(e) != n/4 {
 		t.Fatalf("pending = %d, want %d", pending(e), n/4)

@@ -25,8 +25,9 @@ import (
 // which cannot be compared across machines or checked into a test.
 //
 // Stacks are interned: the profile owns a trie of frames and the context
-// carries a node id, so pushing a frame is one map lookup and recording a
-// dispatch is one slice increment — no string is built on the event path.
+// carries a node id, so pushing a frame is a scan of the parent's few
+// children and recording a dispatch is one slice increment — no string is
+// built or hashed on the event path.
 // Path strings ("a;b;c") are rendered only when the profile is written.
 //
 // With no profile attached (SetProfile never called) the whole layer is a
@@ -108,18 +109,15 @@ type stackWeight struct {
 
 // stackNode is one interned stack: its parent's id plus the last frame.
 // depth is the number of ";" separators in the rendered path, the measure
-// maxFrames caps.
+// maxFrames caps. first is the id of the node's first child and next that
+// of its next sibling, 0 for none (node 0 is nobody's child).
 type stackNode struct {
 	parent int32
+	depth  int32
+	first  int32
+	next   int32
 	frame  string
-	depth  int
 	w      stackWeight
-}
-
-// stackKey indexes a node by its parent and last frame.
-type stackKey struct {
-	parent int32
-	frame  string
 }
 
 // Profile accumulates sim-time-weighted folded stacks from one engine (or,
@@ -127,17 +125,16 @@ type stackKey struct {
 // lab owns a profile and the collector merges them after the join.
 //
 // nodes[0] is the empty stack; every other node's parent precedes it, and
-// every other node renders to a non-empty path. index interns stacks while
-// the profile records; Freeze drops it once the profile's unit is done,
-// since merging and writing read only nodes.
+// every other node renders to a non-empty path. Freeze marks the profile's
+// unit done: merging and writing read the nodes, interning panics.
 type Profile struct {
-	nodes []stackNode
-	index map[stackKey]int32
+	nodes  []stackNode
+	frozen bool
 }
 
 // NewProfile returns an empty profile.
 func NewProfile() *Profile {
-	return &Profile{nodes: make([]stackNode, 1), index: make(map[stackKey]int32)}
+	return &Profile{nodes: make([]stackNode, 1)}
 }
 
 // child returns the id of the stack parent extended by frame, interning it
@@ -151,29 +148,35 @@ func (p *Profile) child(parent int32, frame string) int32 {
 	if parent != 0 && p.nodes[parent].depth >= maxFrames-1 {
 		return parent
 	}
-	if p.index == nil {
+	if p.frozen {
 		panic("simnet: stack interned into a frozen profile")
 	}
-	k := stackKey{parent: parent, frame: frame}
-	if id, ok := p.index[k]; ok {
-		return id
+	last := int32(0)
+	for id := p.nodes[parent].first; id != 0; id = p.nodes[id].next {
+		if p.nodes[id].frame == frame {
+			return id
+		}
+		last = id
 	}
-	depth := strings.Count(frame, ";")
+	depth := int32(strings.Count(frame, ";"))
 	if parent != 0 {
 		depth += p.nodes[parent].depth + 1
 	}
 	id := int32(len(p.nodes))
 	p.nodes = append(p.nodes, stackNode{parent: parent, frame: frame, depth: depth})
-	p.index[k] = id
+	if last == 0 {
+		p.nodes[parent].first = id
+	} else {
+		p.nodes[last].next = id
+	}
 	return id
 }
 
-// Freeze drops the interning index once the profile's unit is done: the
-// recorded stacks stay readable, mergeable into other profiles and
-// writable, but pushing a frame (Enter/EnterRoot on an engine still
-// attached) or merging into this profile panics. Freezing again is a
-// no-op.
-func (p *Profile) Freeze() { p.index = nil }
+// Freeze marks the profile's unit done: the recorded stacks stay
+// readable, mergeable into other profiles and writable, but pushing a
+// frame (Enter/EnterRoot on an engine still attached) or merging into this
+// profile panics. Freezing again is a no-op.
+func (p *Profile) Freeze() { p.frozen = true }
 
 // record attributes one dispatch: dt simulated seconds of clock advance.
 func (p *Profile) record(stack int32, dt float64) {

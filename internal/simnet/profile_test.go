@@ -333,6 +333,7 @@ func TestProfileTotalsSortedOrder(t *testing.T) {
 // the folded paths they stand for — a frame pushed on the empty stack
 // starts the path, an empty frame on it stays empty, frame names may
 // contain ";", and a stack maxFrames-1 separators deep keeps its prefix.
+// Each stack is interned once: pushing the same frames again finds it.
 func TestProfileInternMatchesFoldedPaths(t *testing.T) {
 	extend := func(path, frame string) string {
 		if path == "" {
@@ -344,21 +345,31 @@ func TestProfileInternMatchesFoldedPaths(t *testing.T) {
 		return path + ";" + frame
 	}
 	e := &Engine{}
-	e.SetProfile(NewProfile())
+	p := NewProfile()
+	e.SetProfile(p)
 	frames := []string{"a", "", "b;c", "d", ""}
-	want := ""
-	for i := 0; i < 3*maxFrames; i++ {
-		name := frames[i%len(frames)]
-		if i%17 == 0 {
-			e.EnterRoot(name)
-			want = name
-		} else {
-			e.Enter(name)
-			want = extend(want, name)
+	interned := 0
+	// The second pass pushes the same frames again: it must find every
+	// stack the first pass interned and add none.
+	for pass := 0; pass < 2; pass++ {
+		want := ""
+		for i := 0; i < 3*maxFrames; i++ {
+			name := frames[i%len(frames)]
+			if i%17 == 0 {
+				e.EnterRoot(name)
+				want = name
+			} else {
+				e.Enter(name)
+				want = extend(want, name)
+			}
+			if got := stackPath(e, e.cur.stack); got != want {
+				t.Fatalf("pass %d step %d (frame %q): stack %q, want %q", pass, i, name, got, want)
+			}
 		}
-		if got := stackPath(e, e.cur.stack); got != want {
-			t.Fatalf("step %d (frame %q): stack %q, want %q", i, name, got, want)
+		if pass == 1 && len(p.nodes) != interned {
+			t.Fatalf("pushing the same frames again grew the trie from %d to %d nodes", interned, len(p.nodes))
 		}
+		interned = len(p.nodes)
 	}
 }
 
@@ -410,8 +421,8 @@ func TestProfileFreeze(t *testing.T) {
 
 	p.Freeze()
 	p.Freeze()
-	if p.index != nil {
-		t.Fatal("Freeze kept the interning index")
+	if !p.frozen {
+		t.Fatal("Freeze did not mark the profile frozen")
 	}
 	if got := folded(p); got != live {
 		t.Fatalf("frozen profile writes %q, live wrote %q", got, live)
