@@ -439,6 +439,28 @@ func BenchmarkAblationHybridStrategy(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalConfig is the window rung: one hermetic evaluation
+// (Lab.EvalConfig, DESIGN.md §10) of the default configurations at
+// QuickLab, with no memo table, so every iteration simulates the same
+// window. One untimed evaluation first warms the storage pools, so
+// allocs/op and B/op are what a tuning run pays per window once its
+// first evaluation has finished.
+func BenchmarkEvalConfig(b *testing.B) {
+	b.ReportAllocs()
+	lab := NewLab(benchLab(), Shopping)
+	nodes := map[int]param.Config{}
+	for _, t := range cluster.Tiers() {
+		for _, n := range lab.Sys.Cluster.TierNodes(t) {
+			nodes[n.ID()] = websim.SpaceFor(t).DefaultConfig()
+		}
+	}
+	lab.EvalConfig(Shopping, nodes, "warm")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lab.EvalConfig(Shopping, nodes, "bench")
+	}
+}
+
 // BenchmarkFullIterationThroughput measures raw simulator speed: simulated
 // seconds per wall second on the standard 4-machine lab.
 func BenchmarkFullIterationThroughput(b *testing.B) {

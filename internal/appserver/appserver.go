@@ -31,19 +31,21 @@ const (
 	ParamAJPAcceptCount   = "AJPacceptCount"
 )
 
+// space is the tier's one parameter space. param.Space has no mutating
+// method, so every caller shares it.
+var space = param.MustSpace(
+	param.Def{Name: ParamMinProcessors, Min: 1, Max: 256, Default: 5, Step: 1, Unit: "threads"},
+	param.Def{Name: ParamMaxProcessors, Min: 1, Max: 512, Default: 20, Step: 1, Unit: "threads"},
+	param.Def{Name: ParamAcceptCount, Min: 1, Max: 1024, Default: 10, Step: 1, Unit: "requests"},
+	param.Def{Name: ParamBufferSize, Min: 512, Max: 16384, Default: 2048, Step: 1, Unit: "bytes"},
+	param.Def{Name: ParamAJPMinProcessors, Min: 1, Max: 256, Default: 5, Step: 1, Unit: "threads"},
+	param.Def{Name: ParamAJPMaxProcessors, Min: 1, Max: 512, Default: 20, Step: 1, Unit: "threads"},
+	param.Def{Name: ParamAJPAcceptCount, Min: 1, Max: 1024, Default: 10, Step: 1, Unit: "requests"},
+)
+
 // Space returns the application tier's tunable-parameter space with the
 // paper's default values.
-func Space() *param.Space {
-	return param.MustSpace(
-		param.Def{Name: ParamMinProcessors, Min: 1, Max: 256, Default: 5, Step: 1, Unit: "threads"},
-		param.Def{Name: ParamMaxProcessors, Min: 1, Max: 512, Default: 20, Step: 1, Unit: "threads"},
-		param.Def{Name: ParamAcceptCount, Min: 1, Max: 1024, Default: 10, Step: 1, Unit: "requests"},
-		param.Def{Name: ParamBufferSize, Min: 512, Max: 16384, Default: 2048, Step: 1, Unit: "bytes"},
-		param.Def{Name: ParamAJPMinProcessors, Min: 1, Max: 256, Default: 5, Step: 1, Unit: "threads"},
-		param.Def{Name: ParamAJPMaxProcessors, Min: 1, Max: 512, Default: 20, Step: 1, Unit: "threads"},
-		param.Def{Name: ParamAJPAcceptCount, Min: 1, Max: 1024, Default: 10, Step: 1, Unit: "requests"},
-	)
-}
+func Space() *param.Space { return space }
 
 // Config is the decoded application-server configuration.
 type Config struct {
@@ -59,7 +61,7 @@ type Config struct {
 // DecodeConfig interprets a param.Config laid out per Space(). As in
 // Tomcat, maxProcessors below minProcessors is raised to minProcessors.
 func DecodeConfig(c param.Config) Config {
-	sp := Space()
+	sp := space
 	if len(c) != sp.Len() {
 		panic(fmt.Sprintf("appserver: config has %d values, want %d", len(c), sp.Len()))
 	}

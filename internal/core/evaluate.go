@@ -74,7 +74,8 @@ func evalSpec(cfg LabConfig, w tpcw.Workload, nodeCfgs map[int]param.Config) eva
 // identical either way — an evaluation is a pure function of its key.
 //
 // The window ends with finishTelemetry, so the unit's recorder keeps only
-// what the telemetry writers print, not the lab.
+// what the telemetry writers print, not the lab, and then the lab's
+// storage goes back to its pools for the next evaluation (release).
 func (l *Lab) EvalConfig(w tpcw.Workload, nodeCfgs map[int]param.Config, unit string) websim.Measurement {
 	key := evalSpec(l.Cfg, w, nodeCfgs).Key()
 	compute := func() websim.Measurement {
@@ -87,6 +88,7 @@ func (l *Lab) EvalConfig(w tpcw.Workload, nodeCfgs map[int]param.Config, unit st
 		}
 		m := f.MeasureIteration(true)
 		f.finishTelemetry()
+		f.release()
 		return m
 	}
 	if cache := l.Cfg.EvalCache; cache != nil && l.Cfg.Telemetry == nil {

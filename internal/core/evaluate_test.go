@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"webharmony/internal/cluster"
 	"webharmony/internal/evalcache"
 	"webharmony/internal/harmony"
+	"webharmony/internal/proxy"
 	"webharmony/internal/tpcw"
 )
 
@@ -15,6 +17,15 @@ import (
 // other evaluations in between — yields bit-identical measurements, the
 // calling lab's engine never runs, and the staged assignment (not the
 // calling lab's) is what gets measured.
+//
+// The evaluation in between dirties every store a finished evaluation
+// recycles (DESIGN.md §10): another workload, so other pages, objects and
+// request records; store_objects_per_bucket at 5, so the largest proxy
+// directory, which the repeated evaluation's smaller one is cut from;
+// and a 512 MB cache_mem that admits every object to memory. Its catalog
+// draws its sizes under another seed. The repeated evaluation runs on
+// that storage, so a store released without its clear measures
+// differently.
 func TestEvalConfigPure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -32,7 +43,16 @@ func TestEvalConfigPure(t *testing.T) {
 	}
 
 	b := NewLab(cfg, tpcw.Shopping)
-	b.EvalConfig(tpcw.Ordering, nodeCfgs, "noise") // unrelated evaluation in between
+	noise := b.tierNodeConfigs(DefaultConfigs())
+	sp := proxy.Space()
+	dirty := sp.DefaultConfig()
+	dirty[sp.IndexOf(proxy.ParamObjectsPerBucket)] = 5
+	dirty[sp.IndexOf(proxy.ParamCacheMem)] = 512
+	dirty[sp.IndexOf(proxy.ParamMaxObjectSizeMem)] = 4096
+	for _, n := range b.Sys.Cluster.TierNodes(cluster.TierProxy) {
+		noise[n.ID()] = dirty
+	}
+	b.EvalConfig(tpcw.Ordering, noise, "noise") // unrelated evaluation in between
 	m2 := b.EvalConfig(tpcw.Shopping, nodeCfgs, "second")
 
 	if !reflect.DeepEqual(m1, m2) {

@@ -297,6 +297,16 @@ func (l *Lab) finishTelemetry() {
 	}
 }
 
+// release returns the lab's recycled storage to its pools once the lab
+// will simulate no more: the proxy stores, the catalog's size table, the
+// response-time sample, the browsers and the free request records
+// (DESIGN.md §10). A hermetic evaluation is the only caller, after
+// finishTelemetry, and nothing reads the lab after it.
+func (l *Lab) release() {
+	l.Driver.Release()
+	l.Sys.Release()
+}
+
 // LastReadings returns the per-node utilizations of the last iteration's
 // measurement window.
 func (l *Lab) LastReadings() []monitor.Reading { return l.lastReadings }

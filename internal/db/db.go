@@ -41,22 +41,24 @@ const (
 	ParamThreadStack        = "thread_stack"
 )
 
+// space is the tier's one parameter space. param.Space has no mutating
+// method, so every caller shares it.
+var space = param.MustSpace(
+	param.Def{Name: ParamBinlogCacheSize, Min: 4096, Max: 1048576, Default: 32768, Step: 1024, Unit: "bytes"},
+	param.Def{Name: ParamDelayedInsertLimit, Min: 10, Max: 1000, Default: 100, Step: 10, Unit: "rows"},
+	param.Def{Name: ParamMaxConnections, Min: 1, Max: 1001, Default: 101, Step: 25, Unit: "connections"},
+	param.Def{Name: ParamDelayedQueueSize, Min: 100, Max: 10000, Default: 1000, Step: 100, Unit: "rows"},
+	param.Def{Name: ParamJoinBufferSize, Min: 4096, Max: 16777216, Default: 8388608, Step: 2048, Unit: "bytes"},
+	param.Def{Name: ParamNetBufferLength, Min: 1024, Max: 65536, Default: 16384, Step: 1024, Unit: "bytes"},
+	param.Def{Name: ParamTableCache, Min: 16, Max: 1024, Default: 64, Step: 1, Unit: "tables"},
+	param.Def{Name: ParamThreadConcurrency, Min: 1, Max: 128, Default: 10, Step: 1, Unit: "threads"},
+	param.Def{Name: ParamThreadStack, Min: 65536, Max: 2097152, Default: 65536, Step: 1024, Unit: "bytes"},
+)
+
 // Space returns the database tier's tunable-parameter space with the
 // paper's default values (64-KB thread_stack default rounded to its
 // power-of-two lattice point).
-func Space() *param.Space {
-	return param.MustSpace(
-		param.Def{Name: ParamBinlogCacheSize, Min: 4096, Max: 1048576, Default: 32768, Step: 1024, Unit: "bytes"},
-		param.Def{Name: ParamDelayedInsertLimit, Min: 10, Max: 1000, Default: 100, Step: 10, Unit: "rows"},
-		param.Def{Name: ParamMaxConnections, Min: 1, Max: 1001, Default: 101, Step: 25, Unit: "connections"},
-		param.Def{Name: ParamDelayedQueueSize, Min: 100, Max: 10000, Default: 1000, Step: 100, Unit: "rows"},
-		param.Def{Name: ParamJoinBufferSize, Min: 4096, Max: 16777216, Default: 8388608, Step: 2048, Unit: "bytes"},
-		param.Def{Name: ParamNetBufferLength, Min: 1024, Max: 65536, Default: 16384, Step: 1024, Unit: "bytes"},
-		param.Def{Name: ParamTableCache, Min: 16, Max: 1024, Default: 64, Step: 1, Unit: "tables"},
-		param.Def{Name: ParamThreadConcurrency, Min: 1, Max: 128, Default: 10, Step: 1, Unit: "threads"},
-		param.Def{Name: ParamThreadStack, Min: 65536, Max: 2097152, Default: 65536, Step: 1024, Unit: "bytes"},
-	)
-}
+func Space() *param.Space { return space }
 
 // Config is the decoded database configuration.
 type Config struct {
@@ -73,7 +75,7 @@ type Config struct {
 
 // DecodeConfig interprets a param.Config laid out per Space().
 func DecodeConfig(c param.Config) Config {
-	sp := Space()
+	sp := space
 	if len(c) != sp.Len() {
 		panic(fmt.Sprintf("db: config has %d values, want %d", len(c), sp.Len()))
 	}

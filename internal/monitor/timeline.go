@@ -28,8 +28,8 @@ type Timeline struct {
 	interval float64
 	points   []TimelinePoint
 	snaps    map[int]cluster.UtilSnapshot
-	timer    simnet.Timer
 	running  bool
+	gen      int // bumped by Start, so a sample chain left by Stop stays dead
 }
 
 // NewTimeline creates a recorder sampling every interval simulated
@@ -48,6 +48,7 @@ func (t *Timeline) Start() {
 		return
 	}
 	t.running = true
+	t.gen++
 	for _, n := range t.cl.Nodes() {
 		t.snaps[n.ID()] = n.Snapshot()
 	}
@@ -55,8 +56,9 @@ func (t *Timeline) Start() {
 }
 
 func (t *Timeline) schedule() {
-	t.timer = t.eng.Schedule(t.interval, func() {
-		if !t.running {
+	gen := t.gen
+	t.eng.Schedule(t.interval, func() {
+		if !t.running || gen != t.gen {
 			return
 		}
 		t.sample()
@@ -82,11 +84,9 @@ func (t *Timeline) sample() {
 	}
 }
 
-// Stop halts sampling; recorded points remain available.
-func (t *Timeline) Stop() {
-	t.running = false
-	t.timer.Cancel()
-}
+// Stop halts sampling; recorded points remain available. The pending
+// sample event still fires, and returns without sampling.
+func (t *Timeline) Stop() { t.running = false }
 
 // Points returns the recorded samples in time order.
 func (t *Timeline) Points() []TimelinePoint { return t.points }

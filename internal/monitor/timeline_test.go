@@ -68,6 +68,23 @@ func TestTimelineStopsSampling(t *testing.T) {
 	}
 }
 
+// TestTimelineRestartBeforePendingSample stops and restarts a timeline
+// while the stopped chain's sample event is still pending: that event
+// still fires, so it must not resume sampling alongside the new chain.
+func TestTimelineRestartBeforePendingSample(t *testing.T) {
+	eng := &simnet.Engine{}
+	cl := cluster.New(eng, cluster.DefaultHardware(), 1, 1, 1)
+	tl := NewTimeline(eng, cl, 2)
+	tl.Start()
+	eng.RunUntil(1) // the first sample is due at 2
+	tl.Stop()
+	tl.Start() // the new chain samples at 3, 5, 7, 9
+	eng.RunUntil(10)
+	if got, want := len(tl.Points()), 4*len(cl.Nodes()); got != want {
+		t.Fatalf("points = %d, want %d (one sample chain)", got, want)
+	}
+}
+
 func TestTimelineWriteCSV(t *testing.T) {
 	eng := &simnet.Engine{}
 	cl := cluster.New(eng, cluster.DefaultHardware(), 1, 1, 1)

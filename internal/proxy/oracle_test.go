@@ -171,21 +171,25 @@ func TestCacheMatchesOracle(t *testing.T) {
 func (c *Cache) checkInvariants() error {
 	var memBytes, diskBytes int64
 	var memCount, diskCount, bucketCount int
-	for e := c.memList.head; e != nil; e = e.memNext {
-		if !e.inMem {
-			return fmt.Errorf("mem list contains non-mem entry %d", e.id)
+	for i := c.memList.head; i != 0; i = c.slab[i].memNext {
+		if !c.slab[i].inMem {
+			return fmt.Errorf("mem list contains non-mem entry %d", c.slab[i].id)
 		}
-		memBytes += e.size
+		memBytes += c.slab[i].size
 		memCount++
 	}
-	for e := c.diskList.head; e != nil; e = e.diskNext {
-		diskBytes += e.size
+	for i := c.diskList.head; i != 0; i = c.slab[i].diskNext {
+		diskBytes += c.slab[i].size
 		diskCount++
 	}
-	for _, b := range c.buckets {
-		for e := b; e != nil; e = e.bucketNext {
+	for _, b := range c.dir {
+		for i := b; i != 0; i = c.slab[i].bucketNext {
 			bucketCount++
 		}
+	}
+	freeCount := 0
+	for i := c.free; i != 0; i = c.slab[i].bucketNext {
+		freeCount++
 	}
 	if memBytes != c.memBytes {
 		return fmt.Errorf("memBytes %d != list sum %d", c.memBytes, memBytes)
@@ -195,6 +199,9 @@ func (c *Cache) checkInvariants() error {
 	}
 	if diskCount != c.count || bucketCount != c.count {
 		return fmt.Errorf("count %d, disk list %d, buckets %d", c.count, diskCount, bucketCount)
+	}
+	if slots := max(len(c.slab)-1, 0); c.count+freeCount != slots {
+		return fmt.Errorf("%d entries and %d free slots in a slab of %d slots", c.count, freeCount, slots)
 	}
 	if memCount > diskCount {
 		return fmt.Errorf("memory level larger than disk level")

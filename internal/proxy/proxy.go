@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"webharmony/internal/param"
+	"webharmony/internal/recycle"
 	"webharmony/internal/webobj"
 )
 
@@ -26,19 +27,21 @@ const (
 	ParamObjectsPerBucket = "store_objects_per_bucket"
 )
 
+// space is the tier's one parameter space. param.Space has no mutating
+// method, so every caller shares it.
+var space = param.MustSpace(
+	param.Def{Name: ParamCacheMem, Min: 4, Max: 512, Default: 8, Step: 1, Unit: "MB"},
+	param.Def{Name: ParamSwapLow, Min: 50, Max: 96, Default: 90, Step: 1, Unit: "%"},
+	param.Def{Name: ParamSwapHigh, Min: 55, Max: 97, Default: 95, Step: 1, Unit: "%"},
+	param.Def{Name: ParamMaxObjectSize, Min: 256, Max: 16384, Default: 4096, Step: 256, Unit: "KB"},
+	param.Def{Name: ParamMinObjectSize, Min: 0, Max: 2048, Default: 0, Step: 2, Unit: "KB"},
+	param.Def{Name: ParamMaxObjectSizeMem, Min: 2, Max: 4096, Default: 8, Step: 2, Unit: "KB"},
+	param.Def{Name: ParamObjectsPerBucket, Min: 5, Max: 320, Default: 20, Step: 5},
+)
+
 // Space returns the proxy tier's tunable-parameter space with the paper's
 // default values.
-func Space() *param.Space {
-	return param.MustSpace(
-		param.Def{Name: ParamCacheMem, Min: 4, Max: 512, Default: 8, Step: 1, Unit: "MB"},
-		param.Def{Name: ParamSwapLow, Min: 50, Max: 96, Default: 90, Step: 1, Unit: "%"},
-		param.Def{Name: ParamSwapHigh, Min: 55, Max: 97, Default: 95, Step: 1, Unit: "%"},
-		param.Def{Name: ParamMaxObjectSize, Min: 256, Max: 16384, Default: 4096, Step: 256, Unit: "KB"},
-		param.Def{Name: ParamMinObjectSize, Min: 0, Max: 2048, Default: 0, Step: 2, Unit: "KB"},
-		param.Def{Name: ParamMaxObjectSizeMem, Min: 2, Max: 4096, Default: 8, Step: 2, Unit: "KB"},
-		param.Def{Name: ParamObjectsPerBucket, Min: 5, Max: 320, Default: 20, Step: 5},
-	)
-}
+func Space() *param.Space { return space }
 
 // Config is the decoded proxy configuration.
 type Config struct {
@@ -53,7 +56,7 @@ type Config struct {
 
 // DecodeConfig interprets a param.Config laid out per Space().
 func DecodeConfig(c param.Config) Config {
-	sp := Space()
+	sp := space
 	if len(c) != sp.Len() {
 		panic(fmt.Sprintf("proxy: config has %d values, want %d", len(c), sp.Len()))
 	}
@@ -118,81 +121,95 @@ func (r LookupResult) String() string {
 	}
 }
 
-// entry is a cached object in the store directory.
+// entry is a cached object in the store's slab. Every link is a slot
+// number into the slab, 0 meaning none (slot 0 is never used), so the
+// slab holds no pointers and the garbage collector never scans it.
 type entry struct {
-	id    uint64
-	size  int64
-	inMem bool
+	id   uint64
+	size int64
 
-	bucketNext *entry // singly-linked bucket chain
+	bucketNext int32 // bucket chain; also links free slots
 
 	// Intrusive LRU links; disk list covers all entries, mem list covers
 	// in-memory entries only.
-	diskPrev, diskNext *entry
-	memPrev, memNext   *entry
+	diskPrev, diskNext int32
+	memPrev, memNext   int32
+
+	inMem bool
 }
 
-// lruList is an intrusive doubly-linked LRU list with sentinel-free ends.
-type lruList struct {
-	head, tail *entry // head = most recent
-	getPrev    func(*entry) *entry
-	getNext    func(*entry) *entry
-	setPrev    func(*entry, *entry)
-	setNext    func(*entry, *entry)
-}
+// diskList and memList are the store's two intrusive LRU lists, threaded
+// through the slab's disk and mem links; head is the most recent.
+type diskList struct{ head, tail int32 }
 
-func newDiskList() *lruList {
-	return &lruList{
-		getPrev: func(e *entry) *entry { return e.diskPrev },
-		getNext: func(e *entry) *entry { return e.diskNext },
-		setPrev: func(e, v *entry) { e.diskPrev = v },
-		setNext: func(e, v *entry) { e.diskNext = v },
+func (l *diskList) pushFront(s []entry, i int32) {
+	s[i].diskPrev = 0
+	s[i].diskNext = l.head
+	if l.head != 0 {
+		s[l.head].diskPrev = i
+	}
+	l.head = i
+	if l.tail == 0 {
+		l.tail = i
 	}
 }
 
-func newMemList() *lruList {
-	return &lruList{
-		getPrev: func(e *entry) *entry { return e.memPrev },
-		getNext: func(e *entry) *entry { return e.memNext },
-		setPrev: func(e, v *entry) { e.memPrev = v },
-		setNext: func(e, v *entry) { e.memNext = v },
-	}
-}
-
-func (l *lruList) pushFront(e *entry) {
-	l.setPrev(e, nil)
-	l.setNext(e, l.head)
-	if l.head != nil {
-		l.setPrev(l.head, e)
-	}
-	l.head = e
-	if l.tail == nil {
-		l.tail = e
-	}
-}
-
-func (l *lruList) remove(e *entry) {
-	prev, next := l.getPrev(e), l.getNext(e)
-	if prev != nil {
-		l.setNext(prev, next)
+func (l *diskList) remove(s []entry, i int32) {
+	prev, next := s[i].diskPrev, s[i].diskNext
+	if prev != 0 {
+		s[prev].diskNext = next
 	} else {
 		l.head = next
 	}
-	if next != nil {
-		l.setPrev(next, prev)
+	if next != 0 {
+		s[next].diskPrev = prev
 	} else {
 		l.tail = prev
 	}
-	l.setPrev(e, nil)
-	l.setNext(e, nil)
+	s[i].diskPrev, s[i].diskNext = 0, 0
 }
 
-func (l *lruList) moveFront(e *entry) {
-	if l.head == e {
-		return
+func (l *diskList) moveFront(s []entry, i int32) {
+	if l.head != i {
+		l.remove(s, i)
+		l.pushFront(s, i)
 	}
-	l.remove(e)
-	l.pushFront(e)
+}
+
+type memList struct{ head, tail int32 }
+
+func (l *memList) pushFront(s []entry, i int32) {
+	s[i].memPrev = 0
+	s[i].memNext = l.head
+	if l.head != 0 {
+		s[l.head].memPrev = i
+	}
+	l.head = i
+	if l.tail == 0 {
+		l.tail = i
+	}
+}
+
+func (l *memList) remove(s []entry, i int32) {
+	prev, next := s[i].memPrev, s[i].memNext
+	if prev != 0 {
+		s[prev].memNext = next
+	} else {
+		l.head = next
+	}
+	if next != 0 {
+		s[next].memPrev = prev
+	} else {
+		l.tail = prev
+	}
+	s[i].memPrev, s[i].memNext = 0, 0
+}
+
+func (l *memList) moveFront(s []entry, i int32) {
+	if l.head != i {
+		l.remove(s, i)
+		l.pushFront(s, i)
+	}
 }
 
 // Stats counts lookups by outcome.
@@ -202,18 +219,33 @@ type Stats struct {
 	Misses   uint64
 }
 
-// Cache is the proxy's object store.
+// Cache is the proxy's object store: a slab of entries, a bucketed
+// directory of chain heads and two LRU lists, all linked by slot number.
+//
+// A cache's storage comes from process-wide pools and goes back to them
+// on Release, cleared, for the next cache to reuse (DESIGN.md §10). A
+// released cache drops its slices, so any later use panics instead of
+// reading storage another cache now owns.
 type Cache struct {
 	cfg      Config
 	diskCap  int64
-	buckets  []*entry
-	memList  *lruList
-	diskList *lruList
+	slab     []entry // slot 0 unused, so 0 is the nil link; nil until the first admit
+	dir      []int32 // bucket chain heads; 0 is an empty bucket
+	free     int32   // head of the free-slot list, through bucketNext
+	memList  memList
+	diskList diskList
 	memBytes int64
 	dskBytes int64
 	count    int
 	stats    Stats
 }
+
+// slabs and dirs hold released caches' storage, cleared: a slab keeps
+// only the unused slot 0 and a directory is all zero, every bucket empty.
+var (
+	slabs recycle.Pool[[]entry]
+	dirs  recycle.Pool[[]int32]
+)
 
 // New creates a cache with the given configuration and disk capacity in
 // bytes.
@@ -221,43 +253,53 @@ func New(cfg Config, diskCapacity int64) *Cache {
 	if diskCapacity <= 0 {
 		panic("proxy: disk capacity must be positive")
 	}
-	return &Cache{
-		cfg:      cfg,
-		diskCap:  diskCapacity,
-		buckets:  make([]*entry, cfg.bucketCount()),
-		memList:  newMemList(),
-		diskList: newDiskList(),
+	n := cfg.bucketCount()
+	dir, _ := dirs.Get()
+	if cap(dir) < n {
+		dir = make([]int32, n)
 	}
+	return &Cache{cfg: cfg, diskCap: diskCapacity, dir: dir[:n]}
+}
+
+// Release clears the cache's storage and returns it to the pools. The
+// cache must not be used afterwards.
+func (c *Cache) Release() {
+	clear(c.dir)
+	dirs.Put(c.dir)
+	if c.slab != nil {
+		slabs.Put(c.slab[:1])
+	}
+	c.slab, c.dir = nil, nil
 }
 
 func (c *Cache) bucketOf(id uint64) int {
 	h := id * 0x9e3779b97f4a7c15
-	return int(h % uint64(len(c.buckets)))
+	return int(h % uint64(len(c.dir)))
 }
 
-func (c *Cache) find(id uint64) (*entry, int) {
+func (c *Cache) find(id uint64) (int32, int) {
 	scanned := 0
-	for e := c.buckets[c.bucketOf(id)]; e != nil; e = e.bucketNext {
+	for i := c.dir[c.bucketOf(id)]; i != 0; i = c.slab[i].bucketNext {
 		scanned++
-		if e.id == id {
-			return e, scanned
+		if c.slab[i].id == id {
+			return i, scanned
 		}
 	}
-	return nil, scanned
+	return 0, scanned
 }
 
 // Lookup probes the cache for o, promoting hits to most-recently-used.
 // It returns the hit class and the number of directory entries scanned
 // (the caller charges CPU proportional to the scan).
 func (c *Cache) Lookup(o webobj.Object) (LookupResult, int) {
-	e, scanned := c.find(o.ID)
-	if e == nil {
+	i, scanned := c.find(o.ID)
+	if i == 0 {
 		c.stats.Misses++
 		return Miss, scanned
 	}
-	c.diskList.moveFront(e)
-	if e.inMem {
-		c.memList.moveFront(e)
+	c.diskList.moveFront(c.slab, i)
+	if c.slab[i].inMem {
+		c.memList.moveFront(c.slab, i)
 		c.stats.HitsMem++
 		return HitMem, scanned
 	}
@@ -276,36 +318,55 @@ func (c *Cache) Admit(o webobj.Object) bool {
 	if sizeKB < c.cfg.MinObjectKB || sizeKB > c.cfg.MaxObjectKB || o.Size > c.diskCap {
 		return false
 	}
-	if e, _ := c.find(o.ID); e != nil {
+	if i, _ := c.find(o.ID); i != 0 {
 		return false // already cached
 	}
-	e := &entry{id: o.ID, size: o.Size}
 	b := c.bucketOf(o.ID)
-	e.bucketNext = c.buckets[b]
-	c.buckets[b] = e
-	c.diskList.pushFront(e)
-	c.dskBytes += e.size
+	i := c.alloc(entry{id: o.ID, size: o.Size, bucketNext: c.dir[b]})
+	c.dir[b] = i
+	c.diskList.pushFront(c.slab, i)
+	c.dskBytes += o.Size
 	c.count++
 
 	if sizeKB <= c.cfg.MaxObjectMemKB {
-		e.inMem = true
-		c.memList.pushFront(e)
-		c.memBytes += e.size
+		c.slab[i].inMem = true
+		c.memList.pushFront(c.slab, i)
+		c.memBytes += o.Size
 		c.enforceMem()
 	}
 	c.enforceDisk()
 	return true
 }
 
+// alloc stores e in a free slot, or in a new one at the slab's end, and
+// returns the slot. The slab comes from the pool at the first admit, so a
+// store that never admits (a lab that only stages configurations) takes
+// none.
+func (c *Cache) alloc(e entry) int32 {
+	if i := c.free; i != 0 {
+		c.free = c.slab[i].bucketNext
+		c.slab[i] = e
+		return i
+	}
+	if c.slab == nil {
+		var ok bool
+		if c.slab, ok = slabs.Get(); !ok {
+			c.slab = make([]entry, 1, 256)
+		}
+	}
+	c.slab = append(c.slab, e)
+	return int32(len(c.slab) - 1)
+}
+
 // enforceMem demotes least-recently-used in-memory entries until the
 // memory cache fits in cache_mem.
 func (c *Cache) enforceMem() {
 	limit := c.cfg.CacheMemMB << 20
-	for c.memBytes > limit && c.memList.tail != nil {
-		e := c.memList.tail
-		c.memList.remove(e)
-		e.inMem = false
-		c.memBytes -= e.size
+	for c.memBytes > limit && c.memList.tail != 0 {
+		i := c.memList.tail
+		c.memList.remove(c.slab, i)
+		c.slab[i].inMem = false
+		c.memBytes -= c.slab[i].size
 	}
 }
 
@@ -317,33 +378,35 @@ func (c *Cache) enforceDisk() {
 		return
 	}
 	low := c.diskCap / 100 * c.cfg.SwapLowPct
-	for c.dskBytes > low && c.diskList.tail != nil {
+	for c.dskBytes > low && c.diskList.tail != 0 {
 		c.evict(c.diskList.tail)
 	}
 }
 
-// evict removes an entry entirely (disk and, if present, memory).
-func (c *Cache) evict(e *entry) {
-	c.diskList.remove(e)
+// evict removes an entry entirely (disk and, if present, memory), unlinks
+// it from its bucket chain in place and puts its slot on the free list.
+func (c *Cache) evict(i int32) {
+	e := &c.slab[i]
+	c.diskList.remove(c.slab, i)
 	c.dskBytes -= e.size
 	if e.inMem {
-		c.memList.remove(e)
+		c.memList.remove(c.slab, i)
 		c.memBytes -= e.size
 		e.inMem = false
 	}
-	// Unlink from the bucket chain.
 	b := c.bucketOf(e.id)
-	if c.buckets[b] == e {
-		c.buckets[b] = e.bucketNext
+	if c.dir[b] == i {
+		c.dir[b] = e.bucketNext
 	} else {
-		for p := c.buckets[b]; p != nil; p = p.bucketNext {
-			if p.bucketNext == e {
-				p.bucketNext = e.bucketNext
+		for p := c.dir[b]; p != 0; p = c.slab[p].bucketNext {
+			if c.slab[p].bucketNext == i {
+				c.slab[p].bucketNext = e.bucketNext
 				break
 			}
 		}
 	}
-	e.bucketNext = nil
+	e.bucketNext = c.free
+	c.free = i
 	c.count--
 }
 

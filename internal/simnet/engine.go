@@ -8,11 +8,9 @@
 //
 // The event loop is the hot path of every experiment in the repo: a single
 // tuning iteration dispatches millions of events, so the loop avoids
-// per-event heap allocation by recycling event records through a free list
-// (Timers carry a generation number so a handle to a fired-and-recycled
-// event can never cancel its successor) and keeps canceled timers cheap by
-// marking them dead in place (lazy cancel) and compacting the heaps only
-// when dead entries pile up.
+// per-event heap allocation by recycling event records through a free
+// list. Every scheduled event fires: there is no cancel, so every queued
+// record is live and the earliest head is always the next dispatch.
 //
 // Pending events live in two binary heaps cut by how far ahead they were
 // scheduled: near holds what is due within farDelay (service completions,
@@ -27,12 +25,11 @@ package simnet
 // Engine is the event loop of a simulation. The zero value is ready to use
 // and starts at time 0.
 type Engine struct {
-	now      float64
-	seq      uint64
-	near     eventHeap // events scheduled less than farDelay ahead
-	far      eventHeap // events scheduled farDelay or more ahead
-	canceled int       // dead (canceled, unpopped) events still in a heap
-	free     []*event  // recycled event records
+	now  float64
+	seq  uint64
+	near eventHeap // events scheduled less than farDelay ahead
+	far  eventHeap // events scheduled farDelay or more ahead
+	free []*event  // recycled event records
 
 	// prof is the attached trace-driven profiler (profile.go), nil when
 	// profiling is off. owner is the first profile ever attached, the one
@@ -58,20 +55,13 @@ type attr struct {
 	span  *SpanBuf
 }
 
-// event is a scheduled callback. Records are recycled through Engine.free;
-// gen increments on every recycle so stale Timer handles turn into no-ops.
-// A nil fn marks a canceled (dead) event awaiting pop or compaction.
+// event is a scheduled callback. Records are recycled through Engine.free.
 type event struct {
 	at   float64
 	seq  uint64
 	fn   func()
-	gen  uint64
 	attr attr // context of the scheduling event, restored at dispatch
 }
-
-// compactMin is the minimum number of dead events before Cancel considers
-// compacting the heaps; below it the lazy pop-time sweep is always cheaper.
-const compactMin = 64
 
 // farDelay is the cut between the two heaps: an event scheduled this many
 // seconds or more ahead goes to far. In StandardLab windows at the
@@ -144,65 +134,6 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// init re-establishes the heap invariant after the slice was rebuilt.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// Timer is a handle to a scheduled event that can be canceled. The zero
-// value (and a nil *Timer) is a valid no-op handle.
-type Timer struct {
-	eng *Engine
-	ev  *event
-	gen uint64
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled timer is a no-op. The canceled event's callback — and
-// any state its closure captured — is released immediately rather than
-// lingering in a heap until popped, and when dead events outnumber live
-// ones both heaps are compacted, so long runs that cancel many timers
-// (e.g. the Figure 5 think-time churn) hold no unbounded garbage.
-func (t *Timer) Cancel() {
-	if t == nil || t.ev == nil {
-		return
-	}
-	ev := t.ev
-	if ev.gen != t.gen || ev.fn == nil {
-		return // already fired, recycled, or canceled
-	}
-	ev.fn = nil // drop the closure (and everything it captured) now
-	ev.attr = attr{}
-	e := t.eng
-	e.canceled++
-	if e.canceled >= compactMin && e.canceled*2 > len(e.near)+len(e.far) {
-		e.compact(&e.near)
-		e.compact(&e.far)
-		e.canceled = 0
-	}
-}
-
-// compact rebuilds h without its dead events, recycling them.
-func (e *Engine) compact(h *eventHeap) {
-	old := *h
-	live := old[:0]
-	for _, ev := range old {
-		if ev.fn != nil {
-			live = append(live, ev)
-		} else {
-			e.release(ev)
-		}
-	}
-	// Zero the tail so released records are not retained twice.
-	for i := len(live); i < len(old); i++ {
-		old[i] = nil
-	}
-	live.init()
-	*h = live
-}
-
 // alloc returns a recycled event record, or a fresh one.
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
@@ -214,12 +145,10 @@ func (e *Engine) alloc() *event {
 	return &event{}
 }
 
-// release recycles a popped event record. The generation bump invalidates
-// every Timer handle still pointing at it.
+// release recycles a popped event record.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.attr = attr{}
-	ev.gen++
 	e.free = append(e.free, ev)
 }
 
@@ -227,15 +156,16 @@ func (e *Engine) release(ev *event) {
 func (e *Engine) Now() float64 { return e.now }
 
 // Schedule arranges for fn to run delay seconds from now. A negative delay
-// is treated as zero. It returns a Timer that can cancel the event.
-func (e *Engine) Schedule(delay float64, fn func()) Timer {
-	return e.scheduleAttr(delay, e.cur, fn)
+// is treated as zero. The event always fires: a caller that no longer wants
+// the work makes its callback return early.
+func (e *Engine) Schedule(delay float64, fn func()) {
+	e.scheduleAttr(delay, e.cur, fn)
 }
 
 // scheduleAttr is Schedule with an explicit attribution context, used by
 // the queueing primitives to run deferred work (a queued job's service)
 // under the context that submitted it.
-func (e *Engine) scheduleAttr(delay float64, a attr, fn func()) Timer {
+func (e *Engine) scheduleAttr(delay float64, a attr, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
@@ -250,7 +180,6 @@ func (e *Engine) scheduleAttr(delay float64, a attr, fn func()) Timer {
 	} else {
 		e.near.push(ev)
 	}
-	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
 // deferred returns the current context extended by frame, for work a
@@ -265,8 +194,8 @@ func (e *Engine) deferred(frame string) attr {
 	return a
 }
 
-// head returns the heap whose top is the earliest pending event, dead or
-// alive, or nil when both heaps are empty.
+// head returns the heap whose top is the earliest pending event, or nil
+// when both heaps are empty.
 func (e *Engine) head() *eventHeap {
 	switch {
 	case len(e.near) == 0:
@@ -284,31 +213,26 @@ func (e *Engine) head() *eventHeap {
 // Step executes the next pending event and returns true, or returns false
 // if no events remain.
 func (e *Engine) Step() bool {
-	for h := e.head(); h != nil; h = e.head() {
-		ev := h.pop()
-		if ev.fn == nil {
-			e.canceled--
-			e.release(ev)
-			continue
-		}
-		fn, a := ev.fn, ev.attr
-		if e.prof != nil {
-			e.prof.record(a.stack, ev.at-e.now)
-		}
-		e.now = ev.at
-		e.release(ev)
-		e.cur = a
-		fn()
-		e.cur = attr{}
-		return true
+	h := e.head()
+	if h == nil {
+		return false
 	}
-	return false
+	ev := h.pop()
+	fn, a := ev.fn, ev.attr
+	if e.prof != nil {
+		e.prof.record(a.stack, ev.at-e.now)
+	}
+	e.now = ev.at
+	e.release(ev)
+	e.cur = a
+	fn()
+	e.cur = attr{}
+	return true
 }
 
 // RunUntil executes events in order until the next event would fire after
 // time t (or no events remain), then advances the clock to exactly t.
 func (e *Engine) RunUntil(t float64) {
-	// Peek at the earliest event, dead or alive, as a single heap would.
 	for h := e.head(); h != nil && (*h)[0].at <= t; h = e.head() {
 		e.Step()
 	}

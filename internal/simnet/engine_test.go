@@ -85,20 +85,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	var e Engine
-	fired := false
-	tm := e.Schedule(1, func() { fired = true })
-	tm.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	tm.Cancel() // double cancel is a no-op
-	var nilTimer *Timer
-	nilTimer.Cancel() // nil-safe
-}
-
 // TestAtAbsoluteTime checks that a delay scheduled from inside an event
 // is measured from that event's time, so the nested event fires at the
 // absolute time now+delay.

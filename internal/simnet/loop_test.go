@@ -5,253 +5,8 @@ import (
 	"testing"
 )
 
-// --- event free-list, lazy cancel, and live-event bookkeeping ---
-
-// queued returns the number of events, dead or alive, in both heaps.
+// queued returns the number of pending events in both heaps.
 func queued(e *Engine) int { return len(e.near) + len(e.far) }
-
-// pending returns the number of live (scheduled and not canceled) events.
-func pending(e *Engine) int { return queued(e) - e.canceled }
-
-// TestPendingExcludesCanceled locks the engine's canceled-event count:
-// canceled events still physically in the heap do not count as pending.
-func TestPendingExcludesCanceled(t *testing.T) {
-	e := &Engine{}
-	timers := make([]Timer, 10)
-	for i := range timers {
-		timers[i] = e.Schedule(float64(i+1), func() {})
-	}
-	if got := pending(e); got != 10 {
-		t.Fatalf("pending = %d, want 10", got)
-	}
-	for i := 0; i < 4; i++ {
-		timers[i].Cancel()
-	}
-	if got := pending(e); got != 6 {
-		t.Fatalf("pending after 4 cancels = %d, want 6", got)
-	}
-	// Canceling twice must not double-count.
-	timers[0].Cancel()
-	if got := pending(e); got != 6 {
-		t.Fatalf("pending after re-cancel = %d, want 6", got)
-	}
-	e.Run()
-	if got := pending(e); got != 0 {
-		t.Fatalf("pending after Run = %d, want 0", got)
-	}
-}
-
-// TestCancelReleasesClosure verifies the leak fix: Cancel drops the
-// callback immediately (ev.fn = nil) instead of keeping the closure — and
-// everything it captures — alive until the event's pop time.
-func TestCancelReleasesClosure(t *testing.T) {
-	e := &Engine{}
-	fired := false
-	tm := e.Schedule(5, func() { fired = true })
-	tm.Cancel()
-	if tm.ev.fn != nil {
-		t.Fatal("Cancel left the closure attached to the heap entry")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
-// TestCancelCompaction verifies that heavy cancellation triggers heap
-// compaction: dead events are physically removed and recycled rather than
-// retained until their (possibly far-future) pop time. Even timers go to
-// the near heap and odd ones to the far heap, so compaction must clear
-// both.
-func TestCancelCompaction(t *testing.T) {
-	e := &Engine{}
-	const n = 4 * compactMin
-	timers := make([]Timer, n)
-	for i := range timers {
-		delay := float64(i + 1)
-		if i%2 == 0 {
-			delay = farDelay * float64(i+1) / (2 * n)
-		}
-		timers[i] = e.Schedule(delay, func() {})
-	}
-	if len(e.near) != n/2 || len(e.far) != n/2 {
-		t.Fatalf("near %d, far %d entries, want %d each", len(e.near), len(e.far), n/2)
-	}
-	// Cancel most of the far-future events. Compaction keeps the invariant
-	// "dead entries stay under compactMin or under half the heap", so the
-	// heap must shrink well below the scheduled total instead of retaining
-	// every canceled record until its pop time.
-	for i := n / 4; i < n; i++ {
-		timers[i].Cancel()
-		if e.canceled >= compactMin && e.canceled*2 > queued(e) {
-			t.Fatalf("after cancel %d: %d dead in %d queued entries, compaction never ran",
-				i, e.canceled, queued(e))
-		}
-	}
-	if queued(e) >= n/2 {
-		t.Fatalf("heaps hold %d of %d entries after mass cancel; compaction reclaimed nothing", queued(e), n)
-	}
-	if pending(e) != n/4 {
-		t.Fatalf("pending = %d, want %d", pending(e), n/4)
-	}
-	// The surviving events still fire in order.
-	var prev float64 = -1
-	count := 0
-	for e.Step() {
-		if e.Now() < prev {
-			t.Fatalf("time went backwards: %g after %g", e.Now(), prev)
-		}
-		prev = e.Now()
-		count++
-	}
-	if count != n/4 {
-		t.Fatalf("fired %d events, want %d", count, n/4)
-	}
-}
-
-// TestStaleTimerCannotCancelRecycledEvent verifies the generation guard:
-// after an event fires its record is recycled, and a retained handle to
-// the fired event must not cancel whatever event inherited the record.
-func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
-	e := &Engine{}
-	stale := e.Schedule(1, func() {})
-	e.Run() // fires and recycles the record
-	fired := false
-	fresh := e.Schedule(1, func() { fired = true })
-	if fresh.ev != stale.ev {
-		t.Skip("free list did not recycle the record; guard untestable here")
-	}
-	stale.Cancel() // must be a no-op: generation mismatch
-	e.Run()
-	if !fired {
-		t.Fatal("stale Timer canceled a recycled event")
-	}
-}
-
-// TestSelfCancelDuringDispatch: a callback canceling its own (already
-// popped and recycled) timer must be a no-op.
-func TestSelfCancelDuringDispatch(t *testing.T) {
-	e := &Engine{}
-	var tm Timer
-	other := false
-	tm = e.Schedule(1, func() {
-		tm.Cancel() // the event is mid-dispatch; this must not corrupt anything
-		e.Schedule(1, func() { other = true })
-	})
-	e.Run()
-	if !other {
-		t.Fatal("follow-up event did not fire after self-cancel")
-	}
-}
-
-// --- property test: determinism under interleaved Schedule/Cancel/Step ---
-
-// refEvent is the reference model's event: a plain sorted list, no
-// free-list, no lazy cancel.
-type refEvent struct {
-	at       float64
-	seq      uint64
-	id       int
-	canceled bool
-}
-
-// TestInterleavedScheduleCancelStepProperty drives the engine and a naive
-// reference model through the same randomized Schedule/Cancel/Step
-// interleavings and requires identical firing sequences. This pins the
-// (at, seq) ordering contract across the free-list recycling, lazy
-// cancellation, and compaction machinery.
-func TestInterleavedScheduleCancelStepProperty(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		e := &Engine{}
-		var (
-			ref      []refEvent
-			timers   []Timer
-			refIDs   []int
-			gotFired []int
-			nextID   int
-		)
-		refFire := func() (int, bool) {
-			best := -1
-			for i, ev := range ref {
-				if ev.canceled {
-					continue
-				}
-				if best < 0 || ev.at < ref[best].at ||
-					(ev.at == ref[best].at && ev.seq < ref[best].seq) {
-					best = i
-				}
-			}
-			if best < 0 {
-				return 0, false
-			}
-			id := ref[best].id
-			ref = append(ref[:best], ref[best+1:]...)
-			return id, true
-		}
-		for op := 0; op < 400; op++ {
-			switch r := rng.Float64(); {
-			case r < 0.55: // schedule
-				id := nextID
-				nextID++
-				delay := rng.Float64() * 10
-				// A quarter of events land at an already-used time to
-				// exercise the seq tiebreak.
-				if len(ref) > 0 && rng.Intn(4) == 0 {
-					delay = ref[rng.Intn(len(ref))].at - e.Now()
-					if delay < 0 {
-						delay = 0
-					}
-				}
-				tm := e.Schedule(delay, func() { gotFired = append(gotFired, id) })
-				at := e.Now() + delay
-				ref = append(ref, refEvent{at: at, seq: tm.ev.seq, id: id})
-				timers = append(timers, tm)
-				refIDs = append(refIDs, id)
-			case r < 0.75 && len(timers) > 0: // cancel a random timer
-				i := rng.Intn(len(timers))
-				timers[i].Cancel()
-				for j := range ref {
-					if ref[j].id == refIDs[i] {
-						ref[j].canceled = true
-					}
-				}
-			default: // step
-				wantID, wantOK := refFire()
-				before := len(gotFired)
-				gotOK := e.Step()
-				// The reference skips canceled events; Step reports false
-				// only when nothing live remains.
-				if gotOK != wantOK {
-					t.Fatalf("trial %d op %d: Step = %v, reference = %v", trial, op, gotOK, wantOK)
-				}
-				if wantOK {
-					if len(gotFired) != before+1 || gotFired[len(gotFired)-1] != wantID {
-						t.Fatalf("trial %d op %d: fired %v, reference wants id %d", trial, op, gotFired[before:], wantID)
-					}
-				}
-			}
-		}
-		// Drain both and require the same tail.
-		for {
-			wantID, wantOK := refFire()
-			before := len(gotFired)
-			gotOK := e.Step()
-			if gotOK != wantOK {
-				t.Fatalf("trial %d drain: Step = %v, reference = %v", trial, gotOK, wantOK)
-			}
-			if !wantOK {
-				break
-			}
-			if gotFired[before] != wantID {
-				t.Fatalf("trial %d drain: fired %d, reference wants %d", trial, gotFired[before], wantID)
-			}
-		}
-		if pending(e) != 0 {
-			t.Fatalf("trial %d: Pending = %d after drain", trial, pending(e))
-		}
-	}
-}
 
 // --- TokenPool reentrancy regressions ---
 
@@ -353,24 +108,6 @@ func TestTokenPoolInvariantUnderReentrancy(t *testing.T) {
 }
 
 // --- microbenchmarks (before/after numbers in the PR) ---
-
-// BenchmarkEngineScheduleCancel measures the cancel-heavy pattern the
-// Figure 5 think-time churn produces: schedule far-future work, cancel
-// most of it, keep the loop moving.
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	b.ReportAllocs()
-	e := &Engine{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keep := e.Schedule(1, func() {})
-		for j := 0; j < 4; j++ {
-			tm := e.Schedule(1e6, func() {})
-			tm.Cancel()
-		}
-		_ = keep
-		e.Step()
-	}
-}
 
 // BenchmarkEngineDispatchProfiled measures per-event profiler overhead
 // relative to BenchmarkEngineScheduleRun's bare dispatch loop.

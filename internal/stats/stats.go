@@ -7,6 +7,8 @@ package stats
 import (
 	"math"
 	"sort"
+
+	"webharmony/internal/recycle"
 )
 
 // Running accumulates a stream of observations using Welford's online
@@ -44,16 +46,41 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Sample stores raw observations for percentile queries.
+// Sample stores raw observations for percentile queries. The zero value
+// is ready to use; its storage comes from a pool on the first Add.
 type Sample struct {
 	data   []float64
 	sorted bool
 }
 
+// sampleBufs holds released samples' storage, emptied. A simulation
+// window's sample grows to thousands of observations, and a finished
+// hermetic evaluation hands its storage to the next one (DESIGN.md §10).
+var sampleBufs recycle.Pool[[]float64]
+
 // Add records one observation.
 func (s *Sample) Add(x float64) {
+	if s.data == nil {
+		s.data, _ = sampleBufs.Get()
+	}
 	s.data = append(s.data, x)
 	s.sorted = false
+}
+
+// Reset empties the sample and keeps its storage for the next
+// observations.
+func (s *Sample) Reset() {
+	s.data = s.data[:0]
+	s.sorted = false
+}
+
+// Release empties the sample and returns its storage to the pool for the
+// next sample's first Add.
+func (s *Sample) Release() {
+	if s.data != nil {
+		sampleBufs.Put(s.data[:0])
+	}
+	s.data, s.sorted = nil, false
 }
 
 // Mean returns the sample mean, or 0 when empty.

@@ -1,6 +1,7 @@
 package tpcw
 
 import (
+	"webharmony/internal/recycle"
 	"webharmony/internal/rng"
 	"webharmony/internal/simnet"
 	"webharmony/internal/stats"
@@ -82,6 +83,21 @@ type Driver struct {
 	resp     stats.Sample // response times of completed interactions
 }
 
+// browserPool holds released drivers' browsers, each with its image
+// buffer; the next driver to start rebinds them (DESIGN.md §10).
+var browserPool recycle.Pool[[]*browser]
+
+// maxImages is the most images any interaction's page embeds: the
+// capacity of every browser's image buffer, so page generation never
+// grows one.
+var maxImages = func() int {
+	m := 0
+	for _, p := range profiles {
+		m = max(m, p.Images)
+	}
+	return m
+}()
+
 // browser is one emulated browser's persistent state. Each browser has at
 // most one page in flight, so its completion and think-timer callbacks are
 // allocated once here and reused for every interaction — the steady-state
@@ -91,17 +107,30 @@ type browser struct {
 	eb      int
 	it      Interaction     // interaction currently in flight
 	issued  float64         // sim time the in-flight page was issued
-	imgBuf  []webobj.Object // image-slice backing store, reused per page
+	imgBuf  []webobj.Object // image-slice backing store, maxImages long, reused per page
 	doneFn  func(ok bool)   // bound pageDone, passed to Site.Request
 	thinkFn func()          // bound browse, scheduled on the think timer
 }
 
-// newBrowser creates the reusable state for emulated browser eb.
-func newBrowser(d *Driver, eb int) *browser {
-	b := &browser{d: d, eb: eb}
-	b.doneFn = b.pageDone
-	b.thinkFn = b.browse
-	return b
+// bindBrowsers returns n browsers bound to d: those of bs, a released
+// driver's, as far as they go, then new ones whose image buffers are
+// carved from one slab. Every browser's state is rewritten before its
+// first page, so only the driver and index need rebinding.
+func (d *Driver) bindBrowsers(bs []*browser, n int) []*browser {
+	bs = bs[:min(len(bs), n)]
+	if k := n - len(bs); k > 0 {
+		imgs := make([]webobj.Object, k*maxImages)
+		for i := 0; i < k; i++ {
+			b := &browser{imgBuf: imgs[i*maxImages : i*maxImages : (i+1)*maxImages]}
+			b.doneFn = b.pageDone
+			b.thinkFn = b.browse
+			bs = append(bs, b)
+		}
+	}
+	for i, b := range bs {
+		b.d, b.eb = d, i
+	}
+	return bs
 }
 
 // NewDriver creates a driver over the catalog. Browsers are not started
@@ -120,10 +149,6 @@ func NewDriver(eng *simnet.Engine, site Site, cat *webobj.Catalog, opts DriverOp
 	for i := range d.think {
 		d.think[i] = root.Split(uint64(300 + i))
 	}
-	d.browsers = make([]*browser, opts.Browsers)
-	for i := range d.browsers {
-		d.browsers[i] = newBrowser(d, i)
-	}
 	if opts.Sessions {
 		d.sessions = make([]*SessionSampler, opts.Browsers)
 		for i := range d.sessions {
@@ -134,12 +159,18 @@ func NewDriver(eng *simnet.Engine, site Site, cat *webobj.Catalog, opts DriverOp
 }
 
 // Start launches the emulated browsers; each starts with a random initial
-// think offset so arrivals are not synchronized.
+// think offset so arrivals are not synchronized. The browsers are bound on
+// the first Start, so a driver that never runs (a lab that only stages
+// configurations) takes none from the pool.
 func (d *Driver) Start() {
 	if d.running {
 		return
 	}
 	d.running = true
+	if d.browsers == nil {
+		bs, _ := browserPool.Get()
+		d.browsers = d.bindBrowsers(bs, d.opts.Browsers)
+	}
 	f := d.eng.EnterRoot("browser/think")
 	defer f.Exit()
 	for i := 0; i < d.opts.Browsers; i++ {
@@ -180,7 +211,6 @@ func (b *browser) browse() {
 		b.it = d.sampler.Next()
 	}
 	pr := d.gen.PageBuf(b.it, b.eb, b.imgBuf)
-	b.imgBuf = pr.Images // keep the (possibly grown) backing store
 	b.issued = d.eng.Now()
 	d.site.Request(pr, b.doneFn)
 }
@@ -211,13 +241,25 @@ func (b *browser) pageDone(ok bool) {
 // Counters returns the accumulated counters.
 func (d *Driver) Counters() Counters { return d.ctr }
 
-// ResetCounters zeroes the counters and response-time sample (start of a
-// measurement window).
+// ResetCounters zeroes the counters and empties the response-time sample
+// (start of a measurement window). The sample keeps the storage warm-up
+// grew.
 func (d *Driver) ResetCounters() {
 	d.ctr = Counters{}
-	d.resp = stats.Sample{}
+	d.resp.Reset()
 }
 
 // ResponseTimes returns the response-time sample of the current window.
-// Callers must not retain it across ResetCounters.
+// Callers must not retain it across ResetCounters or Release.
 func (d *Driver) ResponseTimes() *stats.Sample { return &d.resp }
+
+// Release returns the response-time sample's storage and the browsers to
+// their pools once the driver will run no more. The driver must not be
+// used afterwards: it drops its think streams, so Start panics.
+func (d *Driver) Release() {
+	d.resp.Release()
+	if d.browsers != nil {
+		browserPool.Put(d.browsers)
+	}
+	d.browsers, d.think = nil, nil
+}

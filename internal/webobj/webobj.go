@@ -6,7 +6,10 @@
 // observed for web traffic.
 package webobj
 
-import "webharmony/internal/rng"
+import (
+	"webharmony/internal/recycle"
+	"webharmony/internal/rng"
+)
 
 // Kind classifies an object by how it is produced and whether a proxy may
 // cache it.
@@ -65,6 +68,10 @@ type Catalog struct {
 	sizes []int32
 }
 
+// sizeTables holds released catalogs' size tables, all zero: a recycled
+// table must read "not drawn yet" for every ID.
+var sizeTables recycle.Pool[[]int32]
+
 // ImagesPerItem is the number of product images per catalog item
 // (thumbnail and full size, per the TPC-W page layouts).
 const ImagesPerItem = 2
@@ -82,8 +89,21 @@ func NewCatalog(scale int, sizeSeed uint64) *Catalog {
 		nDynamic: uint64(scale) + 1000, // product-detail and result pages
 		sizeSeed: sizeSeed,
 	}
-	c.sizes = make([]int32, c.Total())
+	sizes, _ := sizeTables.Get()
+	if n := int(c.Total()); cap(sizes) >= n {
+		c.sizes = sizes[:n]
+	} else {
+		c.sizes = make([]int32, n)
+	}
 	return c
+}
+
+// Release clears the size table and returns it to the pool for the next
+// catalog. The catalog must not be used afterwards: Object panics.
+func (c *Catalog) Release() {
+	clear(c.sizes)
+	sizeTables.Put(c.sizes)
+	c.sizes = nil
 }
 
 // Total returns the total number of distinct objects.

@@ -248,6 +248,39 @@ func BenchmarkCatalogObject(b *testing.B) {
 	_ = sink
 }
 
+// TestReleasedCatalog checks both halves of the size table's recycling:
+// a catalog built on a released table draws every size afresh, because
+// Release cleared it, and a released catalog cannot be read, because its
+// table now belongs to the next catalog.
+func TestReleasedCatalog(t *testing.T) {
+	want := make([]Object, 0, 64)
+	ref := NewCatalog(500, 7)
+	for id := uint64(0); id < ref.Total(); id += ref.Total() / 64 {
+		want = append(want, ref.Object(id))
+	}
+	ref.Release()
+
+	other := NewCatalog(500, 8) // another seed fills the recycled table
+	for id := uint64(0); id < other.Total(); id++ {
+		other.Object(id)
+	}
+	other.Release()
+	again := NewCatalog(500, 7)
+	for _, o := range want {
+		if got := again.Object(o.ID); got != o {
+			t.Fatalf("object %d on a recycled table = %+v, want %+v", o.ID, got, o)
+		}
+	}
+	again.Release()
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Object on a released catalog did not panic")
+		}
+	}()
+	again.Object(0)
+}
+
 // BenchmarkPopularityNextOf draws one object of each kind the way a
 // paper-scale TPC-W page does: static pages (5% of the ranks, about 33
 // draws each) at theta 0.95, images at theta 0.90.

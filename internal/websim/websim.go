@@ -20,6 +20,7 @@ import (
 	"webharmony/internal/db"
 	"webharmony/internal/param"
 	"webharmony/internal/proxy"
+	"webharmony/internal/recycle"
 	"webharmony/internal/rng"
 	"webharmony/internal/simnet"
 	"webharmony/internal/tpcw"
@@ -131,6 +132,15 @@ type System struct {
 	spanSink *SpanSink
 }
 
+// freePagePool and freeObjPool hold released systems' free request
+// records. A system takes them at its first page or object and rebinds
+// them (DESIGN.md §10), so one that never serves (a lab that only stages
+// configurations) takes none.
+var (
+	freePagePool recycle.Pool[[]*pageReq]
+	freeObjPool  recycle.Pool[[]*objReq]
+)
+
 // New builds the simulated site.
 func New(opts Options) *System {
 	opts = opts.withDefaults()
@@ -208,12 +218,39 @@ func (s *System) startServer(n *cluster.Node) {
 	}
 }
 
-// stopServer removes the tier server process from a node.
+// stopServer removes the tier server process from a node. A proxy store
+// goes back to the pool when no page or object is in flight, so nothing
+// can reach it any more: that is the case at every hermetic evaluation's
+// restart. On a live system with requests in flight (a node move or
+// failure) the store stays with the requests and is collected with them.
 func (s *System) stopServer(n *cluster.Node) {
+	if p, ok := s.proxies[n.ID()]; ok && s.livePages == 0 && s.liveObjs == 0 {
+		p.cache.Release()
+	}
 	delete(s.proxies, n.ID())
 	delete(s.apps, n.ID())
 	delete(s.dbs, n.ID())
 	n.SetMemUsed(osBaseMemory)
+}
+
+// Release returns the system's recycled storage, the proxy stores, the
+// catalog's size table and the free request records, to their pools once
+// it will simulate no more. Records still in flight stay with the engine's
+// pending events and are collected with them. The system must not be used
+// afterwards.
+func (s *System) Release() {
+	for _, p := range s.proxies {
+		p.cache.Release()
+	}
+	s.proxies = nil
+	s.Catalog.Release()
+	if s.freePages != nil {
+		freePagePool.Put(s.freePages)
+	}
+	if s.freeObjs != nil {
+		freeObjPool.Put(s.freeObjs)
+	}
+	s.freePages, s.freeObjs = nil, nil
 }
 
 // SetNodeConfig stores a node's configuration; it takes effect at the next
@@ -450,6 +487,12 @@ type pageReq struct {
 // callbacks bound.
 func (s *System) getPage(pr tpcw.PageRequest, done func(ok bool)) *pageReq {
 	var r *pageReq
+	if s.freePages == nil {
+		s.freePages, _ = freePagePool.Get()
+		for _, r := range s.freePages {
+			r.s = s
+		}
+	}
 	if n := len(s.freePages); n > 0 {
 		r = s.freePages[n-1]
 		s.freePages[n-1] = nil
@@ -734,6 +777,12 @@ func ObjCacheName(label uint8) string {
 // callbacks bound.
 func (s *System) getObj(o webobj.Object, eb int, p *proxyServer, done func(ok bool)) *objReq {
 	var r *objReq
+	if s.freeObjs == nil {
+		s.freeObjs, _ = freeObjPool.Get()
+		for _, r := range s.freeObjs {
+			r.s = s
+		}
+	}
 	if n := len(s.freeObjs); n > 0 {
 		r = s.freeObjs[n-1]
 		s.freeObjs[n-1] = nil

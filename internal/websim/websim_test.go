@@ -1,6 +1,7 @@
 package websim
 
 import (
+	"reflect"
 	"testing"
 
 	"webharmony/internal/cluster"
@@ -244,4 +245,43 @@ func TestMeasurementLineWIPSSumsToWIPS(t *testing.T) {
 	if diff := sum - m.WIPS; diff > 0.5 || diff < -0.5 {
 		t.Fatalf("line WIPS %v do not sum to WIPS %v", m.LineWIPS, m.WIPS)
 	}
+}
+
+// TestReleasedSystemStorageIsReused runs one window, restarts the servers
+// (which returns the idle proxy stores to the pool), releases the system
+// and its driver, and runs the same window on a new system built from
+// that storage: the proxy stores, the size table, the response-time
+// sample, the browsers and the request records. The recycled run must
+// measure exactly what the first did, and the released system's catalog
+// must refuse to be read.
+func TestReleasedSystemStorageIsReused(t *testing.T) {
+	window := func() (*System, *tpcw.Driver, Measurement) {
+		sys := smallSystem(0)
+		sys.Restart()
+		d := tpcw.NewDriver(sys.Eng, sys, sys.Catalog, tpcw.DriverOptions{
+			Browsers: 60, Workload: tpcw.Shopping, ThinkMean: 1, Seed: 5,
+		})
+		return sys, d, Measure(sys, d, 5, 20, 2)
+	}
+	sys, d, first := window()
+	d.Release()
+	sys.Release()
+	sys2, _, second := window()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("window on recycled storage measured\n%+v\nwant\n%+v", second, first)
+	}
+	if len(sys2.freePages) == 0 {
+		t.Fatal("the second system holds no free page records")
+	}
+	for _, r := range sys2.freePages {
+		if r.s != sys2 {
+			t.Fatal("a recycled page record is still bound to the released system")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the released system's catalog was readable")
+		}
+	}()
+	sys.Catalog.Object(0)
 }

@@ -34,9 +34,7 @@ var reachAllowlist = map[string]string{
 	"internal/simnet.Engine.Run":       "TestPipelineFingerprintGolden and about 70 other test call sites in 12 packages drain an engine with it",
 	"internal/tpcw.Driver.Stop":        "websim's TestPipelineFingerprintGolden and TestPoolChurnStress stop the browsers before draining in-flight pages",
 
-	"internal/proxy.Cache.count":       "proxy's TestCacheMatchesOracle checks it against the directory and disk list through checkInvariants",
-	"internal/websim.System.livePages": "websim's TestPoolChurnStress checks that no page record leaks or is freed twice",
-	"internal/websim.System.liveObjs":  "websim's TestPoolChurnStress checks that no object record leaks or is freed twice",
+	"internal/proxy.Cache.count": "proxy's TestCacheMatchesOracle checks it against the directory and disk list through checkInvariants",
 }
 
 // TestReachability fails on production code that only tests call or read. It

@@ -33,7 +33,7 @@ if [ -n "$log" ]; then
   out=$(cat "$log")
 else
   out=$(go test -run '^$' \
-    -bench 'BenchmarkFigure5Responsiveness|BenchmarkFigure4Memoized|BenchmarkTable4Memoized|BenchmarkFigure4Instrumented' \
+    -bench 'BenchmarkFigure5Responsiveness|BenchmarkFigure4Memoized|BenchmarkTable4Memoized|BenchmarkFigure4Instrumented|BenchmarkEvalConfig' \
     -benchtime 1x -benchmem .)
   echo "$out"
 fi
