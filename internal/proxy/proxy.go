@@ -262,11 +262,15 @@ func New(cfg Config, diskCapacity int64) *Cache {
 }
 
 // Release clears the cache's storage and returns it to the pools. The
-// cache must not be used afterwards.
+// cache must not be used afterwards. Storage more than four times the
+// size this cache used is dropped instead, so one outlying configuration
+// does not keep the pool, and the live heap, at its size (DESIGN.md §10).
 func (c *Cache) Release() {
-	clear(c.dir)
-	dirs.Put(c.dir)
-	if c.slab != nil {
+	if cap(c.dir) <= 4*len(c.dir) {
+		clear(c.dir)
+		dirs.Put(c.dir)
+	}
+	if c.slab != nil && cap(c.slab) <= 4*len(c.slab) {
 		slabs.Put(c.slab[:1])
 	}
 	c.slab, c.dir = nil, nil

@@ -75,9 +75,11 @@ func (s *Sample) Reset() {
 }
 
 // Release empties the sample and returns its storage to the pool for the
-// next sample's first Add.
+// next sample's first Add, unless it is more than four times the size
+// this sample used: one outlying window must not keep the pool at its
+// size.
 func (s *Sample) Release() {
-	if s.data != nil {
+	if s.data != nil && cap(s.data) <= 4*len(s.data) {
 		sampleBufs.Put(s.data[:0])
 	}
 	s.data, s.sorted = nil, false
