@@ -27,7 +27,7 @@ func benchLab() LabConfig { return QuickLab() }
 // restart and measure one window, then commit the measurement.
 func tuneStep(st *harmony.Strategy, lab *Lab) float64 {
 	for n, cfg := range st.Lookahead(1)[0] {
-		lab.SetNodeConfig(n, cfg)
+		lab.Sys.SetNodeConfig(n, cfg)
 	}
 	m := lab.MeasureIteration(true)
 	st.CommitStep(m.WIPS, m.LineWIPS)
@@ -76,7 +76,7 @@ func BenchmarkFigure3SimplexStep(b *testing.B) {
 // (restart + warm + measure + cool + simplex update) on the 4-machine lab.
 func BenchmarkSection3ATuningIteration(b *testing.B) {
 	lab := NewLab(benchLab(), Browsing)
-	st := harmony.NewStrategy(harmony.StrategyDefault, lab, 0, harmony.Options{Seed: 1})
+	st := harmony.NewStrategy(harmony.StrategyDefault, lab.Tiers(), 0, harmony.Options{Seed: 1})
 	b.ResetTimer()
 	var last float64
 	for i := 0; i < b.N; i++ {
@@ -356,7 +356,7 @@ func BenchmarkAblationTunerAlgorithms(b *testing.B) {
 		b.Run(a.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lab := NewLab(benchLab(), Shopping)
-				st := harmony.NewStrategy(harmony.StrategyDuplication, lab, 0,
+				st := harmony.NewStrategy(harmony.StrategyDuplication, lab.Tiers(), 0,
 					harmony.Options{Algorithm: a.algo, Seed: 3})
 				for k := 0; k < 50; k++ {
 					tuneStep(st, lab)
@@ -379,7 +379,7 @@ func BenchmarkAblationExtremeValueGuard(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lab := NewLab(benchLab(), Browsing)
-				st := harmony.NewStrategy(harmony.StrategyDuplication, lab, 0,
+				st := harmony.NewStrategy(harmony.StrategyDuplication, lab.Tiers(), 0,
 					harmony.Options{Seed: 8, GuardFactor: guard})
 				for k := 0; k < 50; k++ {
 					tuneStep(st, lab)
@@ -428,7 +428,7 @@ func BenchmarkAblationHybridStrategy(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lab := NewLab(cfg, Shopping)
-				st := harmony.NewStrategy(kind, lab, 2, harmony.Options{Seed: 6})
+				st := harmony.NewStrategy(kind, lab.Tiers(), 2, harmony.Options{Seed: 6})
 				for k := 0; k < 60; k++ {
 					tuneStep(st, lab)
 				}

@@ -347,22 +347,34 @@ type Cluster struct {
 	byTier [3][]*Node
 }
 
-// New creates a cluster of nodes: counts[t] nodes are assigned to tier t.
-func New(eng *simnet.Engine, hw Hardware, proxyN, appN, dbN int) *Cluster {
+// NodeIDs returns the node IDs New assigns to each tier of a cluster with
+// the given tier sizes, indexed by Tier: IDs are dense from 0 in pipeline
+// order, proxies first. It is the one place IDs are assigned, so code that
+// only plans configurations can name a cluster's nodes without building it.
+func NodeIDs(proxyN, appN, dbN int) [][]int {
 	if proxyN < 1 || appN < 1 || dbN < 1 {
 		panic("cluster: each tier needs at least one node")
 	}
-	c := &Cluster{}
-	id := 0
-	add := func(tier Tier, n int) {
+	ids := make([][]int, len(Tiers()))
+	next := 0
+	for t, n := range []int{proxyN, appN, dbN} {
 		for i := 0; i < n; i++ {
-			c.nodes = append(c.nodes, NewNode(eng, id, tier, hw))
-			id++
+			ids[t] = append(ids[t], next)
+			next++
 		}
 	}
-	add(TierProxy, proxyN)
-	add(TierApp, appN)
-	add(TierDB, dbN)
+	return ids
+}
+
+// New creates a cluster of nodes with the given tier sizes, numbered as
+// NodeIDs numbers them.
+func New(eng *simnet.Engine, hw Hardware, proxyN, appN, dbN int) *Cluster {
+	c := &Cluster{}
+	for t, ids := range NodeIDs(proxyN, appN, dbN) {
+		for _, id := range ids {
+			c.nodes = append(c.nodes, NewNode(eng, id, Tier(t), hw))
+		}
+	}
 	return c
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +64,24 @@ func TestNewClusterLayout(t *testing.T) {
 	}
 	if c.Node(99) != nil {
 		t.Fatal("missing node should be nil")
+	}
+}
+
+// TestNodeIDsMatchNew checks that the planned layout names exactly the
+// nodes New builds, tier by tier and in ID order.
+func TestNodeIDsMatchNew(t *testing.T) {
+	for _, sz := range [][3]int{{1, 1, 1}, {2, 2, 2}, {4, 2, 1}, {1, 3, 2}} {
+		c := New(newEngine(), DefaultHardware(), sz[0], sz[1], sz[2])
+		ids := NodeIDs(sz[0], sz[1], sz[2])
+		for _, tier := range Tiers() {
+			var got []int
+			for _, n := range c.TierNodes(tier) {
+				got = append(got, n.ID())
+			}
+			if !slices.Equal(got, ids[tier]) {
+				t.Fatalf("%v tier %v: New built nodes %v, NodeIDs says %v", sz, tier, got, ids[tier])
+			}
+		}
 	}
 }
 

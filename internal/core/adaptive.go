@@ -4,7 +4,6 @@ import (
 	"webharmony/internal/cluster"
 	"webharmony/internal/harmony"
 	"webharmony/internal/monitor"
-	"webharmony/internal/param"
 	"webharmony/internal/reconfig"
 	"webharmony/internal/telemetry"
 )
@@ -52,15 +51,15 @@ func RunAdaptive(lab *Lab, iters int, opts AdaptiveOptions) *AdaptiveResult {
 	opts = opts.withDefaults()
 	res := &AdaptiveResult{}
 	costs := labCosts(lab)
-	topts := withTrace(opts.Tuner, lab)
-	st := harmony.NewStrategy(opts.Strategy, lab, opts.WorkLines, topts)
+	topts := withTrace(opts.Tuner, lab.rec, lab.Sys.Eng.Now)
+	st := harmony.NewStrategy(opts.Strategy, lab.Tiers(), opts.WorkLines, topts)
 	acc := newUtilAccumulator()
 	for i := 0; i < iters; i++ {
 		// One §IV iteration through the same Lookahead/CommitStep protocol
 		// the hermetic runners use, at lookahead 1 on the shared lab:
 		// stage the proposal, restart and measure, commit.
 		for n, cfg := range st.Lookahead(1)[0] {
-			lab.SetNodeConfig(n, cfg)
+			lab.Sys.SetNodeConfig(n, cfg)
 		}
 		m := lab.MeasureIteration(true)
 		st.CommitStep(m.WIPS, m.LineWIPS)
@@ -87,21 +86,22 @@ func RunAdaptive(lab *Lab, iters int, opts AdaptiveOptions) *AdaptiveResult {
 		}
 		// Deploy the strategy's best configurations before the move so the
 		// rebuilt strategy starts from them, then move the node with the
-		// destination tier's best configuration.
+		// destination tier's best configuration (the tier default when
+		// the strategy has none for it).
 		best := st.BestNodeConfigs()
 		for n, cfg := range best {
 			if lab.Sys.Cluster.Node(n) != nil {
 				lab.Sys.SetNodeConfig(n, cfg)
 			}
 		}
-		lab.Sys.MoveNode(d.Node, d.To, bestForTier(lab, best, d.To))
+		lab.Sys.MoveNode(d.Node, d.To, lab.layout().reduce(best)[d.To])
 		res.Moves = append(res.Moves, MoveEvent{
 			Iteration: i, SimTime: lab.Sys.Eng.Now(), Decision: d,
 		})
 		lab.RecordEvent(telemetry.Event{
 			Session: "reconfig", Kind: "move", Move: d.String(), Iter: i,
 		})
-		st = harmony.NewStrategy(opts.Strategy, lab, opts.WorkLines, topts)
+		st = harmony.NewStrategy(opts.Strategy, lab.Tiers(), opts.WorkLines, topts)
 	}
 	return res
 }
@@ -149,17 +149,4 @@ func (a *utilAccumulator) average() []monitor.Reading {
 		out = append(out, r)
 	}
 	return out
-}
-
-// bestForTier picks any node configuration of the given tier from the
-// node→config map (nodes of a tier share configurations under duplication;
-// under other strategies an arbitrary member is still the best seed
-// available), falling back to the tier default.
-func bestForTier(lab *Lab, nodeCfgs map[int]param.Config, t cluster.Tier) param.Config {
-	for _, n := range lab.Sys.Cluster.TierNodes(t) {
-		if cfg, ok := nodeCfgs[n.ID()]; ok {
-			return cfg
-		}
-	}
-	return nil // MoveNode falls back to the tier default
 }

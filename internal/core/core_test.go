@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"webharmony/internal/cluster"
@@ -8,7 +9,10 @@ import (
 	"webharmony/internal/tpcw"
 )
 
-func TestLabImplementsTarget(t *testing.T) {
+// TestLabTiersAndMeasureIteration checks the live lab's two roles: it
+// describes its layout and stored configurations to a strategy, and it
+// measures one iteration window in place.
+func TestLabTiersAndMeasureIteration(t *testing.T) {
 	lab := NewLab(QuickLab(), tpcw.Shopping)
 	tiers := lab.Tiers()
 	if len(tiers) != 3 {
@@ -16,6 +20,13 @@ func TestLabImplementsTarget(t *testing.T) {
 	}
 	if tiers[0].Name != "proxy" || len(tiers[0].Nodes) != 1 {
 		t.Fatalf("tier spec = %+v", tiers[0])
+	}
+	for _, spec := range tiers {
+		for i, n := range spec.Nodes {
+			if !spec.Configs[i].Equal(lab.Sys.NodeConfig(n)) {
+				t.Fatalf("%s node %d: spec config %v, stored %v", spec.Name, n, spec.Configs[i], lab.Sys.NodeConfig(n))
+			}
+		}
 	}
 	m := lab.MeasureIteration(true)
 	if m.WIPS <= 0 {
@@ -99,6 +110,25 @@ func TestRunFigure5PanicsOnBadArgs(t *testing.T) {
 		}
 	}()
 	RunFigure5(QuickLab(), nil, 10, 2, harmony.Options{})
+}
+
+// TestEmptyBaselinePanics checks that the runners refuse a baseline of no
+// windows, whose mean would read 0 and every improvement against it 0%.
+func TestEmptyBaselinePanics(t *testing.T) {
+	for name, run := range map[string]func(){
+		"TuneWorkload": func() { TuneWorkload(TinyLab(), tpcw.Shopping, 4, 0, harmony.Options{}) },
+		"RunFigure4":   func() { RunFigure4(TinyLab(), 4, 0, harmony.Options{}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) {
+					t.Errorf("%s with no baseline windows: panic %q, want one naming %s", name, msg, name)
+				}
+			}()
+			run()
+		}()
+	}
 }
 
 func TestDefaultConfigsComplete(t *testing.T) {

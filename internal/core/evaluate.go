@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"webharmony/internal/cluster"
 	"webharmony/internal/evalcache"
@@ -58,13 +59,19 @@ func evalSpec(cfg LabConfig, w tpcw.Workload, nodeCfgs map[int]param.Config) eva
 	}
 }
 
-// EvalConfig measures one node→configuration assignment hermetically: a
-// fresh lab is built from the parent's configuration with rng streams
-// seeded from the evaluation key, the configurations are staged, and one
-// warm/measure/cool window runs. Nodes absent from nodeCfgs keep their
-// space defaults (the runners always pass complete assignments).
+// EvalConfig measures one node→configuration assignment hermetically
+// under the lab's Cfg (evalConfig); the lab itself is left untouched.
+func (l *Lab) EvalConfig(w tpcw.Workload, nodeCfgs map[int]param.Config, unit string) websim.Measurement {
+	return evalConfig(l.Cfg, w, nodeCfgs, unit)
+}
+
+// evalConfig measures one node→configuration assignment hermetically: a
+// fresh lab is built from cfg with rng streams seeded from the evaluation
+// key, the configurations are staged, and one warm/measure/cool window
+// runs. Nodes absent from nodeCfgs keep their space defaults (the runners
+// always pass complete assignments).
 //
-// When the parent configuration carries an EvalCache, the evaluation is
+// When cfg carries an EvalCache, the evaluation is
 // memoized under its key. Memoization is bypassed while telemetry is
 // attached: a cache hit would skip the per-evaluation recorder/sampler
 // registration and change the telemetry byte stream. Replaying stored
@@ -76,13 +83,13 @@ func evalSpec(cfg LabConfig, w tpcw.Workload, nodeCfgs map[int]param.Config) eva
 // The window ends with finishTelemetry, so the unit's recorder keeps only
 // what the telemetry writers print, not the lab, and then the lab's
 // storage goes back to its pools for the next evaluation (release).
-func (l *Lab) EvalConfig(w tpcw.Workload, nodeCfgs map[int]param.Config, unit string) websim.Measurement {
-	key := evalSpec(l.Cfg, w, nodeCfgs).Key()
+func evalConfig(cfg LabConfig, w tpcw.Workload, nodeCfgs map[int]param.Config, unit string) websim.Measurement {
+	key := evalSpec(cfg, w, nodeCfgs).Key()
 	compute := func() websim.Measurement {
-		cfg := telemetrySub(l.Cfg, unit)
-		cfg.Seed = rng.TaskSeed(l.Cfg.Seed, key.Hash())
-		cfg.Workers = 1
-		f := NewLab(cfg, w)
+		ecfg := cfg.WithTelemetryUnit(unit)
+		ecfg.Seed = rng.TaskSeed(cfg.Seed, key.Hash())
+		ecfg.Workers = 1
+		f := NewLab(ecfg, w)
 		for node, nc := range nodeCfgs {
 			f.Sys.SetNodeConfig(node, nc)
 		}
@@ -91,24 +98,80 @@ func (l *Lab) EvalConfig(w tpcw.Workload, nodeCfgs map[int]param.Config, unit st
 		f.release()
 		return m
 	}
-	if cache := l.Cfg.EvalCache; cache != nil && l.Cfg.Telemetry == nil {
+	if cache := cfg.EvalCache; cache != nil && cfg.Telemetry == nil {
 		m, _ := cache.Do(key, compute)
 		return m
 	}
 	return compute()
 }
 
-// tierNodeConfigs expands a per-tier configuration map to the complete
-// node→configuration assignment of the lab's current layout (every node
-// of a tier gets its own clone of the tier's configuration).
-func (l *Lab) tierNodeConfigs(cfgs map[cluster.Tier]param.Config) map[int]param.Config {
+// measureConfig applies one configuration per tier (duplicated within the
+// tier) and measures n hermetic iteration windows of workload w, returning
+// the WIPS series. Every window is an independent per-evaluation lab under
+// the same evaluation key, so the series is n exact repeats of one
+// pure-function measurement — the same steady-state conditions hermetic
+// tuning measures under — and, with an EvalCache attached, costs one
+// simulation regardless of n.
+func measureConfig(cfg LabConfig, w tpcw.Workload, cfgs map[cluster.Tier]param.Config, n int) []float64 {
+	nodeCfgs := layoutOf(cfg).expand(cfgs)
+	out := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, evalConfig(cfg, w, nodeCfgs, fmt.Sprintf("m%04d", i)).WIPS)
+	}
+	return out
+}
+
+// tierLayout lists the node IDs serving each tier, indexed by
+// cluster.Tier.
+type tierLayout [][]int
+
+// layoutOf returns the layout every lab built from cfg starts with.
+func layoutOf(cfg LabConfig) tierLayout {
+	return websim.Options{ProxyNodes: cfg.ProxyNodes, AppNodes: cfg.AppNodes, DBNodes: cfg.DBNodes}.NodeIDs()
+}
+
+// expand turns a per-tier configuration map into the node→configuration
+// assignment of the layout: every node of a tier gets its own clone of the
+// tier's configuration.
+func (ly tierLayout) expand(cfgs map[cluster.Tier]param.Config) map[int]param.Config {
 	out := make(map[int]param.Config)
 	for t, cfg := range cfgs {
-		for _, n := range l.Sys.Cluster.TierNodes(t) {
-			out[n.ID()] = cfg.Clone()
+		for _, n := range ly[t] {
+			out[n] = cfg.Clone()
 		}
 	}
 	return out
+}
+
+// reduce picks one configuration per tier from a node assignment, that of
+// the tier's first node it covers (under duplication a tier's nodes share
+// one); a tier it misses is absent from the result.
+func (ly tierLayout) reduce(nodeCfgs map[int]param.Config) map[cluster.Tier]param.Config {
+	out := make(map[cluster.Tier]param.Config)
+	for t, nodes := range ly {
+		for _, n := range nodes {
+			if cfg, ok := nodeCfgs[n]; ok {
+				out[cluster.Tier(t)] = cfg
+				break
+			}
+		}
+	}
+	return out
+}
+
+// specs describes the layout to harmony.NewStrategy, every node anchored
+// at its configuration in cfgs.
+func (ly tierLayout) specs(cfgs map[int]param.Config) []harmony.TierSpec {
+	specs := make([]harmony.TierSpec, 0, len(ly))
+	for t, nodes := range ly {
+		tier := cluster.Tier(t)
+		spec := harmony.TierSpec{Name: tier.String(), Space: websim.SpaceFor(tier), Nodes: nodes}
+		for _, n := range nodes {
+			spec.Configs = append(spec.Configs, cfgs[n])
+		}
+		specs = append(specs, spec)
+	}
+	return specs
 }
 
 // lookahead bounds how many candidate iterations every tuning runner
@@ -124,10 +187,10 @@ func (l *Lab) tierNodeConfigs(cfgs map[cluster.Tier]param.Config) map[int]param.
 const lookahead = 16
 
 // drive is the hermetic tuning loop every tuning runner shares: it builds
-// a strategy of the given kind on lab and runs phaseLen iterations per
-// entry of phases, measuring every proposal via EvalConfig under that
-// phase's workload. The lab only stages configurations for the strategy;
-// its engine never runs.
+// a strategy of the given kind over cfg's layout, anchored at the default
+// configurations a fresh lab starts with, and runs phaseLen iterations per
+// entry of phases, measuring every proposal via evalConfig under that
+// phase's workload; the step trace goes to a recorder under cfg's unit.
 //
 // The sequential formulation — step the strategy, measure, report — hides
 // parallelism because each proposal may depend on the previous report.
@@ -139,7 +202,7 @@ const lookahead = 16
 //     strategy (Strategy.Lookahead — non-committing), never crossing a
 //     phase boundary (those candidates would measure the wrong workload),
 //  2. evaluates every candidate hermetically via ForEach over
-//     lab.Cfg.Workers, and
+//     cfg.Workers, and
 //  3. commits the measurements in proposal order (Strategy.CommitStep),
 //     re-checking the lookahead before each commit and discarding the rest
 //     of the batch the moment a commit changes Strategy.Epoch — a
@@ -153,27 +216,30 @@ const lookahead = 16
 // discarded speculation registers under a fresh recorder name. Trace
 // timestamps come from a virtual clock advancing one full iteration window
 // per committed step — the cadence an engine clock would follow.
-func drive(lab *Lab, kind harmony.StrategyKind, lines int, opts harmony.Options, phases []tpcw.Workload, phaseLen, lookahead int) *harmony.Strategy {
-	window := lab.Cfg.Warm + lab.Cfg.Measure + lab.Cfg.Cool
+func drive(cfg LabConfig, kind harmony.StrategyKind, lines int, opts harmony.Options, phases []tpcw.Workload, phaseLen, lookahead int) *harmony.Strategy {
+	window := cfg.Warm + cfg.Measure + cfg.Cool
 	vt := 0.0
-	if opts.Observe == nil && opts.Observer == nil {
-		opts.Observe = traceObserve(lab.Recorder(), func() float64 { return vt })
+	var rec *telemetry.Recorder
+	if cfg.Telemetry != nil {
+		rec = cfg.Telemetry.Recorder(cfg.TelemetryReplicate, cfg.TelemetryUnit)
 	}
-	st := harmony.NewStrategy(kind, lab, lines, opts)
+	opts = withTrace(opts, rec, func() float64 { return vt })
+	ly := layoutOf(cfg)
+	st := harmony.NewStrategy(kind, ly.specs(ly.expand(DefaultConfigs())), lines, opts)
 	step := 0 // global iteration index
 	for _, w := range phases {
 		for end := step + phaseLen; step < end; {
 			props := st.Lookahead(min(lookahead, end-step))
 			epoch, batchStart := st.Epoch(), step
 			ms := make([]websim.Measurement, len(props))
-			ForEach(lab.Cfg.Workers, len(props), func(j int) {
-				ms[j] = lab.EvalConfig(w, props[j], fmt.Sprintf("e%02d/s%05d", epoch, batchStart+j))
+			ForEach(cfg.Workers, len(props), func(j int) {
+				ms[j] = evalConfig(cfg, w, props[j], fmt.Sprintf("e%02d/s%05d", epoch, batchStart+j))
 			})
 			for j := range props {
 				// The batch was peeked under this epoch, so the check can
 				// only fail on a runner bug — but a silently corrupted
 				// search is far worse than a panic, so verify every commit.
-				if next := st.Lookahead(1); len(next) == 0 || !nodeConfigsEqual(next[0], props[j]) {
+				if next := st.Lookahead(1); len(next) == 0 || !maps.EqualFunc(next[0], props[j], param.Config.Equal) {
 					panic(fmt.Sprintf("core: speculative candidate %d diverged from the authoritative search", batchStart+j))
 				}
 				vt += window
@@ -183,7 +249,7 @@ func drive(lab *Lab, kind harmony.StrategyKind, lines int, opts harmony.Options,
 					// The commit restarted the search: candidates j+1..
 					// were measured for proposals the re-anchored sessions
 					// will never make. Record and drop them.
-					if rec := lab.Recorder(); rec != nil {
+					if rec != nil {
 						for k := j + 1; k < len(props); k++ {
 							rec.Event(telemetry.Event{
 								Session: "speculate", T: vt, Iter: batchStart + k,
@@ -199,19 +265,13 @@ func drive(lab *Lab, kind harmony.StrategyKind, lines int, opts harmony.Options,
 	return st
 }
 
-// nodeConfigsEqual reports whether two node→configuration assignments
-// stage identical configurations on identical node sets.
-func nodeConfigsEqual(a, b map[int]param.Config) bool {
-	if len(a) != len(b) {
-		return false
+// withTrace returns opts with traceObserve(rec, now) attached, unless the
+// caller supplied an observer of its own.
+func withTrace(opts harmony.Options, rec *telemetry.Recorder, now func() float64) harmony.Options {
+	if opts.Observe == nil && opts.Observer == nil {
+		opts.Observe = traceObserve(rec, now)
 	}
-	for n, cfg := range a {
-		o, ok := b[n]
-		if !ok || !cfg.Equal(o) {
-			return false
-		}
-	}
-	return true
+	return opts
 }
 
 // traceObserve returns the observer factory that streams tuner steps into

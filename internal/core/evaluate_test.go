@@ -31,7 +31,7 @@ func TestEvalConfigPure(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	cfg := TinyLab()
-	nodeCfgs := NewLab(cfg, tpcw.Shopping).tierNodeConfigs(DefaultConfigs())
+	nodeCfgs := layoutOf(cfg).expand(DefaultConfigs())
 
 	a := NewLab(cfg, tpcw.Shopping)
 	m1 := a.EvalConfig(tpcw.Shopping, nodeCfgs, "first")
@@ -43,7 +43,7 @@ func TestEvalConfigPure(t *testing.T) {
 	}
 
 	b := NewLab(cfg, tpcw.Shopping)
-	noise := b.tierNodeConfigs(DefaultConfigs())
+	noise := layoutOf(cfg).expand(DefaultConfigs())
 	sp := proxy.Space()
 	dirty := sp.DefaultConfig()
 	dirty[sp.IndexOf(proxy.ParamObjectsPerBucket)] = 5
@@ -64,7 +64,7 @@ func TestEvalConfigPure(t *testing.T) {
 	node := tier.Nodes[0]
 	other := tier.Space.DefaultConfig()
 	other[0] = tier.Space.Def(0).Min
-	alt := a.tierNodeConfigs(DefaultConfigs())
+	alt := layoutOf(cfg).expand(DefaultConfigs())
 	alt[node] = other
 	if m3 := a.EvalConfig(tpcw.Shopping, alt, "alt"); reflect.DeepEqual(m1, m3) {
 		t.Fatalf("a non-default assignment measured exactly like the default one: %+v", m3)

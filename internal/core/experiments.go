@@ -31,7 +31,8 @@ type SingleWorkloadResult struct {
 
 // TuneWorkload runs the §III.A single-workload tuning experiment: iters
 // tuning iterations with a single Harmony server over all parameters of
-// the 1/1/1 cluster, plus baselineIters unturned iterations for reference.
+// the 1/1/1 cluster, plus baselineIters (at least one) untuned iterations
+// for reference.
 // Both the baseline windows and the tuning iterations run hermetically
 // (DESIGN.md §10): every evaluation is a fresh per-evaluation lab keyed by
 // its configuration, so re-proposed lattice points are exact repeats and
@@ -44,41 +45,27 @@ func TuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters int, opts
 
 // tuneWorkload is TuneWorkload driven at the given lookahead depth.
 func tuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters, depth int, opts harmony.Options) *SingleWorkloadResult {
+	if baselineIters < 1 {
+		// An empty baseline's mean reads 0, and every improvement against
+		// it would silently read 0% too.
+		panic("core: TuneWorkload needs baselineIters >= 1")
+	}
 	res := &SingleWorkloadResult{Workload: w}
 
 	// Baseline: the default configuration, measured repeatedly.
-	base := NewLab(telemetrySub(cfg, "baseline"), w)
-	res.Baseline = base.MeasureConfig(DefaultConfigs(), baselineIters)
+	res.Baseline = measureConfig(cfg.WithTelemetryUnit("baseline"), w, DefaultConfigs(), baselineIters)
 
-	// Tuning run on a fresh, identically-seeded lab.
-	lab := NewLab(telemetrySub(cfg, "tuning"), w)
-	st := drive(lab, harmony.StrategyDefault, 0, opts, []tpcw.Workload{w}, iters, depth)
+	// Tuning run from the same configuration.
+	st := drive(cfg.WithTelemetryUnit("tuning"), harmony.StrategyDefault, 0, opts, []tpcw.Workload{w}, iters, depth)
 	res.Tuning = st.Perf()
 	res.BestWIPS, _ = st.Best()
-	res.BestConfigs = tierConfigs(lab, st.BestNodeConfigs())
+	res.BestConfigs = layoutOf(cfg).reduce(st.BestNodeConfigs())
 
 	baseMean := stats.MeanOf(res.Baseline)
 	half := res.Tuning[len(res.Tuning)/2:]
 	res.AvgImprovement = stats.Improvement(baseMean, stats.MeanOf(half))
 	res.FracBetter = stats.FractionAbove(half, baseMean)
 	return res
-}
-
-// tierConfigs reduces a node→config map to one configuration per tier
-// (nodes of a tier share the configuration under the strategies used
-// here; the first node of the tier is taken as representative).
-func tierConfigs(lab *Lab, nodeCfgs map[int]param.Config) map[cluster.Tier]param.Config {
-	out := make(map[cluster.Tier]param.Config)
-	for _, t := range cluster.Tiers() {
-		nodes := lab.Sys.Cluster.TierNodes(t)
-		if len(nodes) == 0 {
-			continue
-		}
-		if cfg, ok := nodeCfgs[nodes[0].ID()]; ok {
-			out[t] = cfg
-		}
-	}
-	return out
 }
 
 // Figure4Result is the cross-workload configuration matrix of Figure 4.
@@ -99,14 +86,18 @@ type Figure4Result struct {
 
 // RunFigure4 tunes each workload for iters iterations, then applies every
 // best configuration to every workload, reproducing Figure 4 and Table 3.
-// evalIters iterations are averaged per matrix cell.
+// evalIters (at least one) iterations are averaged per matrix cell and per
+// default baseline.
 //
-// The three tuning runs are independent (each builds its own lab from
-// cfg.Seed) and fan out over cfg.Workers, as do each run's candidate
-// evaluations through the driver's lookahead and the nine evaluation
-// matrix cells once every best configuration is known. The output is
-// bit-for-bit identical at any worker count.
+// The three tuning runs are independent (each measures from cfg.Seed) and
+// fan out over cfg.Workers, as do each run's candidate evaluations through
+// the driver's lookahead and the nine evaluation matrix cells once every
+// best configuration is known. The output is bit-for-bit identical at any
+// worker count.
 func RunFigure4(cfg LabConfig, iters, evalIters int, opts harmony.Options) *Figure4Result {
+	if evalIters < 1 {
+		panic("core: RunFigure4 needs evalIters >= 1")
+	}
 	res := &Figure4Result{
 		Best: make(map[tpcw.Workload]map[cluster.Tier]param.Config),
 		Runs: make(map[tpcw.Workload]*SingleWorkloadResult),
@@ -116,7 +107,7 @@ func RunFigure4(cfg LabConfig, iters, evalIters int, opts harmony.Options) *Figu
 	// Phase 1: one tuning run per workload, each writing its own slot.
 	runs := make([]*SingleWorkloadResult, len(ws))
 	ForEach(cfg.Workers, len(ws), func(i int) {
-		runs[i] = TuneWorkload(telemetrySub(cfg, "tune:"+ws[i].String()), ws[i], iters, evalIters, opts)
+		runs[i] = TuneWorkload(cfg.WithTelemetryUnit("tune:"+ws[i].String()), ws[i], iters, evalIters, opts)
 	})
 	for i, w := range ws {
 		res.Runs[w] = runs[i]
@@ -128,8 +119,7 @@ func RunFigure4(cfg LabConfig, iters, evalIters int, opts harmony.Options) *Figu
 	// best-configuration maps are read-only from here on.
 	ForEach(cfg.Workers, len(ws)*len(ws), func(k int) {
 		from, on := ws[k/len(ws)], ws[k%len(ws)]
-		lab := NewLab(telemetrySub(cfg, fmt.Sprintf("eval:%s-on-%s", from, on)), on)
-		series := lab.MeasureConfig(res.Best[from], evalIters)
+		series := measureConfig(cfg.WithTelemetryUnit(fmt.Sprintf("eval:%s-on-%s", from, on)), on, res.Best[from], evalIters)
 		res.Matrix[from][on] = stats.MeanOf(series)
 	})
 	for _, w := range ws {
@@ -188,7 +178,7 @@ type Table4Result struct {
 // and the hybrid (§III.B future work).
 //
 // The baseline and the four method runs are independent replications,
-// each on its own identically-seeded lab, and fan out over cfg.Workers,
+// each measured from the same configuration, and fan out over cfg.Workers,
 // as do each method's candidate evaluations through the driver's
 // lookahead (see drive); the improvement column is filled in after the
 // join. Output is bit-for-bit identical at any worker count.
@@ -214,13 +204,9 @@ func runTable4(cfg LabConfig, iters, depth int, opts harmony.Options) *Table4Res
 		if i == 0 {
 			// Baseline: no tuning. At least one window must run even for
 			// iters < 4 — iters/4 == 0 would yield an empty series whose
-			// mean (and every improvement column derived from it) is NaN.
-			base := NewLab(telemetrySub(cfg, "baseline"), tpcw.Shopping)
-			baseIters := iters / 4
-			if baseIters < 1 {
-				baseIters = 1
-			}
-			baseSeries := base.MeasureConfig(DefaultConfigs(), baseIters)
+			// mean reads 0, and every improvement column derived from it
+			// 0% as well.
+			baseSeries := measureConfig(cfg.WithTelemetryUnit("baseline"), tpcw.Shopping, DefaultConfigs(), max(iters/4, 1))
 			rows[0] = Table4Row{
 				Method: "none",
 				WIPS:   stats.MeanOf(baseSeries),
@@ -229,8 +215,7 @@ func runTable4(cfg LabConfig, iters, depth int, opts harmony.Options) *Table4Res
 			return
 		}
 		kind := kinds[i-1]
-		lab := NewLab(telemetrySub(cfg, "method:"+kind.String()), tpcw.Shopping)
-		st := drive(lab, kind, cfg.WorkLines, opts, []tpcw.Workload{tpcw.Shopping}, iters, depth)
+		st := drive(cfg.WithTelemetryUnit("method:"+kind.String()), kind, cfg.WorkLines, opts, []tpcw.Workload{tpcw.Shopping}, iters, depth)
 		best, _ := st.Best()
 		perf := st.Perf()
 		rows[i] = Table4Row{
@@ -398,7 +383,7 @@ func RunFigure7Variants(cfg LabConfig, fos ...Figure7Options) []*Figure7Result {
 		if len(fos) > 1 {
 			// Distinguish variant recorders; a single variant keeps the
 			// caller's unit name unchanged.
-			ccfg = telemetrySub(cfg, fmt.Sprintf("v%d", i))
+			ccfg = cfg.WithTelemetryUnit(fmt.Sprintf("v%d", i))
 		}
 		out[i] = RunFigure7(ccfg, fos[i])
 	})

@@ -6,8 +6,6 @@
 package core
 
 import (
-	"fmt"
-
 	"webharmony/internal/cluster"
 	"webharmony/internal/evalcache"
 	"webharmony/internal/harmony"
@@ -42,20 +40,22 @@ type LabConfig struct {
 	Seed uint64
 
 	// Workers bounds the worker pool the experiment runners use to fan
-	// out independent units (tuning runs, matrix cells, Figure 7
-	// variants). 0 selects GOMAXPROCS; 1 forces sequential execution.
-	// Results are bit-for-bit identical at every worker count: each unit
-	// builds its own lab from this configuration's seed.
+	// out independent units (tuning runs, matrix cells, candidate
+	// evaluations, Figure 7 variants). 0 selects GOMAXPROCS; 1 forces
+	// sequential execution. Results are bit-for-bit identical at every
+	// worker count: every evaluation builds its own lab seeded from its
+	// key, and every live run its own lab from this configuration's seed.
 	Workers int
 
 	// Telemetry, when non-nil, collects a tuner step trace and a per-tier
 	// metrics timeseries from every lab built from this configuration.
-	// Each lab registers a recorder under (TelemetryReplicate,
-	// TelemetryUnit); the experiment runners extend TelemetryUnit so
-	// every lab they build gets a distinct name, and core.Replicate sets
-	// TelemetryReplicate to the replicate index. The fields are excluded
-	// from JSON exports and from the determinism contract's inputs: an
-	// instrumented run measures exactly what a bare run measures.
+	// Each lab, and each tuning run's step trace, registers a recorder
+	// under (TelemetryReplicate, TelemetryUnit); the experiment runners
+	// extend TelemetryUnit so every recorder gets a distinct name, and
+	// core.Replicate sets TelemetryReplicate to the replicate index. The
+	// fields are excluded from JSON exports and from the determinism
+	// contract's inputs: an instrumented run measures exactly what a bare
+	// run measures.
 	Telemetry          *telemetry.Collector `json:"-"`
 	TelemetryUnit      string               `json:"-"`
 	TelemetryReplicate int                  `json:"-"`
@@ -91,24 +91,19 @@ type LabConfig struct {
 }
 
 // WithTelemetryUnit returns a copy of the configuration whose telemetry
-// unit path is extended by seg (runners further extend it per lab). No-op
-// when telemetry is disabled.
+// unit path is extended by seg, so every recorder a runner registers gets
+// a distinct name (runners extend it further per lab). No-op when
+// telemetry is disabled.
 func (c LabConfig) WithTelemetryUnit(seg string) LabConfig {
-	return telemetrySub(c, seg)
-}
-
-// telemetrySub appends seg to cfg's telemetry unit path, so every lab a
-// runner builds registers under a distinct recorder name.
-func telemetrySub(cfg LabConfig, seg string) LabConfig {
-	if cfg.Telemetry == nil {
-		return cfg
+	if c.Telemetry == nil {
+		return c
 	}
-	if cfg.TelemetryUnit == "" {
-		cfg.TelemetryUnit = seg
+	if c.TelemetryUnit == "" {
+		c.TelemetryUnit = seg
 	} else {
-		cfg.TelemetryUnit += "/" + seg
+		c.TelemetryUnit += "/" + seg
 	}
-	return cfg
+	return c
 }
 
 // PaperLab returns the paper's timing on the 4-machine setup: 100/1000/100
@@ -157,7 +152,9 @@ func TinyLab() LabConfig {
 }
 
 // Lab is one instantiated experiment: a simulated cluster under TPC-W load
-// with per-iteration measurement, usable as a harmony.Target.
+// with per-iteration measurement. Live runs (Figure 7, RunAdaptive) keep
+// one lab for their whole history; every hermetic evaluation builds a
+// fresh one and drops it after its window (evaluate.go).
 type Lab struct {
 	Cfg    LabConfig
 	Sys    *websim.System
@@ -210,10 +207,6 @@ func NewLab(cfg LabConfig, w tpcw.Workload) *Lab {
 	return lab
 }
 
-// Recorder returns the lab's telemetry recorder; nil when telemetry is
-// disabled (a nil recorder still accepts appends as no-ops).
-func (l *Lab) Recorder() *telemetry.Recorder { return l.rec }
-
 // RecordEvent appends a trace event stamped with the current simulated
 // time; no-op when telemetry is disabled.
 func (l *Lab) RecordEvent(ev telemetry.Event) {
@@ -224,37 +217,25 @@ func (l *Lab) RecordEvent(ev telemetry.Event) {
 	l.rec.Event(ev)
 }
 
-// withTrace returns opts with a trace-observer factory stamped from the
-// lab's engine clock attached, unless the caller already supplied an
-// observer of its own. No-op when the lab has no telemetry.
-func withTrace(opts harmony.Options, lab *Lab) harmony.Options {
-	if opts.Observe == nil && opts.Observer == nil {
-		opts.Observe = traceObserve(lab.rec, func() float64 { return lab.Sys.Eng.Now() })
-	}
-	return opts
-}
-
-// Tiers implements harmony.Target.
-func (l *Lab) Tiers() []harmony.TierSpec {
-	var specs []harmony.TierSpec
+// layout returns the lab's current tier layout; node moves change it.
+func (l *Lab) layout() tierLayout {
+	ly := make(tierLayout, len(cluster.Tiers()))
 	for _, t := range cluster.Tiers() {
-		spec := harmony.TierSpec{Name: t.String(), Space: websim.SpaceFor(t)}
 		for _, n := range l.Sys.Cluster.TierNodes(t) {
-			spec.Nodes = append(spec.Nodes, n.ID())
+			ly[t] = append(ly[t], n.ID())
 		}
-		specs = append(specs, spec)
 	}
-	return specs
+	return ly
 }
 
-// SetNodeConfig implements harmony.Target.
-func (l *Lab) SetNodeConfig(node int, cfg param.Config) {
-	l.Sys.SetNodeConfig(node, cfg)
-}
-
-// NodeConfig implements harmony.Target: the node's staged configuration.
-func (l *Lab) NodeConfig(node int) param.Config {
-	return l.Sys.NodeConfig(node)
+// Tiers returns the lab's current tier layout with every node's stored
+// configuration, the view harmony.NewStrategy anchors its searches at.
+func (l *Lab) Tiers() []harmony.TierSpec {
+	cfgs := make(map[int]param.Config)
+	for _, n := range l.Sys.Cluster.Nodes() {
+		cfgs[n.ID()] = l.Sys.NodeConfig(n.ID())
+	}
+	return l.layout().specs(cfgs)
 }
 
 // MeasureIteration runs one iteration window; restart controls whether the
@@ -312,21 +293,10 @@ func (l *Lab) release() {
 func (l *Lab) LastReadings() []monitor.Reading { return l.lastReadings }
 
 // MeasureConfig applies one configuration per tier (duplicated within the
-// tier) and measures n hermetic iteration windows, returning the WIPS
-// series. Every window is an independent per-evaluation lab under the
-// same evaluation key (DESIGN.md §10), so the series is n exact repeats
-// of one pure-function measurement — the same steady-state conditions
-// hermetic tuning measures under — and, with an EvalCache attached, costs
-// one simulation regardless of n.
+// tier) and measures n hermetic iteration windows of the lab's workload,
+// returning the WIPS series (measureConfig).
 func (l *Lab) MeasureConfig(cfgs map[cluster.Tier]param.Config, n int) []float64 {
-	nodeCfgs := l.tierNodeConfigs(cfgs)
-	w := l.Driver.Workload()
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		m := l.EvalConfig(w, nodeCfgs, fmt.Sprintf("m%04d", i))
-		out = append(out, m.WIPS)
-	}
-	return out
+	return measureConfig(l.Cfg, l.Driver.Workload(), cfgs, n)
 }
 
 // DefaultConfigs returns every tier's default configuration.
@@ -337,6 +307,3 @@ func DefaultConfigs() map[cluster.Tier]param.Config {
 	}
 	return out
 }
-
-// Compile-time check.
-var _ harmony.Target = (*Lab)(nil)

@@ -11,12 +11,12 @@ import (
 //
 // ForEach is the execution layer behind the experiment runners' fan-outs
 // (the Figure 4 tuning runs and matrix cells, the Table 4 method
-// replications, the Figure 7 variants). The determinism contract every
-// caller must uphold:
+// replications, each tuning run's candidate evaluations, the Figure 7
+// variants). The determinism contract every caller must uphold:
 //
-//   - each task owns its state (its own Lab, engine and rng streams) and
-//     writes only to its own index-addressed result slot, so no task can
-//     observe another's progress;
+//   - each task owns its state (the labs it builds, with their engines
+//     and rng streams) and writes only to its own index-addressed result
+//     slot, so no task can observe another's progress;
 //   - any shared inputs (a LabConfig, a best-configuration map from an
 //     earlier phase) are treated as read-only.
 //

@@ -24,7 +24,7 @@ func runFigure5(cfg LabConfig, seq []tpcw.Workload, phaseLen, phases, lookahead 
 			res.Workload = append(res.Workload, ws[p])
 		}
 	}
-	st := drive(NewLab(cfg, seq[0]), harmony.StrategyDuplication, 0, opts, ws, phaseLen, lookahead)
+	st := drive(cfg, harmony.StrategyDuplication, 0, opts, ws, phaseLen, lookahead)
 	res.WIPS = st.Perf()
 	for _, sess := range st.Sessions() {
 		res.Restarts += sess.Resets()

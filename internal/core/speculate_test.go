@@ -99,7 +99,7 @@ func TestTuningRunnersLookaheadMatchesSequential(t *testing.T) {
 		harmony.StrategyPartitioning, harmony.StrategyHybrid} {
 		cfg := lab(1)
 		cfg.ProxyNodes, cfg.AppNodes, cfg.DBNodes, cfg.WorkLines = 2, 2, 2, 2
-		st := harmony.NewStrategy(kind, NewLab(cfg, tpcw.Shopping), cfg.WorkLines, opts)
+		st := harmony.NewStrategy(kind, NewLab(cfg, tpcw.Shopping).Tiers(), cfg.WorkLines, opts)
 		if n := len(st.Lookahead(lookahead)); n < 2 {
 			t.Fatalf("%v: initial lookahead %d; the batched path is not exercised", kind, n)
 		}

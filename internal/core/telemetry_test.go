@@ -147,3 +147,40 @@ func decodeTrace(t *testing.T, c *telemetry.Collector) []telemetry.Event {
 	}
 	return events
 }
+
+// TestHermeticRunnersRegisterNoIdleSpanSinks runs every hermetic runner
+// with spans on and checks that each span sink it leaves in the collector
+// folded at least one measurement window: the runners build no lab that
+// never simulates, so the bottleneck rollup has no "0 windows" unit.
+func TestHermeticRunnersRegisterNoIdleSpanSinks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	opts := harmony.Options{Seed: 1}
+	runs := map[string]func(cfg LabConfig){
+		"sec3a":   func(cfg LabConfig) { TuneWorkload(cfg, tpcw.Browsing, 3, 1, opts) },
+		"figure4": func(cfg LabConfig) { RunFigure4(cfg, 3, 1, opts) },
+		"table4":  func(cfg LabConfig) { RunTable4(cfg, 3, opts) },
+		"figure5": func(cfg LabConfig) { RunFigure5(cfg, []tpcw.Workload{tpcw.Browsing, tpcw.Ordering}, 2, 2, opts) },
+	}
+	for name, run := range runs {
+		cfg := TinyLab()
+		cfg.Telemetry, cfg.Spans = telemetry.NewCollector(), true
+		cfg = cfg.WithTelemetryUnit(name)
+		run(cfg)
+		var rollup bytes.Buffer
+		if err := cfg.Telemetry.WriteLatencyRollup(&rollup); err != nil {
+			t.Fatal(err)
+		}
+		units := 0
+		for _, line := range strings.Split(strings.TrimSpace(rollup.String()), "\n") {
+			units++
+			if strings.Contains(line, " 0 windows") {
+				t.Errorf("%s: idle span sink: %s", name, line)
+			}
+		}
+		if units < 2 {
+			t.Errorf("%s: rollup names %d units; spans were not recorded", name, units)
+		}
+	}
+}

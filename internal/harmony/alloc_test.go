@@ -4,23 +4,21 @@ import "testing"
 
 // TestStrategyStepAllocs pins the steady-state allocation cost of one
 // tuning iteration so event-loop and bookkeeping wins don't silently
-// erode. It measures a fake run plus CommitStep, the commit every tuning
-// loop runs (the fake measures what the previous commit staged, which is
-// all an allocation count needs). Measured on the synthetic two-tier
-// cluster: 16 allocs/iteration for the default strategy and 22 for
-// duplication/partitioning (stable across seeds — the ask/tell path
-// allocates only proposal clones and the per-iteration report slices).
-// The live loop also takes a Lookahead(1) per iteration (10–12 allocs on
-// this cluster, more on a larger one), which is noise next to the
-// simulated window it stages. The ceiling leaves ~18% headroom over the
-// 22-alloc worst case so legitimate small changes don't trip it, while a
-// quadratic or per-parameter regression will.
+// erode. It measures the loop the live runner (core.RunAdaptive) runs:
+// take Lookahead(1), stage its entry on the fake cluster, run the fake
+// iteration and CommitStep the measurement. Measured on the synthetic
+// two-tier cluster: 16 allocs/iteration for the default strategy and 25
+// for duplication and partitioning (stable across seeds — the lookahead's
+// peeked proposals and per-node assignment map, the tuners' asks and the
+// history's report records). A quadratic or per-parameter regression
+// trips the ceiling.
 func TestStrategyStepAllocs(t *testing.T) {
 	const ceiling = 26.0
 	for _, kind := range []StrategyKind{StrategyDefault, StrategyDuplication, StrategyPartitioning} {
 		fc := newFakeCluster(0.5)
-		st := NewStrategy(kind, fc, 2, Options{Seed: 7})
+		st := NewStrategy(kind, fc.tiers(), 2, Options{Seed: 7})
 		iteration := func() {
+			fc.stage(st.Lookahead(1)[0])
 			wips, lines := fc.RunIteration()
 			st.CommitStep(wips, lines)
 		}

@@ -185,12 +185,16 @@ func (s *Session) Space() *param.Space { return s.space }
 
 // NextConfig returns the configuration to run for the next iteration.
 func (s *Session) NextConfig() param.Config {
-	if s.asked {
-		return s.pending.Clone()
-	}
-	s.pending = s.tuner.Ask()
-	s.asked = true
+	s.ask()
 	return s.pending.Clone()
+}
+
+// ask makes the session's next proposal pending, unless one already is.
+func (s *Session) ask() {
+	if !s.asked {
+		s.pending = s.tuner.Ask()
+		s.asked = true
+	}
 }
 
 // Peek returns up to max upcoming proposals without advancing the

@@ -7,14 +7,6 @@ import (
 	"webharmony/internal/param"
 )
 
-// stageConfigs applies one Lookahead entry to the fake cluster, the way a
-// speculative runner stages a candidate on an evaluation lab.
-func stageConfigs(fc *fakeCluster, m map[int]param.Config) {
-	for node, cfg := range m {
-		fc.SetNodeConfig(node, cfg)
-	}
-}
-
 // driveSpeculative runs iters tuning iterations through the speculative
 // Lookahead/CommitStep protocol: peek a batch of upcoming proposals,
 // measure every candidate up front (batch measurement is what a parallel
@@ -45,7 +37,7 @@ func driveSpeculative(st *Strategy, fc *fakeCluster, iters, lookahead, shiftAt i
 		epoch := st.Epoch()
 		specs := make([]meas, len(props))
 		for j, m := range props {
-			stageConfigs(fc, m)
+			fc.stage(m)
 			w, l := fc.RunIteration()
 			specs[j] = meas{w, l}
 		}
@@ -81,16 +73,16 @@ func TestCommitStepMatchesStep(t *testing.T) {
 	for _, kind := range []StrategyKind{StrategyDefault, StrategyDuplication, StrategyPartitioning, StrategyHybrid} {
 		// Reference: the sequential formulation.
 		seqFC := newFakeCluster(0)
-		seq := NewStrategy(kind, seqFC, 2, opts)
+		seq := NewStrategy(kind, seqFC.tiers(), 2, opts)
 		for i := 0; i < iters; i++ {
-			seqStep(seq)
+			seqStep(seq, seqFC)
 			if i+1 == shiftAt {
 				seqFC.bias = -60
 			}
 		}
 
 		specFC := newFakeCluster(0)
-		spec := NewStrategy(kind, specFC, 2, opts)
+		spec := NewStrategy(kind, specFC.tiers(), 2, opts)
 		discarded := driveSpeculative(spec, specFC, iters, 16, shiftAt)
 
 		if kind != StrategyDuplication && discarded == 0 {
@@ -139,14 +131,14 @@ func TestCommitStepMatchesStep(t *testing.T) {
 // duplication→partitioning switch, and peeking never advances the search.
 func TestLookaheadBounds(t *testing.T) {
 	fc := newFakeCluster(0)
-	st := NewStrategy(StrategyHybrid, fc, 2, Options{Seed: 5})
+	st := NewStrategy(StrategyHybrid, fc.tiers(), 2, Options{Seed: 5})
 	if got := len(st.Lookahead(0)); got != 1 {
 		t.Fatalf("Lookahead(0) returned %d entries, want 1", got)
 	}
 	// Walk to one iteration short of the hybrid switch: the lookahead
 	// must be truncated to that single remaining duplication iteration.
 	for st.iters < st.hybridK-1 {
-		seqStep(st)
+		seqStep(st, fc)
 	}
 	if got := len(st.Lookahead(16)); got != 1 {
 		t.Fatalf("Lookahead(16) at switch-1 returned %d entries, want 1", got)
@@ -160,7 +152,7 @@ func TestLookaheadBounds(t *testing.T) {
 	// The switch is lazy: after the duplication phase's final commit it
 	// happens on the next Lookahead, which must peek the new
 	// partitioning sessions rather than the retired duplication ones.
-	seqStep(st)
+	seqStep(st, fc)
 	if len(st.Lookahead(4)) < 1 {
 		t.Fatal("post-switch lookahead empty")
 	}

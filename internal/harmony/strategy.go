@@ -12,19 +12,11 @@ type TierSpec struct {
 	Name  string
 	Space *param.Space
 	Nodes []int // node IDs currently serving the tier
-}
-
-// Target is the system under tuning, as seen by a cluster strategy. The
-// web-cluster simulator (or a live cluster) implements it.
-type Target interface {
-	// Tiers returns the current tier layout.
-	Tiers() []TierSpec
-	// SetNodeConfig stages a configuration for one node; it takes effect
-	// when the caller next restarts the servers to measure an iteration.
-	SetNodeConfig(node int, cfg param.Config)
-	// NodeConfig returns the node's currently staged configuration; the
-	// strategies anchor their searches at it.
-	NodeConfig(node int) param.Config
+	// Configs holds the nodes' current configurations, Configs[i] for
+	// Nodes[i]; the strategies anchor their searches at them. A node
+	// without one (a nil entry, or Configs shorter than Nodes) leaves its
+	// session unanchored.
+	Configs []param.Config
 }
 
 // StrategyKind selects a cluster tuning method (§III.B).
@@ -71,11 +63,12 @@ type sessionMap struct {
 	spaces []*param.Space
 }
 
-// Strategy drives tuning sessions against a Target, one iteration at a
-// time.
+// Strategy drives the tuning sessions of a cluster, one iteration at a
+// time. It only proposes configurations and learns from their
+// measurements: the caller applies Lookahead(1)[0] to the system it
+// measures.
 type Strategy struct {
 	kind     StrategyKind
-	target   Target
 	opts     Options
 	lines    int
 	sessions []*Session
@@ -93,20 +86,27 @@ type Strategy struct {
 	gen     int // session generations: bumped when the hybrid switches
 }
 
-// NewStrategy creates a tuning strategy of the given kind over the target.
-// For StrategyPartitioning and StrategyHybrid, lines is the number of work
-// lines the target was built with.
-func NewStrategy(kind StrategyKind, target Target, lines int, opts Options) *Strategy {
-	s := &Strategy{kind: kind, target: target, opts: opts, lines: lines, tiers: target.Tiers()}
+// NewStrategy creates a tuning strategy of the given kind over the tier
+// layout, its searches anchored at the tiers' current configurations. For
+// StrategyPartitioning and StrategyHybrid, lines is the number of work
+// lines the system was built with.
+func NewStrategy(kind StrategyKind, tiers []TierSpec, lines int, opts Options) *Strategy {
+	s := &Strategy{kind: kind, opts: opts, lines: lines, tiers: tiers}
+	anchors := make(map[int]param.Config)
+	for _, t := range tiers {
+		for i, cfg := range t.Configs {
+			anchors[t.Nodes[i]] = cfg
+		}
+	}
 	switch kind {
 	case StrategyDefault:
-		s.initDefault()
+		s.initDefault(anchors)
 	case StrategyDuplication:
-		s.initDuplication()
+		s.initDuplication(anchors)
 	case StrategyPartitioning:
-		s.initPartitioning()
+		s.initPartitioning(anchors)
 	case StrategyHybrid:
-		s.initDuplication()
+		s.initDuplication(anchors)
 		s.hybridK = 40 // duplication phase length before fine tuning
 	default:
 		panic(fmt.Sprintf("harmony: unknown strategy %d", kind))
@@ -132,7 +132,7 @@ func (s *Strategy) observerFor(label string, space *param.Space) simplex.StepObs
 
 // initDefault builds one session over the concatenation of every node's
 // space.
-func (s *Strategy) initDefault() {
+func (s *Strategy) initDefault(anchors map[int]param.Config) {
 	var prefixes []string
 	var m sessionMap
 	for _, t := range s.tiers {
@@ -147,18 +147,18 @@ func (s *Strategy) initDefault() {
 		panic(err)
 	}
 	opts := s.sessionOpts(0)
-	opts.Anchor = concatAnchor(s.target, m)
+	opts.Anchor = concatAnchor(anchors, m)
 	opts.Observer = s.observerFor("all", all)
 	s.sessions = []*Session{NewSession(all, opts)}
 	s.maps = []sessionMap{m}
 }
 
-// concatAnchor builds the concatenated current configuration of a
+// concatAnchor builds the concatenated anchor configuration of a
 // session's nodes, or nil if any node has none.
-func concatAnchor(t Target, m sessionMap) param.Config {
+func concatAnchor(anchors map[int]param.Config, m sessionMap) param.Config {
 	var anchor param.Config
 	for _, n := range m.nodes {
-		cfg := t.NodeConfig(n)
+		cfg := anchors[n]
 		if cfg == nil {
 			return nil
 		}
@@ -169,13 +169,13 @@ func concatAnchor(t Target, m sessionMap) param.Config {
 
 // initDuplication builds one session per tier; each session's
 // configuration is duplicated to every node of the tier.
-func (s *Strategy) initDuplication() {
+func (s *Strategy) initDuplication(anchors map[int]param.Config) {
 	s.sessions = nil
 	s.maps = nil
 	for i, t := range s.tiers {
 		opts := s.sessionOpts(i)
 		if len(t.Nodes) > 0 {
-			opts.Anchor = s.target.NodeConfig(t.Nodes[0])
+			opts.Anchor = anchors[t.Nodes[0]]
 		}
 		opts.Observer = s.observerFor(t.Name, t.Space)
 		s.sessions = append(s.sessions, NewSession(t.Space, opts))
@@ -186,7 +186,7 @@ func (s *Strategy) initDuplication() {
 // initPartitioning builds one session per work line over the concatenation
 // of the line's node spaces. Line l owns every l-th node of each tier (the
 // same assignment the simulator's router uses).
-func (s *Strategy) initPartitioning() {
+func (s *Strategy) initPartitioning(anchors map[int]param.Config) {
 	if s.lines < 1 {
 		panic("harmony: partitioning needs at least one work line")
 	}
@@ -209,7 +209,7 @@ func (s *Strategy) initPartitioning() {
 			panic(err)
 		}
 		opts := s.sessionOpts(l)
-		opts.Anchor = concatAnchor(s.target, m)
+		opts.Anchor = concatAnchor(anchors, m)
 		opts.Observer = s.observerFor(fmt.Sprintf("line%d", l), lineSpace)
 		s.sessions = append(s.sessions, NewSession(lineSpace, opts))
 		s.maps = append(s.maps, m)
@@ -217,35 +217,27 @@ func (s *Strategy) initPartitioning() {
 }
 
 // scatter distributes per-session configurations (obtained via get) to the
-// target's nodes and returns the node → configuration map.
-func (s *Strategy) scatter(get func(*Session) param.Config, stage bool) map[int]param.Config {
+// nodes and returns the node → configuration map.
+func (s *Strategy) scatter(get func(*Session) param.Config) map[int]param.Config {
 	out := make(map[int]param.Config)
 	for i, sess := range s.sessions {
-		s.assign(i, get(sess), stage, out)
+		s.assign(i, get(sess), out)
 	}
 	return out
 }
 
 // assign scatters session i's configuration to its nodes, writing the
-// per-node slices into out and, when stage is set, staging them on the
-// target.
-func (s *Strategy) assign(i int, cfg param.Config, stage bool, out map[int]param.Config) {
+// per-node slices into out.
+func (s *Strategy) assign(i int, cfg param.Config, out map[int]param.Config) {
 	m := s.maps[i]
 	if m.spaces == nil {
 		for _, n := range m.nodes {
 			out[n] = cfg.Clone()
-			if stage {
-				s.target.SetNodeConfig(n, cfg)
-			}
 		}
 		return
 	}
 	for j, n := range m.nodes {
-		sub := param.Slice(cfg, m.spaces, j)
-		out[n] = sub
-		if stage {
-			s.target.SetNodeConfig(n, sub)
-		}
+		out[n] = param.Slice(cfg, m.spaces, j)
 	}
 }
 
@@ -253,19 +245,19 @@ func (s *Strategy) assign(i int, cfg param.Config, stage bool, out map[int]param
 func (s *Strategy) Sessions() []*Session { return s.sessions }
 
 // CommitStep completes one tuning iteration whose measurement the caller
-// took: it stages the iteration's configurations on the target, reports
-// the given measurement to every session and updates the strategy's
-// performance record. It is the only way a strategy advances. The caller
-// must have measured the configurations Lookahead(1) proposes at the
-// moment of the call; committing a measurement taken for any other
+// took: it reports the given measurement to every session as the answer
+// to its pending proposal and updates the strategy's performance record.
+// It is the only way a strategy advances, and it applies nothing: the
+// caller must have measured the configurations Lookahead(1) proposes at
+// the moment of the call; committing a measurement taken for any other
 // configuration corrupts the search (speculative runners re-check the
 // lookahead before every commit for exactly this reason).
 func (s *Strategy) CommitStep(wips float64, lineWIPS []float64) {
 	s.maybeSwitch()
-	s.scatter(func(sess *Session) param.Config { return sess.NextConfig() }, true)
 	perLine := s.kind == StrategyPartitioning ||
 		(s.kind == StrategyHybrid && s.iters >= s.hybridK)
 	for l, sess := range s.sessions {
+		sess.ask()
 		if perLine && l < len(lineWIPS) {
 			sess.Report(lineWIPS[l])
 		} else {
@@ -308,7 +300,7 @@ func (s *Strategy) Lookahead(max int) []map[int]param.Config {
 	for j := 0; j < depth; j++ {
 		m := make(map[int]param.Config)
 		for i := range s.sessions {
-			s.assign(i, peeks[i][j], false, m)
+			s.assign(i, peeks[i][j], m)
 		}
 		out = append(out, m)
 	}
@@ -330,39 +322,24 @@ func (s *Strategy) Epoch() int {
 }
 
 // maybeSwitch performs the hybrid's one-time duplication→partitioning
-// transition once the duplication phase has run its course. Both
-// CommitStep and Lookahead call it, so a lookahead taken at
-// the boundary peeks the sessions that will actually run next.
+// transition once the duplication phase has run its course: the per-line
+// sessions' searches start from the duplication phase's best
+// configurations. Both CommitStep and Lookahead call it, so a lookahead
+// taken at the boundary peeks the sessions that will actually run next.
 func (s *Strategy) maybeSwitch() {
 	if s.kind == StrategyHybrid && s.gen == 0 && s.iters >= s.hybridK {
-		s.switchToPartitioning()
+		s.initPartitioning(s.BestNodeConfigs())
+		s.gen++
 	}
-}
-
-// switchToPartitioning converts a hybrid strategy's sessions to per-line
-// sessions whose searches start from the duplication-phase best.
-func (s *Strategy) switchToPartitioning() {
-	s.scatter(func(sess *Session) param.Config {
-		best, _, ok := sess.BestEver()
-		if !ok {
-			best = sess.Space().DefaultConfig()
-		}
-		return best
-	}, true)
-	s.initPartitioning()
-	s.gen++
 }
 
 // BestNodeConfigs returns, for every node, the configuration the strategy
 // would deploy as its final answer (each session's best-ever point).
 func (s *Strategy) BestNodeConfigs() map[int]param.Config {
 	return s.scatter(func(sess *Session) param.Config {
-		best, _, ok := sess.BestEver()
-		if !ok {
-			best = sess.Space().DefaultConfig()
-		}
+		best, _, _ := sess.BestEver()
 		return best
-	}, false)
+	})
 }
 
 // Perf returns the global WIPS time series, one value per iteration.

@@ -7,9 +7,10 @@ import (
 	"webharmony/internal/rng"
 )
 
-// fakeCluster is a synthetic Target: two tiers with two nodes each. Global
-// performance is the sum of per-node peak functions plus noise; per-line
-// performance splits nodes by index parity, as the simulator's router does.
+// fakeCluster is a synthetic tuned system: two tiers with two nodes each.
+// Global performance is the sum of per-node peak functions plus noise;
+// per-line performance splits nodes by index parity, as the simulator's
+// router does.
 type fakeCluster struct {
 	spaces  map[string]*param.Space
 	configs map[int]param.Config
@@ -41,19 +42,24 @@ func newFakeCluster(noise float64) *fakeCluster {
 	return f
 }
 
-func (f *fakeCluster) Tiers() []TierSpec {
+// tiers returns the cluster's layout with its nodes' current
+// configurations, the view NewStrategy anchors at.
+func (f *fakeCluster) tiers() []TierSpec {
 	return []TierSpec{
-		{Name: "front", Space: f.spaces["front"], Nodes: []int{0, 1}},
-		{Name: "back", Space: f.spaces["back"], Nodes: []int{2, 3}},
+		{Name: "front", Space: f.spaces["front"], Nodes: []int{0, 1},
+			Configs: []param.Config{f.configs[0].Clone(), f.configs[1].Clone()}},
+		{Name: "back", Space: f.spaces["back"], Nodes: []int{2, 3},
+			Configs: []param.Config{f.configs[2].Clone(), f.configs[3].Clone()}},
 	}
 }
 
-func (f *fakeCluster) SetNodeConfig(node int, cfg param.Config) {
-	f.configs[node] = cfg.Clone()
-}
-
-func (f *fakeCluster) NodeConfig(node int) param.Config {
-	return f.configs[node].Clone()
+// stage applies a node → configuration assignment, as a runner applies
+// a proposal to the system it is about to measure. The strategies hand
+// out fresh configurations, so the fake keeps them without copying.
+func (f *fakeCluster) stage(m map[int]param.Config) {
+	for node, cfg := range m {
+		f.configs[node] = cfg
+	}
 }
 
 // nodePerf peaks at a=60,b=40 for front nodes and c=25 for back nodes.
@@ -79,12 +85,14 @@ func (f *fakeCluster) RunIteration() (float64, []float64) {
 // seqStep is the sequential reference formulation of one tuning
 // iteration: ask each session for its next proposal and stage it on the
 // fake cluster, run the fake iteration on it, and report the measurement
-// (CommitStep re-stages the same pending proposals). The speculative
-// tests compare Lookahead/CommitStep batches against it.
-func seqStep(st *Strategy) float64 {
+// (CommitStep answers the same pending proposals). It asks the sessions
+// directly rather than through Lookahead, so the speculative tests that
+// compare Lookahead/CommitStep batches against it have an independent
+// reference.
+func seqStep(st *Strategy, fc *fakeCluster) float64 {
 	st.maybeSwitch()
-	st.scatter(func(sess *Session) param.Config { return sess.NextConfig() }, true)
-	wips, lines := st.target.(*fakeCluster).RunIteration()
+	fc.stage(st.scatter(func(sess *Session) param.Config { return sess.NextConfig() }))
+	wips, lines := fc.RunIteration()
 	st.CommitStep(wips, lines)
 	return wips
 }
@@ -112,9 +120,9 @@ func TestAllStrategiesImprove(t *testing.T) {
 	for _, kind := range []StrategyKind{StrategyDefault, StrategyDuplication, StrategyPartitioning, StrategyHybrid} {
 		fc := newFakeCluster(0.5)
 		base := fc.defaultPerf()
-		st := NewStrategy(kind, fc, 2, Options{Seed: 7})
+		st := NewStrategy(kind, fc.tiers(), 2, Options{Seed: 7})
 		for i := 0; i < 120; i++ {
-			seqStep(st)
+			seqStep(st, fc)
 		}
 		best, bestIt := st.Best()
 		if best <= base {
@@ -131,7 +139,7 @@ func TestAllStrategiesImprove(t *testing.T) {
 
 func TestDefaultStrategyTunesAllNodesIndependently(t *testing.T) {
 	fc := newFakeCluster(0)
-	st := NewStrategy(StrategyDefault, fc, 0, Options{Seed: 3})
+	st := NewStrategy(StrategyDefault, fc.tiers(), 0, Options{Seed: 3})
 	if len(st.Sessions()) != 1 {
 		t.Fatalf("default strategy has %d sessions, want 1", len(st.Sessions()))
 	}
@@ -139,7 +147,7 @@ func TestDefaultStrategyTunesAllNodesIndependently(t *testing.T) {
 	if dim := st.Sessions()[0].Space().Len(); dim != 6 {
 		t.Fatalf("default strategy dimension = %d, want 6", dim)
 	}
-	seqStep(st)
+	seqStep(st, fc)
 	// Node configs may differ across nodes of the same tier.
 	if len(fc.configs[0]) != 2 || len(fc.configs[2]) != 1 {
 		t.Fatal("config scatter wrong")
@@ -148,12 +156,12 @@ func TestDefaultStrategyTunesAllNodesIndependently(t *testing.T) {
 
 func TestDuplicationStrategySharesTierConfigs(t *testing.T) {
 	fc := newFakeCluster(0)
-	st := NewStrategy(StrategyDuplication, fc, 0, Options{Seed: 3})
+	st := NewStrategy(StrategyDuplication, fc.tiers(), 0, Options{Seed: 3})
 	if len(st.Sessions()) != 2 {
 		t.Fatalf("duplication has %d sessions, want 2 (one per tier)", len(st.Sessions()))
 	}
 	for i := 0; i < 10; i++ {
-		seqStep(st)
+		seqStep(st, fc)
 		if !fc.configs[0].Equal(fc.configs[1]) {
 			t.Fatal("front tier nodes diverged under duplication")
 		}
@@ -165,7 +173,7 @@ func TestDuplicationStrategySharesTierConfigs(t *testing.T) {
 
 func TestPartitioningStrategyUsesLineFeedback(t *testing.T) {
 	fc := newFakeCluster(0)
-	st := NewStrategy(StrategyPartitioning, fc, 2, Options{Seed: 3})
+	st := NewStrategy(StrategyPartitioning, fc.tiers(), 2, Options{Seed: 3})
 	if len(st.Sessions()) != 2 {
 		t.Fatalf("partitioning has %d sessions, want 2 (one per line)", len(st.Sessions()))
 	}
@@ -176,7 +184,7 @@ func TestPartitioningStrategyUsesLineFeedback(t *testing.T) {
 		}
 	}
 	for i := 0; i < 60; i++ {
-		seqStep(st)
+		seqStep(st, fc)
 	}
 	// Nodes of the same tier may legitimately differ across lines.
 	// Each line session must have 60 iterations of its own feedback.
@@ -211,9 +219,9 @@ func TestDuplicationConvergesFasterThanDefault(t *testing.T) {
 	// reliable.
 	run := func(kind StrategyKind) (int, int) {
 		fc := newFakeCluster(0)
-		st := NewStrategy(kind, fc, 2, Options{Seed: 11})
+		st := NewStrategy(kind, fc.tiers(), 2, Options{Seed: 11})
 		for i := 0; i < 200; i++ {
-			seqStep(st)
+			seqStep(st, fc)
 		}
 		return convergenceIteration(st), st.ExplorationIterations()
 	}
@@ -230,19 +238,29 @@ func TestDuplicationConvergesFasterThanDefault(t *testing.T) {
 
 func TestHybridSwitchesPhases(t *testing.T) {
 	fc := newFakeCluster(0.2)
-	st := NewStrategy(StrategyHybrid, fc, 2, Options{Seed: 5})
+	st := NewStrategy(StrategyHybrid, fc.tiers(), 2, Options{Seed: 5})
 	if len(st.Sessions()) != 2 { // duplication phase: one per tier
 		t.Fatal("hybrid should start in duplication")
 	}
-	for i := 0; i < 41; i++ {
-		seqStep(st)
+	for i := 0; i < 40; i++ {
+		seqStep(st, fc)
 	}
+	// The switch anchors the per-line sessions at the duplication phase's
+	// best configurations, so the first partitioning proposal is them.
+	best := st.BestNodeConfigs()
+	first := st.Lookahead(1)[0]
+	for node, cfg := range best {
+		if !cfg.Equal(first[node]) {
+			t.Fatalf("node %d: first partitioning proposal %v, duplication best %v", node, first[node], cfg)
+		}
+	}
+	seqStep(st, fc)
 	// After the switch, sessions are per-line with concatenated spaces.
 	if got := st.Sessions()[0].Space().Len(); got != 3 {
 		t.Fatalf("hybrid did not switch to partitioning (dim=%d)", got)
 	}
 	for i := 0; i < 40; i++ {
-		seqStep(st)
+		seqStep(st, fc)
 	}
 	if st.iters != 81 {
 		t.Fatal("iterations lost across phase switch")
@@ -255,5 +273,5 @@ func TestPartitioningRequiresLines(t *testing.T) {
 			t.Fatal("partitioning without lines accepted")
 		}
 	}()
-	NewStrategy(StrategyPartitioning, newFakeCluster(0), 0, Options{})
+	NewStrategy(StrategyPartitioning, newFakeCluster(0).tiers(), 0, Options{})
 }

@@ -67,6 +67,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// NodeIDs returns the node IDs New gives each tier of a system built from
+// o, indexed by cluster.Tier, without building it.
+func (o Options) NodeIDs() [][]int {
+	o = o.withDefaults()
+	return cluster.NodeIDs(o.ProxyNodes, o.AppNodes, o.DBNodes)
+}
+
 // interTierLatency is the one-way LAN latency between tiers, seconds.
 const interTierLatency = 0.0003
 
@@ -134,8 +141,7 @@ type System struct {
 
 // freePagePool and freeObjPool hold released systems' free request
 // records. A system takes them at its first page or object and rebinds
-// them (DESIGN.md §10), so one that never serves (a lab that only stages
-// configurations) takes none.
+// them (DESIGN.md §10), so one that never serves takes none.
 var (
 	freePagePool recycle.Pool[[]*pageReq]
 	freeObjPool  recycle.Pool[[]*objReq]

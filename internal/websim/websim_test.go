@@ -41,6 +41,24 @@ func TestSystemServesTraffic(t *testing.T) {
 	}
 }
 
+// TestOptionsNodeIDs checks that the planned layout, zero tier sizes
+// defaulted as New defaults them, names the nodes New builds.
+func TestOptionsNodeIDs(t *testing.T) {
+	for _, opts := range []Options{{Scale: 500}, {ProxyNodes: 2, AppNodes: 3, DBNodes: 1, Scale: 500}} {
+		sys := New(opts)
+		ids := opts.NodeIDs()
+		for _, tier := range cluster.Tiers() {
+			var got []int
+			for _, n := range sys.Cluster.TierNodes(tier) {
+				got = append(got, n.ID())
+			}
+			if !reflect.DeepEqual(got, ids[tier]) {
+				t.Fatalf("%+v tier %v: New built nodes %v, NodeIDs says %v", opts, tier, got, ids[tier])
+			}
+		}
+	}
+}
+
 func TestSetNodeConfigValidates(t *testing.T) {
 	sys := smallSystem(0)
 	defer func() {

@@ -124,8 +124,8 @@ type ParamDef = param.Def
 type Config = param.Config
 
 // Lab is an instantiated simulated cluster + TPC-W client population; it
-// implements the tuning Target interface and exposes the underlying
-// simulator for custom experiments.
+// describes its tiers to a tuning strategy (Tiers) and exposes the
+// underlying simulator for custom experiments.
 type Lab = core.Lab
 
 // NewLab builds a lab for the given setup and workload.
