@@ -226,14 +226,35 @@ func helper2(x float64) float64 {
 	return 1 + x*0.5*(1+x*(1.0/3.0)*(1+0.25*x))
 }
 
-// Next draws the next rank in [0, n). Rank 0 is the most popular.
-func (z *Zipf) Next() uint64 {
+// table fetches the sampler's inversion table on first use; it stays nil
+// above maxTableRanks.
+func (z *Zipf) table() {
 	if z.tab == nil && z.n <= maxTableRanks {
 		z.tab = sharedZipfTable(z)
 	}
+}
+
+// Next draws the next rank in [0, n). Rank 0 is the most popular.
+func (z *Zipf) Next() uint64 {
+	z.table()
 	for {
 		if k, ok := z.draw(z.src.Uint64() >> 11); ok {
 			return k
+		}
+	}
+}
+
+// NextFiltered draws like Next but skips, after one Uint64 and one bit
+// test each, the draws f (built by z's Filter) proves cannot return a
+// kept rank. Its ranks are Next's less some that f's keep rejects, so a
+// caller that draws again until keep accepts gets exactly the ranks, and
+// consumes exactly the stream, of the same loop over Next.
+func (z *Zipf) NextFiltered(f *ZipfFilter) uint64 {
+	for {
+		if m := z.src.Uint64() >> 11; f.pass(m) {
+			if k, ok := z.draw(m); ok {
+				return k
+			}
 		}
 	}
 }

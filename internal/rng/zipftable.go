@@ -147,3 +147,64 @@ func sharedZipfTable(z *Zipf) *zipfTable {
 	l.once.Do(func() { l.t = newZipfTable(z) })
 	return l.t
 }
+
+// ZipfFilter is a quick-reject filter for a sampler whose caller wants
+// only some ranks (the kept ranks) and draws again on the rest. It marks,
+// over the table's units, where a kept rank can be accepted: a bitset of
+// filterBuckets buckets per rank, whose bit is set when some kept rank's
+// accept step overlaps the bucket once the step is widened by guardUnits+1
+// units on each side. The top guard region, where the table always runs
+// the iteration, is set too.
+//
+// Exactness: a draw whose unit lies in an unset bucket cannot return a
+// kept rank. The table answers a draw outside every guard band with the
+// step holding its unit, and a kept rank's step is marked. A draw inside a
+// guard band runs the iteration, whose breakpoints lie within a unit of the
+// stored ones, so an accepted rank's draw lies within a unit of the rank's
+// stored step, well inside the widened one. Rejecting such a draw without
+// reading the table therefore drops only draws the caller would have drawn
+// past anyway.
+type ZipfFilter struct {
+	bits []uint64
+	nb   uint64 // buckets; the bucket of unit v is v·nb/2^32
+}
+
+// filterBuckets is the filter's buckets per rank.
+const filterBuckets = 4
+
+// pass reports whether the 53-bit draw m may return a kept rank.
+func (f *ZipfFilter) pass(m uint64) bool {
+	b := (m >> unitShift) * f.nb >> 32
+	return f.bits[b>>6]&(1<<(b&63)) != 0
+}
+
+// set marks the buckets holding units lo through hi.
+func (f *ZipfFilter) set(lo, hi uint64) {
+	for b := lo * f.nb >> 32; b <= hi*f.nb>>32; b++ {
+		f.bits[b>>6] |= 1 << (b & 63)
+	}
+}
+
+// Filter returns a quick-reject filter over the ranks keep reports, for
+// NextFiltered. Building it calls keep once per rank. Without a table
+// every draw runs the iteration, so every bucket is set.
+func (z *Zipf) Filter(keep func(rank uint64) bool) *ZipfFilter {
+	z.table()
+	t, n := z.tab, z.n
+	if t == nil {
+		return &ZipfFilter{bits: []uint64{math.MaxUint64}, nb: 64}
+	}
+	f := &ZipfFilter{nb: filterBuckets * n}
+	f.bits = make([]uint64, (f.nb+63)/64)
+	const widen = guardUnits + 1
+	for r := uint64(0); r < n; r++ {
+		if !keep(r) {
+			continue
+		}
+		s := 2 * (n - 1 - r) // rank r's accept step
+		lo, hi := uint64(t.bp[s]), uint64(t.bp[s+1])
+		f.set(lo-min(lo, widen), min(hi+widen, math.MaxUint32))
+	}
+	f.set(math.MaxUint32-guardUnits, math.MaxUint32)
+	return f
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"sort"
 	"testing"
 )
@@ -255,4 +256,203 @@ func TestZipfTableSharedAcrossGoroutines(t *testing.T) {
 			t.Error(e)
 		}
 	}
+}
+
+// maskKeep returns a keep predicate that keeps a rank when the bit of mask
+// its hashed rank selects is set: a scattered set of about
+// popcount(mask)/64 of the ranks.
+func maskKeep(mask uint64) func(uint64) bool {
+	return func(r uint64) bool { return mask>>(r*0x9e3779b97f4a7c15>>58)&1 == 1 }
+}
+
+// nextKeptRef is the loop a filter stands in for: the reference iteration
+// drawn again until keep accepts its rank.
+func nextKeptRef(z *Zipf, keep func(uint64) bool) uint64 {
+	for {
+		if k := nextRef(z); keep(k) {
+			return k
+		}
+	}
+}
+
+// nextKept is the same loop over NextFiltered.
+func nextKept(z *Zipf, f *ZipfFilter, keep func(uint64) bool) uint64 {
+	for {
+		if k := z.NextFiltered(f); keep(k) {
+			return k
+		}
+	}
+}
+
+// checkFilter fails if the reference iteration accepts a kept rank on the
+// 53-bit draw m but f rejects m.
+func checkFilter(t *testing.T, z *Zipf, f *ZipfFilter, keep func(uint64) bool, m uint64) {
+	t.Helper()
+	if k, ok := stepRef(z, m); ok && keep(k) && !f.pass(m) {
+		t.Fatalf("n=%d theta=%v m=%#x (unit %d): the iteration accepts kept rank %d, the filter rejects the draw",
+			z.n, z.theta, m, m>>unitShift, k)
+	}
+}
+
+// checkFilterAround checks f at the draws around breakpoint unit b, the
+// same offsets checkAround reads.
+func checkFilterAround(t *testing.T, z *Zipf, f *ZipfFilter, keep func(uint64) bool, b uint32) {
+	t.Helper()
+	const unit = 1 << unitShift
+	base := int64(b) << unitShift
+	for _, d := range []int64{
+		-(guardUnits+2)*unit - 1, -(guardUnits + 1) * unit, -guardUnits*unit - 1,
+		-unit, -1, 0, 1, unit,
+		(guardUnits+1)*unit - 1, (guardUnits + 1) * unit, (guardUnits+2)*unit - 1,
+	} {
+		if m := base + d; m >= 0 && m <= maxM {
+			checkFilter(t, z, f, keep, uint64(m))
+		}
+	}
+}
+
+// filterMasks are the keep sets the filter tests draw through, as masks
+// for maskKeep: 3 in 64 of the ranks (about the static pages' share), a
+// quarter, half, every rank, and 1 in 64.
+var filterMasks = []uint64{1<<0 | 1<<21 | 1<<42, 0x1111111111111111, 0x5555555555555555, math.MaxUint64, 1}
+
+// TestZipfFilterMatchesLoop draws each case through NextFiltered and
+// through the reference loop, both drawing again until keep accepts, and
+// requires the same ranks and, after them, the same source state.
+func TestZipfFilterMatchesLoop(t *testing.T) {
+	draws := 5000
+	if testing.Short() {
+		draws = 2000
+	}
+	for _, c := range tableCases {
+		for _, mask := range filterMasks {
+			keep := maskKeep(mask)
+			if c.n < 64 && !keep(0) && !keep(c.n-1) {
+				continue // a tiny sampler may keep no rank at all
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				got := NewZipf(New(seed), c.n, c.theta)
+				want := NewZipf(New(seed), c.n, c.theta)
+				f := got.Filter(keep)
+				for i := 0; i < draws; i++ {
+					if g, w := nextKept(got, f, keep), nextKeptRef(want, keep); g != w {
+						t.Fatalf("n=%d theta=%v mask=%#x seed %d draw %d: filtered %d, reference loop %d",
+							c.n, c.theta, mask, seed, i, g, w)
+					}
+				}
+				if *got.src != *want.src {
+					t.Fatalf("n=%d theta=%v mask=%#x seed %d: the filtered loop consumed another stream", c.n, c.theta, mask, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestZipfFilterTableless: a sampler too large for a table sets every
+// bucket, and its filtered loop is still the reference loop.
+func TestZipfFilterTableless(t *testing.T) {
+	const n = maxTableRanks + 1
+	keep := maskKeep(0x1111111111111111)
+	got := NewZipf(New(8), n, 0.9)
+	want := NewZipf(New(8), n, 0.9)
+	f := got.Filter(keep)
+	for _, w := range f.bits {
+		if w != math.MaxUint64 {
+			t.Fatalf("table-less filter has unset buckets: %#x", w)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if g, w := nextKept(got, f, keep), nextKeptRef(want, keep); g != w {
+			t.Fatalf("draw %d: filtered %d, reference loop %d", i, g, w)
+		}
+	}
+	if *got.src != *want.src {
+		t.Fatal("the filtered loop consumed another stream")
+	}
+}
+
+// TestZipfFilterCoversBreakpoints checks the filter on both sides of both
+// ends of every kept rank's accept step, where the table hands draws to
+// the iteration, and at both ends of the draw range.
+func TestZipfFilterCoversBreakpoints(t *testing.T) {
+	for _, c := range tableCases {
+		z := tabled(c.n, c.theta)
+		for _, mask := range filterMasks[:2] {
+			keep := maskKeep(mask)
+			f := z.Filter(keep)
+			for r := uint64(0); r < z.n; r++ {
+				if keep(r) {
+					s := 2 * (z.n - 1 - r)
+					checkFilterAround(t, z, f, keep, z.tab.bp[s])
+					checkFilterAround(t, z, f, keep, z.tab.bp[s+1])
+				}
+			}
+			for _, m := range []uint64{0, 1, maxM - 1, maxM} {
+				checkFilter(t, z, f, keep, m)
+			}
+		}
+	}
+}
+
+// TestZipfFilterMarksFew checks that the filter rejects what the speed
+// rests on: with about the static pages' share of the ranks kept, 3 in 64
+// scattered at random, a paper-scale sampler sets under 15% of its
+// buckets. (Tail buckets each span about two ranks, so a scattered set
+// marks about twice its share; the static pages' own ranks mark 5–7.5%.)
+func TestZipfFilterMarksFew(t *testing.T) {
+	z := NewZipf(New(1), 21050, 0.95)
+	f := z.Filter(maskKeep(filterMasks[0]))
+	set := 0
+	for _, w := range f.bits {
+		set += bits.OnesCount64(w)
+	}
+	if share := float64(set) / float64(f.nb); share > 0.15 {
+		t.Fatalf("%.3f of the buckets set, want under 0.15", share)
+	}
+}
+
+// FuzzZipfFilter: for any n in [1, 2^16], theta in (0, 3] other than 1,
+// seed and keep mask, the filtered loop draws the reference loop's ranks
+// from the same stream, and the filter passes every draw around the
+// breakpoints near the stream's first draw that accepts a kept rank.
+func FuzzZipfFilter(f *testing.F) {
+	f.Add(uint16(1049), 0.95, uint64(1), filterMasks[0])
+	f.Add(uint16(3199), 0.9, uint64(2), filterMasks[1])
+	f.Add(uint16(20), 1.5, uint64(3), uint64(1))
+	f.Add(uint16(0), 0.5, uint64(4), uint64(math.MaxUint64))
+	f.Add(uint16(4095), 1.2, uint64(5), uint64(0x8000000000000001))
+	f.Fuzz(func(t *testing.T, n16 uint16, theta float64, seed, mask uint64) {
+		if !(theta > 0 && theta <= 3) || theta == 1 {
+			t.Skip()
+		}
+		n := uint64(n16) + 1
+		keep := maskKeep(mask)
+		kept := false
+		for r := uint64(0); r < n && !kept; r++ {
+			kept = keep(r)
+		}
+		if !kept {
+			t.Skip() // the loop would never return
+		}
+		got := tabled(n, theta)
+		got.src = New(seed)
+		want := NewZipf(New(seed), n, theta)
+		filter := got.Filter(keep)
+		// A sampler whose kept ranks are all rare can take long to draw
+		// one; a few draws still cover the stream.
+		for i := 0; i < 50; i++ {
+			if g, w := nextKept(got, filter, keep), nextKeptRef(want, keep); g != w {
+				t.Fatalf("n=%d theta=%v mask=%#x seed %d draw %d: filtered %d, reference loop %d", n, theta, mask, seed, i, g, w)
+			}
+		}
+		if *got.src != *want.src {
+			t.Fatal("the filtered loop consumed another stream")
+		}
+		bp := got.tab.bp
+		m := New(seed).Uint64() >> 11
+		i := sort.Search(len(bp), func(i int) bool { return bp[i] > uint32(m>>unitShift) })
+		for j := max(i-8, 0); j < min(i+8, len(bp)); j++ {
+			checkFilterAround(t, got, filter, keep, bp[j])
+		}
+	})
 }

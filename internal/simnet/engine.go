@@ -210,13 +210,8 @@ func (e *Engine) head() *eventHeap {
 	}
 }
 
-// Step executes the next pending event and returns true, or returns false
-// if no events remain.
-func (e *Engine) Step() bool {
-	h := e.head()
-	if h == nil {
-		return false
-	}
+// dispatch pops and runs the top of h, the heap head selected.
+func (e *Engine) dispatch(h *eventHeap) {
 	ev := h.pop()
 	fn, a := ev.fn, ev.attr
 	if e.prof != nil {
@@ -227,14 +222,15 @@ func (e *Engine) Step() bool {
 	e.cur = a
 	fn()
 	e.cur = attr{}
-	return true
 }
 
 // RunUntil executes events in order until the next event would fire after
-// time t (or no events remain), then advances the clock to exactly t.
+// time t (or no events remain), then advances the clock to exactly t. It
+// dispatches the head it peeked at, so each event costs one head
+// selection.
 func (e *Engine) RunUntil(t float64) {
 	for h := e.head(); h != nil && (*h)[0].at <= t; h = e.head() {
-		e.Step()
+		e.dispatch(h)
 	}
 	if t > e.now {
 		e.now = t
@@ -243,6 +239,7 @@ func (e *Engine) RunUntil(t float64) {
 
 // Run executes events until none remain.
 func (e *Engine) Run() {
-	for e.Step() {
+	for h := e.head(); h != nil; h = e.head() {
+		e.dispatch(h)
 	}
 }

@@ -8,6 +8,18 @@ import (
 	"webharmony/internal/rng"
 )
 
+// Step executes the next pending event and returns true, or returns false
+// if no events remain: the single step the engine tests drive the loop
+// with. The simulator itself only runs RunUntil and Run.
+func (e *Engine) Step() bool {
+	h := e.head()
+	if h == nil {
+		return false
+	}
+	e.dispatch(h)
+	return true
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	var e Engine
 	var got []int

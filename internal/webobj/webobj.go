@@ -177,6 +177,9 @@ type Popularity struct {
 	a, b uint64
 	mask uint64 // pow2At(n) - 1
 	n    uint64
+	// static is the quick-reject filter over the static pages' ranks,
+	// built by the first NextOf(KindStatic).
+	static *rng.ZipfFilter
 }
 
 // NewPopularity creates a Zipf popularity sampler over the catalog's
@@ -222,9 +225,24 @@ func (p *Popularity) rankToID(rank uint64) uint64 {
 // NextOf draws references until one of kind k comes up and returns it.
 // The rejected draws are tested by ID range and never look up a size. k
 // must be cacheable; the sampler never draws a dynamic object.
+//
+// Static pages hold about 5% of the ranks, so most static draws miss: they
+// go through a quick-reject filter over the static ranks (rng.ZipfFilter),
+// which drops most misses after one Uint64 and draws exactly the same
+// objects. Images hold the other 95% and keep the plain loop.
 func (p *Popularity) NextOf(k Kind) Object {
-	if k == KindDynamic {
+	switch k {
+	case KindDynamic:
 		panic("webobj: NextOf(KindDynamic): the sampler draws cacheable objects only")
+	case KindStatic:
+		if p.static == nil {
+			p.static = p.zipf.Filter(func(rank uint64) bool { return p.cat.kind(p.rankToID(rank)) == KindStatic })
+		}
+		for {
+			if id := p.rankToID(p.zipf.NextFiltered(p.static)); p.cat.kind(id) == KindStatic {
+				return p.cat.Object(id)
+			}
+		}
 	}
 	for {
 		id := p.rankToID(p.zipf.Next())

@@ -1,6 +1,8 @@
 package webobj
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -162,33 +164,79 @@ func TestRankToIDBijection(t *testing.T) {
 	}
 }
 
+// nextOfRef is the loop NextOf stands in for: draw with Next until the
+// kind matches.
+func nextOfRef(p *Popularity, k Kind) Object {
+	for {
+		if o := p.Next(); o.Kind == k {
+			return o
+		}
+	}
+}
+
 // TestNextOfMatchesRejectionLoop pins NextOf to the loop it replaces:
 // drawing with Next until the kind matches. Both samplers share a seed,
-// so equal objects over 10^5 draws per kind mean NextOf consumes exactly
-// the same Zipf draws and keeps exactly the same one each time.
+// so equal objects per kind mean NextOf consumes exactly the same Zipf
+// draws and keeps exactly the same one each time: static draws through
+// the quick-reject filter, alone and interleaved with images from the
+// same sampler, at catalog scales from 100 to 40,000 items, four Zipf
+// exponents and several seeds.
 func TestNextOfMatchesRejectionLoop(t *testing.T) {
-	nextOfRef := func(p *Popularity, k Kind) Object {
-		for {
-			if o := p.Next(); o.Kind == k {
-				return o
-			}
-		}
+	draws := 10000
+	if testing.Short() {
+		draws = 2000
 	}
 	kinds := map[string][]Kind{
 		"static": {KindStatic},
 		"image":  {KindImage},
-		"mixed":  {KindStatic, KindImage, KindImage},
+		"mixed":  {KindStatic, KindImage, KindStatic, KindStatic},
 	}
-	for _, scale := range []int{1500, 10000} {
-		for name, seq := range kinds {
-			got := NewPopularity(NewCatalog(scale, 5), rng.New(9), 0.95)
-			want := NewPopularity(NewCatalog(scale, 5), rng.New(9), 0.95)
-			for i := 0; i < 100000; i++ {
-				k := seq[i%len(seq)]
-				if g, w := got.NextOf(k), nextOfRef(want, k); g != w {
-					t.Fatalf("scale %d, %s draw %d: NextOf = %+v, rejection loop = %+v", scale, name, i, g, w)
+	for _, scale := range []int{100, 1500, 10000, 40000} {
+		for _, theta := range []float64{0.5, 0.9, 0.95, 1.2} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				for name, seq := range kinds {
+					got := NewPopularity(NewCatalog(scale, seed), rng.New(seed), theta)
+					want := NewPopularity(NewCatalog(scale, seed), rng.New(seed), theta)
+					for i := 0; i < draws; i++ {
+						k := seq[i%len(seq)]
+						if g, w := got.NextOf(k), nextOfRef(want, k); g != w {
+							t.Fatalf("scale %d theta %v seed %d, %s draw %d: NextOf = %+v, rejection loop = %+v",
+								scale, theta, seed, name, i, g, w)
+						}
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestNextOfStreamPinned pins an FNV-1a hash of the first 10^5 objects
+// NextOf draws of each kind, IDs and sizes, at two catalog scales. The
+// hashes were recorded from the plain rejection loop, before static draws
+// went through a filter.
+func TestNextOfStreamPinned(t *testing.T) {
+	for _, c := range []struct {
+		scale int
+		kind  Kind
+		theta float64
+		want  uint64
+	}{
+		{1500, KindStatic, 0.95, 0x53cd98a105f01817},
+		{1500, KindImage, 0.90, 0x5a330b6c70cd651c},
+		{10000, KindStatic, 0.95, 0x6b3a2a8b6176b9a8},
+		{10000, KindImage, 0.90, 0x857310167e5ea4d},
+	} {
+		p := NewPopularity(NewCatalog(c.scale, 5), rng.New(2024), c.theta)
+		h := fnv.New64a()
+		var b [16]byte
+		for i := 0; i < 100000; i++ {
+			o := p.NextOf(c.kind)
+			binary.LittleEndian.PutUint64(b[:8], o.ID)
+			binary.LittleEndian.PutUint64(b[8:], uint64(o.Size))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("scale %d %v: stream hash %#x, want %#x", c.scale, c.kind, got, c.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package websim
 import (
 	"testing"
 
+	"webharmony/internal/cluster"
 	"webharmony/internal/rng"
 	"webharmony/internal/simnet"
 	"webharmony/internal/tpcw"
@@ -32,7 +33,8 @@ func checkPagePathAllocs(t *testing.T, sys *System, what string) {
 	done := func(bool) {}
 	next := 0
 	serve := func() {
-		pr := gen.PageBuf(tpcw.Interaction(next%tpcw.NumInteractions), 0, buf)
+		// Browsers 0–3 cover both lines of a two-line system.
+		pr := gen.PageBuf(tpcw.Interaction(next%tpcw.NumInteractions), next%4, buf)
 		next++
 		buf = pr.Images
 		sys.Request(pr, done)
@@ -60,8 +62,39 @@ func checkPagePathAllocs(t *testing.T, sys *System, what string) {
 // records: the only remaining allocations are amortized container growth
 // and cache-admission bookkeeping on the occasional miss, so the per-page
 // average must stay a small constant (DESIGN.md §7).
+//
+// The routing table holds the same ceiling, and picks allocate nothing, on
+// a 2/2/2 system split into two work lines and on one with a failed node:
+// routing used to filter a tier's node list on every pick there.
 func TestPagePathAllocs(t *testing.T) {
 	checkPagePathAllocs(t, allocSystem(), "page path")
+	t.Run("two-lines", func(t *testing.T) {
+		sys := smallSystem(2)
+		checkPagePathAllocs(t, sys, "two-line page path")
+		checkPickAllocs(t, sys)
+	})
+	t.Run("failed-node", func(t *testing.T) {
+		sys := smallSystem(0)
+		sys.FailNode(sys.Cluster.TierNodes(cluster.TierApp)[0].ID())
+		checkPagePathAllocs(t, sys, "page path with a failed node")
+		checkPickAllocs(t, sys)
+	})
+}
+
+// checkPickAllocs fails t unless a pick in every tier, for browsers on
+// every work line, allocates nothing.
+func checkPickAllocs(t *testing.T, sys *System) {
+	t.Helper()
+	eb := 0
+	pick := func() {
+		sys.pickProxy(eb)
+		sys.pickApp(eb)
+		sys.pickDB(eb)
+		eb++
+	}
+	if avg := testing.AllocsPerRun(1000, pick); avg != 0 {
+		t.Errorf("%.3f allocs per three picks, want 0", avg)
+	}
 }
 
 // TestPagePathAllocsProfiled holds the same ceiling with the sim-time

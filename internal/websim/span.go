@@ -2,6 +2,7 @@ package websim
 
 import (
 	"webharmony/internal/cluster"
+	"webharmony/internal/recycle"
 	"webharmony/internal/simnet"
 	"webharmony/internal/stats"
 	"webharmony/internal/tpcw"
@@ -17,13 +18,14 @@ import (
 // worker-count-independent output.
 //
 // The fold path (page) is on the simulator's hot path and allocates
-// nothing in steady state: the histogram table is allocated once, on the
-// first fold, attribution totals are plain counters, and only the sampled
-// pages copy their span tree out of the pooled request records.
+// nothing in steady state: the histogram table is taken once, on the
+// first fold (a frozen sink's recycled table when there is one),
+// attribution totals are plain counters, and only the sampled pages copy
+// their span tree out of the pooled request records.
 //
 // A sink lives in two phases. While live it holds the dense histogram
 // table; Freeze reduces the table to the row summaries the latency
-// writer prints and drops it, after which folding panics. The sink never
+// writer prints and recycles it, after which folding panics. The sink never
 // references the System it serves, so a finished unit's sink does not keep
 // its simulated cluster reachable.
 type SpanSink struct {
@@ -58,6 +60,11 @@ type spanHists struct {
 	hists [tpcw.NumInteractions][cluster.NumSpanGroups][2]stats.LatencyHist
 	resp  [tpcw.NumInteractions]stats.LatencyHist
 }
+
+// spanTables holds frozen sinks' histogram tables, all zero, for the next
+// sinks' first folds: one table is about 360 KB, and an instrumented run
+// folds into a fresh sink for every hermetic window.
+var spanTables recycle.Pool[*spanHists]
 
 // LatencyRow summarizes one latency histogram: what a latency.csv row
 // prints. Quantiles are the histogram's bucket bounds (stats.LatencyHist
@@ -150,7 +157,10 @@ func (k *SpanSink) page(eng *simnet.Engine, r *pageReq, ok bool) {
 		panic("websim: page folded into a frozen span sink")
 	}
 	if k.live == nil {
-		k.live = new(spanHists)
+		var ok bool
+		if k.live, ok = spanTables.Get(); !ok {
+			k.live = new(spanHists)
+		}
 	}
 	end := eng.NowTicks()
 	b := &r.span
@@ -261,9 +271,9 @@ func (k *SpanSink) Snapshots() []AttrSnap { return k.snaps }
 func (k *SpanSink) Dumps() []SpanDump { return k.dumps }
 
 // Freeze ends the sink's live phase: the histogram table is reduced to
-// the row summaries Latency returns and dropped. Attribution totals,
-// snapshots and dumps are kept. Folding a page afterwards panics; freezing
-// again is a no-op.
+// the row summaries Latency returns, then cleared and returned to
+// spanTables for the next sink. Attribution totals, snapshots and dumps
+// are kept. Folding a page afterwards panics; freezing again is a no-op.
 func (k *SpanSink) Freeze() {
 	if k.frozen != nil {
 		return
@@ -288,6 +298,8 @@ func (k *SpanSink) Freeze() {
 				s.All.Cells[g][kind] = summarize(&m)
 			}
 		}
+		*h = spanHists{}
+		spanTables.Put(h)
 	}
 	k.frozen = s
 	k.live = nil

@@ -229,6 +229,31 @@ func TestSpanSinkFreeze(t *testing.T) {
 	servePages(sys, 16, 9)
 }
 
+// TestSpanSinkRecycledTable checks the histogram table's recycling: a
+// sink whose first fold takes a table another sink filled and froze writes
+// the same latency rows as a sink on a fresh table.
+func TestSpanSinkRecycledTable(t *testing.T) {
+	opts := Options{ProxyNodes: 1, AppNodes: 1, DBNodes: 1, Scale: 200, Seed: 13}
+	sys, ref := spanSystem(t, opts)
+	ref.live = new(spanHists)
+	servePages(sys, 300, 8)
+	want := *ref.Latency()
+
+	other, dirty := spanSystem(t, Options{ProxyNodes: 1, AppNodes: 1, DBNodes: 1, Scale: 300, Seed: 14})
+	servePages(other, 500, 3)
+	table := dirty.live
+	dirty.Freeze()
+
+	sys, sink := spanSystem(t, opts)
+	servePages(sys, 300, 8)
+	if sink.live != table {
+		t.Fatal("the sink did not take the recycled table")
+	}
+	if got := sink.Latency(); *got != want {
+		t.Errorf("latency rows on a recycled table differ: all rows %+v, want %+v", got.All, want.All)
+	}
+}
+
 // TestSpanSitesFollowMoves checks that reassigning a node to another tier
 // re-points its stations' span attribution (the §IV reconfiguration move).
 func TestSpanSitesFollowMoves(t *testing.T) {

@@ -118,6 +118,13 @@ type System struct {
 
 	rr struct{ proxy, app, db uint64 }
 
+	// routes is the routing table pick reads, routes[tier][line]: the
+	// tier's live nodes serving that work line (line 0 without work lines)
+	// with their servers. Starting or stopping a server marks it stale,
+	// and the next pick rebuilds it in the backing arrays it already has.
+	routes      [3][][]route
+	routesStale bool
+
 	// failed marks nodes that are down: they receive no traffic until
 	// recovered.
 	failed map[int]bool
@@ -200,6 +207,7 @@ func SpaceFor(t cluster.Tier) *param.Space {
 // startServer instantiates the tier server process on a node from its
 // stored configuration and charges its memory footprint.
 func (s *System) startServer(n *cluster.Node) {
+	s.routesStale = true
 	id := n.ID()
 	cfg := s.nodeCfg[id]
 	switch n.Tier() {
@@ -230,6 +238,7 @@ func (s *System) startServer(n *cluster.Node) {
 // restart. On a live system with requests in flight (a node move or
 // failure) the store stays with the requests and is collected with them.
 func (s *System) stopServer(n *cluster.Node) {
+	s.routesStale = true
 	if p, ok := s.proxies[n.ID()]; ok && s.livePages == 0 && s.liveObjs == 0 {
 		p.cache.Release()
 	}
@@ -357,62 +366,87 @@ func (s *System) lineFor(eb int) int {
 	return eb % s.opts.WorkLines
 }
 
-// pick returns the serving node of a tier for the given browser, rotating
-// round-robin; with work lines, selection is restricted to the line.
-func (s *System) pick(t cluster.Tier, eb int, rr *uint64) *cluster.Node {
-	nodes := s.Cluster.TierNodes(t)
-	if len(s.failed) > 0 {
-		live := nodes[:0:0]
-		for _, n := range nodes {
-			if !s.failed[n.ID()] {
-				live = append(live, n)
+// route is one routing-table entry: a live node's server, in the field
+// of the node's tier.
+type route struct {
+	proxy *proxyServer
+	app   *appserver.Server
+	db    *db.Server
+}
+
+// buildRoutes rebuilds the routing table from the cluster's tier
+// membership, the failed set and the running servers. A tier's live nodes
+// are its nodes in ID order less the failed ones; with work lines, line L
+// gets the live nodes at positions congruent to L, or all of them when
+// that leaves it none.
+func (s *System) buildRoutes() {
+	lines := max(s.opts.WorkLines, 1)
+	for _, t := range cluster.Tiers() {
+		tab := s.routes[t]
+		if tab == nil {
+			tab = make([][]route, lines)
+			s.routes[t] = tab
+		}
+		for line := range tab {
+			tab[line] = tab[line][:0]
+		}
+		live := 0
+		for _, n := range s.Cluster.TierNodes(t) {
+			if id := n.ID(); !s.failed[id] {
+				tab[live%lines] = append(tab[live%lines], route{proxy: s.proxies[id], app: s.apps[id], db: s.dbs[id]})
+				live++
 			}
 		}
-		nodes = live
+		// With fewer live nodes than lines, lines [0, live) hold one node
+		// each, in order, and every other line shares them all.
+		for line := live; line < lines && live > 0; line++ {
+			for l := range live {
+				tab[line] = append(tab[line], tab[l][0])
+			}
+		}
 	}
+	s.routesStale = false
+}
+
+// pick returns the route to the serving node of a tier for the given
+// browser, rotating round-robin, or nil when the tier has no live node;
+// with work lines, selection is restricted to the line. It reads the
+// routing table (buildRoutes), so a pick costs an index and no
+// allocation; the table changes only when a server starts or stops.
+func (s *System) pick(t cluster.Tier, eb int, rr *uint64) *route {
+	if s.routesStale {
+		s.buildRoutes()
+	}
+	nodes := s.routes[t][max(s.lineFor(eb), 0)]
 	if len(nodes) == 0 {
 		return nil
 	}
-	if line := s.lineFor(eb); line >= 0 {
-		var lineNodes []*cluster.Node
-		for i, n := range nodes {
-			if i%s.opts.WorkLines == line {
-				lineNodes = append(lineNodes, n)
-			}
-		}
-		if len(lineNodes) > 0 {
-			nodes = lineNodes
-		}
-	}
 	*rr++
-	return nodes[int(*rr)%len(nodes)]
+	return &nodes[int(*rr)%len(nodes)]
 }
 
 // pickProxy returns a live proxy server for the browser, or nil.
 func (s *System) pickProxy(eb int) *proxyServer {
-	n := s.pick(cluster.TierProxy, eb, &s.rr.proxy)
-	if n == nil {
-		return nil
+	if r := s.pick(cluster.TierProxy, eb, &s.rr.proxy); r != nil {
+		return r.proxy
 	}
-	return s.proxies[n.ID()]
+	return nil
 }
 
 // pickApp returns a live application server for the browser, or nil.
 func (s *System) pickApp(eb int) *appserver.Server {
-	n := s.pick(cluster.TierApp, eb, &s.rr.app)
-	if n == nil {
-		return nil
+	if r := s.pick(cluster.TierApp, eb, &s.rr.app); r != nil {
+		return r.app
 	}
-	return s.apps[n.ID()]
+	return nil
 }
 
 // pickDB returns a live database server for the browser, or nil.
 func (s *System) pickDB(eb int) *db.Server {
-	n := s.pick(cluster.TierDB, eb, &s.rr.db)
-	if n == nil {
-		return nil
+	if r := s.pick(cluster.TierDB, eb, &s.rr.db); r != nil {
+		return r.db
 	}
-	return s.dbs[n.ID()]
+	return nil
 }
 
 // pageFrames precomputes the "page/<interaction>" attribution frame for
